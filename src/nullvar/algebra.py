@@ -184,6 +184,7 @@ class LieAlgebra:
         self.kappa = self._ad_trace_form()
         self._kappa_inv: Matrix | None = None
         self._w_table: dict[tuple[int, int, int], Fraction] | None = None
+        self._w_by_first: dict[int, list[tuple[int, int, Fraction]]] | None = None
         self._cache: dict = {}
 
     # -- index layout -------------------------------------------------------
@@ -312,16 +313,26 @@ class LieAlgebra:
         return val if sign > 0 else -val
 
     def w_eval(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
-        """w(x, y, z) = kappa([x, y], z) for arbitrary coordinate vectors."""
+        """w(x, y, z) = kappa([x, y], z) for arbitrary coordinate vectors.
+
+        Sums w(b_a, b_b, b_c) x_a y_b z_c over the nonzero table entries whose
+        three coordinates are all nonzero, so sparse arguments cost little.
+        """
+        if self._w_by_first is None:
+            by_first: dict[int, list[tuple[int, int, Fraction]]] = {}
+            for (i, j, k), val in self.w_table.items():
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    by_first.setdefault(a, []).extend(((b, c, val), (c, b, -val)))
+            self._w_by_first = by_first
+        xs, ys, zs = _support(x), _support(y), _support(z)
         acc = Fraction(0)
-        for (i, j, k), val in self.w_table.items():
-            det3 = (
-                frac(x[i]) * (frac(y[j]) * frac(z[k]) - frac(y[k]) * frac(z[j]))
-                - frac(x[j]) * (frac(y[i]) * frac(z[k]) - frac(y[k]) * frac(z[i]))
-                + frac(x[k]) * (frac(y[i]) * frac(z[j]) - frac(y[j]) * frac(z[i]))
-            )
-            if det3:
-                acc += val * det3
+        for a, xa in xs.items():
+            for b, c, val in self._w_by_first.get(a, ()):
+                yb = ys.get(b)
+                if yb is not None:
+                    zc = zs.get(c)
+                    if zc is not None:
+                        acc += val * xa * yb * zc
         return acc
 
     def ad_matrix(self, i: int) -> Matrix:
@@ -405,6 +416,11 @@ class LieAlgebra:
         bump(i, j, amount)
         bump(j, i, -amount)
         return LieAlgebra(self.rd, self.labels, self.weights, brackets, self.realization)
+
+
+def _support(v: Sequence) -> dict[int, Fraction]:
+    """Nonzero coordinates of a vector, coerced to Fraction once each."""
+    return {i: c for i, a in enumerate(v) if a and (c := frac(a))}
 
 
 def algebra_from_json(data: dict) -> LieAlgebra:

@@ -37,11 +37,7 @@ def _max_g() -> int:
 
 
 def _load_datum(label: str):
-    try:
-        family, rank = parse_type_label(label)
-        rd = build_root_datum(family, rank)
-    except UnsupportedTypeError as exc:
-        raise UsageError(str(exc)) from exc
+    rd = build_root_datum(*parse_type_label(label))
     cap = _max_g()
     if rd.g > cap:
         raise UsageError(
@@ -250,7 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, UnsupportedTypeError) as exc:
+        # unknown labels, and types with a root datum but no algebra (G2), are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import LieAlgebra, Subspace
+from .algebra import LieAlgebra
 from .linalg import Matrix, frac, kernel_basis, rank
 
 
@@ -360,10 +360,6 @@ _OPS = {
     "casimir": (casimir, 0),
     "zeta": (zeta, 0),
 }
-
-
-def apply_operator(name: str, u: MultiVector) -> MultiVector:
-    return _OPS[name][0](u)
 
 
 def graded_matrix(L: LieAlgebra, name: str, k: int) -> GradedOperator:
@@ -707,7 +703,3 @@ def borel_top_wedge(L: LieAlgebra) -> MultiVector:
     """Top wedge of the standard Borel subalgebra: a weight-2rho vector of degree d."""
     indices = list(range(L.l)) + [L.pos_index(a) for a in range(L.n_pos)]
     return MultiVector.basis(L, indices)
-
-
-def subspace_top_wedge(L: LieAlgebra, S: Subspace) -> MultiVector:
-    return wedge_rows(L, S.basis_rows())

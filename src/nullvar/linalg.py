@@ -7,7 +7,6 @@ throughout the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -269,7 +268,3 @@ def matrix_from_json(data: dict) -> Matrix:
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entry grid does not match declared shape")
     return Matrix(rows, cols, tuple(Fraction(x) for row in entries for x in row))
-
-
-def dumps_matrix(m: Matrix) -> str:
-    return json.dumps(matrix_to_json(m))

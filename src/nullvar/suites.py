@@ -170,7 +170,7 @@ def structure_records(L: LieAlgebra) -> list[Record]:
     col.add(
         "dim_gamma_2rho",
         "Weyl dimension of the module with highest weight twice the Weyl vector",
-        dim_gamma_two_rho(rd),
+        3 ** len(rd.positive_roots),
         lambda: dim_gamma_two_rho(rd),
     )
     col.add(
@@ -467,20 +467,27 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
 
 def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     col = _Collector("equations")
+    # one run of the sampled suite feeds two records; a failure fails both
+    try:
+        membership = membership_equivalence_suite(L, config.samples, config.seed)
+    except Exception as exc:
+        membership = exc
 
-    def suite_report():
-        return membership_equivalence_suite(L, config.samples, config.seed).to_json()
+    def membership_report():
+        if isinstance(membership, Exception):
+            raise membership
+        return membership
 
     col.add(
         "membership_equivalence",
         "linear membership of the Plucker vector agrees with the direct nullspace predicate",
         True,
-        lambda: membership_equivalence_suite(L, config.samples, config.seed).ok,
+        lambda: membership_report().ok,
     )
     col.add_value(
         "membership_counts",
         "seeded sample tallies for the equivalence suite",
-        suite_report,
+        lambda: membership_report().to_json(),
     )
     col.add_value(
         "equation_count",

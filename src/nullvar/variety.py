@@ -341,9 +341,6 @@ class CubicSystem:
     def n_vars(self) -> int:
         return self.base.dim * self.complement.dim
 
-    def var_id(self, i: int, j: int) -> tuple[int, int]:
-        return (i, j)
-
     def evaluate(self, X) -> tuple[Fraction, ...]:
         """Values of every polynomial at the rectangular parameter grid X."""
         d, m = self.base.dim, self.complement.dim

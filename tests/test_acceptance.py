@@ -71,8 +71,8 @@ def test_criterion_02_dimension_bookkeeping(a1, a2, c2):
     ok = ok and dim_gamma_two_rho(a1.rd) == 3
     ok = ok and dim_gamma_two_rho(a2.rd) == 27
     ok = ok and dim_gamma_two_rho(c2.rd) == 81
-    # independent closed-form route for the C2 value: 3*3*6*9/6
-    ok = ok and 3 * 3 * 6 * 9 // 6 == 81
+    # independent route: at 2 rho each positive root gives a Weyl factor of 3
+    ok = ok and all(dim_gamma_two_rho(L.rd) == 3 ** len(L.rd.positive_roots) for L in (a1, a2, c2))
     _report(2, "(g,l,d) = (3,1,2)/(8,2,5)/(10,2,6); top module dims 3/27/81", ok)
 
 

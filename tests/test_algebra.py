@@ -20,6 +20,7 @@ from nullvar.algebra import (
     standard_borel,
     trace_form_ratio,
 )
+from nullvar.seeds import Lcg
 
 def test_a1_structure(a1):
     h, x, y = a1.basis_vector(0), a1.basis_vector(1), a1.basis_vector(2)
@@ -62,6 +63,47 @@ def test_w_alternation_and_values(a1, a2):
     # simple alpha, beta with x_{-alpha-beta}: nonzero
     val = a2.w_basis(a2.pos_index(0), a2.pos_index(1), a2.neg_index(2))
     assert val != 0
+
+
+def _w_by_bracket(L, x, y, z):
+    """Independent w: expand [x, y] from the bracket table, then pair with z by kappa."""
+    x, y, z = ([Fraction(a) for a in v] for v in (x, y, z))
+    xy = [Fraction(0)] * L.g
+    for i in range(L.g):
+        for j in range(L.g):
+            for k, c in L.brackets[i][j].items():
+                xy[k] += x[i] * y[j] * c
+    return sum(xy[k] * L.kappa[k, m] * z[m] for k in range(L.g) for m in range(L.g))
+
+
+@pytest.mark.parametrize("fixture", ["a2", "c2"])
+def test_w_eval_matches_bracket_then_kappa(fixture, request):
+    L = request.getfixturevalue(fixture)
+    rng = Lcg(11)
+    g = L.g
+
+    def dense():
+        return tuple(Fraction(rng.randint(-3, 3)) for _ in range(g))
+
+    units = [L.basis_vector(i) for i in range(g)]
+    dense_vectors = [dense() for _ in range(12)]
+    rational = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(g)) for _ in range(6)]
+    as_ints = [tuple(int(a) for a in v) for v in dense_vectors[:4]]
+    as_strs = [tuple(str(a) for a in v) for v in rational[:4]]
+    pool = dense_vectors + rational + as_ints + as_strs
+    triples = [(units[i], units[j], units[k]) for i in range(g) for j in range(g) for k in range(g)]
+    triples += [(pool[n % len(pool)], pool[(3 * n + 1) % len(pool)], pool[(7 * n + 2) % len(pool)]) for n in range(60)]
+    triples += [(units[n % g], pool[n % len(pool)], pool[(n + 5) % len(pool)]) for n in range(40)]
+    nonzero = 0
+    for x, y, z in triples:
+        got = L.w_eval(x, y, z)
+        assert type(got) is Fraction
+        assert got == _w_by_bracket(L, x, y, z), (x, y, z)
+        nonzero += got != 0
+    assert nonzero > len(triples) // 10  # the comparison is not vacuous
+    w = pool[1]
+    for v in pool[::3]:
+        assert L.w_eval(v, v, w) == L.w_eval(v, w, v) == L.w_eval(w, v, v) == 0
 
 
 def test_involution_dimensions(a1, a2, c2):

@@ -1,0 +1,31 @@
+"""Suite orchestration: shared computations run once and fail every record that uses them."""
+
+from nullvar import suites
+
+
+def test_membership_suite_runs_once(a2, monkeypatch):
+    calls = []
+    original = suites.membership_equivalence_suite
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "membership_equivalence_suite", counting)
+    records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
+    assert len(calls) == 1
+    assert records["membership_equivalence"].ok
+    counts = records["membership_counts"].got
+    assert counts["samples"] == 12 and counts["ok"] is True
+
+
+def test_membership_failure_fails_both_records(a2, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("sampler broke")
+
+    monkeypatch.setattr(suites, "membership_equivalence_suite", broken)
+    records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
+    for name in ("membership_equivalence", "membership_counts"):
+        assert records[name].ok is False
+        assert records[name].got == "error: RuntimeError: sampler broke"
+    assert records["equation_count"].ok  # the failure stays in the records that use the suite
