@@ -781,26 +781,31 @@ class Involution:
 
     def __init__(self, L: LieAlgebra, signs, matrix: Matrix):
         self.L = L
-        self.signs = tuple(signs)  # one sign per positive root
+        self.signs = tuple(signs)  # t_alpha per positive root: sigma(x_alpha) = t_alpha x_{-alpha}
         self.matrix = matrix
 
     def apply(self, vector) -> Vector:
         return self.matrix.matvec([frac(x) for x in vector])
 
     def fixed_subspace(self) -> Subspace:
+        """Vectors v with sigma v = v: the right kernel of sigma - 1."""
         m = self.matrix.sub(Matrix.identity(self.L.g))
-        return Subspace(self.L, kernel_basis(m.transpose()))
+        return Subspace(self.L, kernel_basis(m))
 
     def minus_subspace(self) -> Subspace:
+        """Vectors v with sigma v = -v: the right kernel of sigma + 1."""
         m = self.matrix.add(Matrix.identity(self.L.g))
-        return Subspace(self.L, kernel_basis(m.transpose()))
+        return Subspace(self.L, kernel_basis(m))
 
 
 def build_involution(L: LieAlgebra, simple_signs) -> Involution:
-    """Involution with sigma(h) = -h and sigma(x_alpha) = t_alpha x_{-alpha}.
+    """Involution with sigma(h) = -h, sigma(x_alpha) = t_alpha x_{-alpha}
+    and sigma(x_{-alpha}) = x_alpha / t_alpha.
 
-    One sign per simple root is free; signs of the remaining positive roots
-    are forced by the automorphism property and must come out as +1 or -1.
+    One sign t_alpha = +1 or -1 per simple root is free; t_alpha of the
+    remaining positive roots is forced by the automorphism property.  It is
+    a nonzero rational, a unit only when the root vectors are Chevalley
+    normalized, and sigma squared is the identity either way.
     """
     simple_signs = tuple(int(s) for s in simple_signs)
     if len(simple_signs) != L.l or any(s not in (1, -1) for s in simple_signs):
@@ -816,10 +821,8 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
         n_pp = L.n_constant(L.pos_index(b), L.pos_index(c))
         n_mm = L.n_constant(L.neg_index(b), L.neg_index(c))
         t = signs[b] * signs[c] * n_mm / n_pp
-        if t not in (1, -1):
-            raise InvolutionError(
-                f"sign extension for root {L.rd.positive_roots[a]} gives {t}, not a unit"
-            )
+        if t == 0:
+            raise InvolutionError(f"sign extension for root {L.rd.positive_roots[a]} gives 0")
         # consistency over every decomposition
         for b2, c2 in L.all_decompositions(a):
             n2_pp = L.n_constant(L.pos_index(b2), L.pos_index(c2))
@@ -836,7 +839,7 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
     for a in range(n_pos):
         cols.append({L.neg_index(a): signs[a]})
     for a in range(n_pos):
-        cols.append({L.pos_index(a): signs[a]})
+        cols.append({L.pos_index(a): 1 / signs[a]})
     entries = [Fraction(0)] * (g * g)
     for j, col in enumerate(cols):
         for i, v in col.items():

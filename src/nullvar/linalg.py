@@ -2,13 +2,17 @@
 
 Every value is a ``fractions.Fraction``; no rounding ever occurs.  The reduced
 row echelon form is the canonical representative used for subspace equality
-throughout the package.
+throughout the package.  ``rref`` clears each row's denominators and
+eliminates on Python ``int`` rows, building ``Fraction`` entries only for its
+canonical output; ``rank``, ``kernel_basis``, ``inverse`` and ``solve_in_span``
+all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -124,44 +128,75 @@ class Matrix:
         return all(x == 0 for x in self.entries)
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """``row`` times the lcm of its denominators: the same line, as ints."""
+    out = [0] * len(row)
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    if nonzero:
+        den = lcm(*[x.denominator for _, x in nonzero])
+        for j, x in nonzero:
+            out[j] = x.numerator * (den // x.denominator)
+    return out
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Unique reduced row echelon form of ``m`` together with its pivot columns."""
-    work = m.row_lists()
+    """Unique reduced row echelon form of ``m`` together with its pivot columns.
+
+    Gauss-Jordan elimination on integer rows: a row is only ever replaced by
+    a nonzero multiple of itself plus a multiple of a pivot row, so the row
+    space and the pivots are those of ``m``.  Dividing each pivot row by its
+    pivot at the end gives the canonical ``Fraction`` form.
+    """
     nrows, ncols = m.rows, m.cols
+    work = [_integer_row(m.row(i)) for i in range(nrows)]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        # any nonzero entry can pivot; a unit one spares scaling the other rows
         pivot_row = None
         for k in range(r, nrows):
-            if work[k][c]:
-                pivot_row = k
-                break
+            x = work[k][c]
+            if x:
+                if pivot_row is None:
+                    pivot_row = k
+                if x == 1 or x == -1:
+                    pivot_row = k
+                    break
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        if inv != 1:
-            row_r = work[r]
-            for j in range(c, ncols):
-                if row_r[j]:
-                    row_r[j] *= inv
+        work[r], work[pivot_row] = work[pivot_row], work[r]
         row_r = work[r]
+        p = row_r[c]
+        support = [(j, row_r[j]) for j in range(c, ncols) if row_r[j]]
         for k in range(nrows):
-            if k == r:
+            row_k = work[k]
+            f = row_k[c]
+            if not f or k == r:
                 continue
-            f = work[k][c]
-            if f:
-                row_k = work[k]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_k[j] -= f * row_r[j]
+            # row_k <- a*row_k - b*row_r with a/b = p/f and a > 0
+            g = gcd(p, f) if p > 0 else -gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row_k = [a * x for x in row_k]
+            for j, x in support:
+                row_k[j] -= b * x
+            if a != 1:
+                # the scaling inflated the row; dividing by its content keeps entries small
+                h = gcd(*row_k)
+                work[k] = [x // h for x in row_k] if h > 1 else row_k
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    flat = tuple(x for row in work for x in row)
-    return Matrix(nrows, ncols, flat), tuple(pivots)
+    zero = Fraction(0)
+    flat = [zero] * (nrows * ncols)
+    for i, c in enumerate(pivots):
+        row, p = work[i], work[i][c]
+        base = i * ncols
+        for j in range(c, ncols):
+            if row[j]:
+                flat[base + j] = Fraction(row[j], p)
+    return Matrix(nrows, ncols, tuple(flat)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

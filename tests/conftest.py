@@ -17,3 +17,8 @@ def a2():
 @pytest.fixture(scope="session")
 def c2():
     return build_algebra(build_root_datum("C", 2))
+
+
+@pytest.fixture(scope="session")
+def b2():
+    return build_algebra(build_root_datum("B", 2))

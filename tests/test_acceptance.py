@@ -76,10 +76,10 @@ def test_criterion_02_dimension_bookkeeping(a1, a2, c2):
     _report(2, "(g,l,d) = (3,1,2)/(8,2,5)/(10,2,6); top module dims 3/27/81", ok)
 
 
-def test_criterion_03_nullspace_construction(a1, a2, c2):
+def test_criterion_03_nullspace_construction(a1, a2, b2, c2):
     ok = True
     rng = Lcg(42)
-    for L in (a1, a2, c2):
+    for L in (a1, a2, b2, c2):
         for _ in range(50):
             V = chart(L, random_chart_parameters(L, rng))
             ok = ok and V.dim == L.d and is_nullspace(L, V)

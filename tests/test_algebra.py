@@ -1,5 +1,6 @@
 """Concrete algebras: brackets, Killing form, trilinear form, involutions, subspaces."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from nullvar.algebra import (
     InvolutionError,
     Subspace,
     algebra_from_json,
+    build_algebra,
     build_involution,
     cartan_subspace,
     check_antisymmetry,
@@ -20,7 +22,9 @@ from nullvar.algebra import (
     standard_borel,
     trace_form_ratio,
 )
+from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
+from nullvar.variety import is_nullspace
 
 def test_a1_structure(a1):
     h, x, y = a1.basis_vector(0), a1.basis_vector(1), a1.basis_vector(2)
@@ -116,6 +120,29 @@ def test_involution_dimensions(a1, a2, c2):
         iv = build_involution(c2, signs)
         assert iv.fixed_subspace().dim == 4
         assert iv.minus_subspace().dim == 6
+
+
+def test_involution_eigenspaces_are_right_eigenvectors(b2):
+    # B2 root vectors are not Chevalley normalized, so some t_alpha are not
+    # units and sigma is not symmetric: left and right eigenvectors differ
+    assert any(t not in (1, -1) for t in build_involution(b2, (1, 1)).signs)
+    for signs in itertools.product((1, -1), repeat=b2.l):
+        inv = build_involution(b2, signs)
+        minus = inv.minus_subspace()
+        assert minus.dim == b2.d
+        for v in minus.basis_rows():
+            assert inv.apply(v) == tuple(-x for x in v)
+        for v in inv.fixed_subspace().basis_rows():
+            assert inv.apply(v) == tuple(v)
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_rank3_sign_patterns_build_nullspaces(family):
+    L = build_algebra(build_root_datum(family, 3))
+    for signs in itertools.product((1, -1), repeat=3):
+        minus = build_involution(L, signs).minus_subspace()
+        assert minus.dim == L.d
+        assert is_nullspace(L, minus)
 
 
 def test_involution_is_orthogonal_decomposition(a2):

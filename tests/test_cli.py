@@ -144,6 +144,13 @@ def test_orbits_verb():
     assert by_codim == [0, 1, 1, 2]
 
 
+def test_verify_b2_nullspace_green(tmp_path):
+    out = run_cli("verify", "--type", "B2", "--suite", "nullspace", "--out", str(tmp_path / "b2.json"))
+    assert out.returncode == 0, out.stderr
+    report = json.loads((tmp_path / "b2.json").read_text())
+    assert all(r["ok"] for r in report["records"])
+
+
 def test_max_g_cap():
     out = run_cli("info", "--type", "B3")
     assert out.returncode == 2  # g = 21 above the default cap

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from nullvar import exterior
 from nullvar.linalg import (
     Matrix,
     det,
@@ -125,3 +128,88 @@ def test_matrix_json_roundtrip():
     data = matrix_to_json(m)
     assert data["entries"][0][0] == "1/3"
     assert matrix_from_json(data) == m
+
+
+def _fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    # oracle: the Gauss-Jordan elimination over Fraction that rref ran before it used ints
+    work = m.row_lists()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((k for k in range(r, m.rows) if work[k][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for k in range(m.rows):
+            f = work[k][c]
+            if k != r and f:
+                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(m.rows, m.cols, tuple(x for row in work for x in row)), tuple(pivots)
+
+
+def _assert_matches_oracle(m: Matrix):
+    red, pivots = rref(m)
+    assert (red, pivots) == _fraction_rref(m)
+    assert all(type(x) is Fraction for x in red.entries)
+
+
+@pytest.mark.parametrize("name", ["a2", "c2"])
+def test_rref_matches_fraction_oracle_on_weight_blocks(name, request, monkeypatch):
+    L = request.getfixturevalue(name)
+    blocks = []
+
+    def checked_rank(m):
+        _assert_matches_oracle(m)
+        blocks.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(exterior, "rank", checked_rank)
+    for k in range(L.g + 1):
+        exterior.blocked_rank(L, "delta", k)
+    exterior.blocked_rank(L, "delta_star", L.d)
+    assert len(blocks) > L.g
+    assert any(rank(m) < m.rows for m in blocks)  # dependent rows get eliminated too
+
+
+def test_rref_matches_fraction_oracle_on_seeded_matrices():
+    rng = Lcg(23)
+    negative_pivot = mixed_denominators = 0
+    for _ in range(150):
+        nrows, ncols, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 4)
+        # rank at most r: a product of random nrows x r and r x ncols factors
+        left = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(r)] for _ in range(nrows)]
+        right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(r)]
+        m = Matrix.from_rows(left) @ Matrix.from_rows(right)
+        _assert_matches_oracle(m)
+        pivots = rref(m)[1]
+        first_nonzero = [next((x for x in m.row(i) if x), 0) for i in range(m.rows)]
+        negative_pivot += any(x < 0 for x in first_nonzero)
+        mixed_denominators += len({x.denominator for x in m.entries if x}) > 1
+        assert len(pivots) <= r
+    assert negative_pivot > 50 and mixed_denominators > 50
+
+
+def test_rref_keeps_pivot_signs():
+    m = Matrix.from_rows([[0, -3, 6, 1], [-2, 4, 1, 0], [0, 0, 0, -5]])
+    red, pivots = rref(m)
+    assert pivots == (0, 1, 3)
+    assert red == Matrix.from_rows([[1, 0, Fraction(-9, 2), 0], [0, 1, -2, 0], [0, 0, 0, 1]])
+    assert (red, pivots) == _fraction_rref(m)
+
+
+def test_rref_edge_shapes_and_reduced_input():
+    reduced = Matrix.from_rows([[1, 0, 5, 0], [0, 1, Fraction(2, 7), 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    assert rref(reduced) == (reduced, (0, 1, 3))
+    for m in (
+        reduced,
+        Matrix(0, 4, ()),
+        Matrix(3, 0, ()),
+        Matrix.zeros(3, 4),
+        Matrix.from_rows([[0, 0, 0], [0, Fraction(-1, 3), 2], [0, 0, 0], [0, 1, Fraction(1, 2)]]),
+        Matrix.from_rows([[Fraction(7, 5)]]),
+    ):
+        _assert_matches_oracle(m)

@@ -1,4 +1,5 @@
-"""Suite orchestration: shared computations run once and fail every record that uses them."""
+"""Suite orchestration: shared computations run once and fail every record that uses them;
+a corrupted algebra turns its suite red."""
 
 from nullvar import suites
 
@@ -29,3 +30,14 @@ def test_membership_failure_fails_both_records(a2, monkeypatch):
         assert records[name].ok is False
         assert records[name].got == "error: RuntimeError: sampler broke"
     assert records["equation_count"].ok  # the failure stays in the records that use the suite
+
+
+def test_every_single_constant_corruption_turns_structure_red(a2):
+    corruptions = [(i, j, k) for i in range(a2.g) for j in range(i + 1, a2.g) for k in range(a2.g)]
+    assert len(corruptions) == 224
+    green = [
+        c for c in corruptions
+        if all(r.ok for r in suites.structure_records(a2.with_corrupted_constant(*c)))
+    ]
+    assert green == []
+    assert all(r.ok for r in suites.structure_records(a2))
