@@ -1,15 +1,13 @@
-"""Semisimple Lie algebras with exact structure constants from matrix realizations.
+"""Semisimple Lie algebras in a Chevalley basis built from the root datum alone.
 
-Each supported type is realized by trace-zero, symplectic or orthogonal
-matrices with a diagonal Cartan part; root vectors are combinations of
-elementary matrices.  Structure constants are extracted exactly, the Killing
-form is the ad-trace form recomputed from them, and the trilinear form is
-w(x, y, z) = kappa([x, y], z).
+Structure constants are computed from the positive roots and their inner
+products (see ``build_algebra``); they are integers, held as Fractions.  The
+Killing form is the ad-trace form recomputed from them, and the trilinear
+form is w(x, y, z) = kappa([x, y], z).
 
-Basis order: h_1..h_l, then x_alpha for positive roots by height, then
-x_{-alpha} in the same order.  Negative root vectors are rescaled so each
-(x_alpha, x_{-alpha}, [x_alpha, x_{-alpha}]) is an sl2-triple with
-alpha([x_alpha, x_{-alpha}]) = 2.
+Basis order: h_1..h_l (the simple coroots), then x_alpha for positive roots
+by height, then x_{-alpha} in the same order.  Each (x_alpha, x_{-alpha},
+[x_alpha, x_{-alpha}]) is an sl2-triple with alpha([x_alpha, x_{-alpha}]) = 2.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, frac, inverse, kernel_basis, rref, solve_in_span
-from .roots import RootDatum, UnsupportedTypeError, build_root_datum
+from .roots import RootDatum, build_root_datum
 
 Vector = tuple[Fraction, ...]
 
@@ -29,131 +27,6 @@ class StructureError(AssertionError):
 
 class InvolutionError(ValueError):
     """Sign data cannot be extended to a Lie algebra involution."""
-
-
-# ---------------------------------------------------------------------------
-# matrix realizations
-
-
-def _elementary(n: int, i: int, j: int, c=1) -> dict[tuple[int, int], Fraction]:
-    return {(i, j): frac(c)}
-
-
-def _mat_add(*mats) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for m in mats:
-        for key, val in m.items():
-            new = out.get(key, Fraction(0)) + val
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _mat_scale(m, c):
-    c = frac(c)
-    return {k: c * v for k, v in m.items() if c * v}
-
-
-def _mat_commutator(a, b):
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), va in a.items():
-        for (k2, j), vb in b.items():
-            if k == k2:
-                key = (i, j)
-                new = out.get(key, Fraction(0)) + va * vb
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-    for (i, k), vb in b.items():
-        for (k2, j), va in a.items():
-            if k == k2:
-                key = (i, j)
-                new = out.get(key, Fraction(0)) - vb * va
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def _root_evector(rd: RootDatum, root: Sequence[int]) -> tuple[int, ...]:
-    """Root in the weight coordinates of the defining representation."""
-    l = rd.rank
-    if rd.family == "A":
-        out = [0] * (l + 1)
-        for k, c in enumerate(root):
-            out[k] += c
-            out[k + 1] -= c
-    else:
-        out = [0] * l
-        for k, c in enumerate(root):
-            if k < l - 1:
-                out[k] += c
-                out[k + 1] -= c
-            elif rd.family == "B":
-                out[k] += c
-            elif rd.family == "C":
-                out[k] += 2 * c
-            elif rd.family == "D":
-                out[l - 2] += c
-                out[l - 1] += c
-    return tuple(out)
-
-
-def _realize_root_vector(rd: RootDatum, evec: tuple[int, ...]):
-    """Matrix (sparse dict) of a root vector for the given weight pattern."""
-    fam, l = rd.family, rd.rank
-    support = [(i, c) for i, c in enumerate(evec) if c]
-    if fam == "A":
-        (i, a), (j, b) = support
-        if a == 1 and b == -1:
-            return _elementary(l + 1, i, j)
-        return _elementary(l + 1, j, i)
-    if len(support) == 1:
-        (i, a) = support[0]
-        if fam == "C":
-            if a == 2:
-                return _elementary(2 * l, i, l + i)
-            return _elementary(2 * l, l + i, i)
-        if fam == "B":
-            last = 2 * l
-            if a == 1:
-                return _mat_add(_elementary(2 * l + 1, i, last), _mat_scale(_elementary(2 * l + 1, last, l + i), -1))
-            return _mat_add(_elementary(2 * l + 1, l + i, last), _mat_scale(_elementary(2 * l + 1, last, i), -1))
-    (i, a), (j, b) = support
-    n = 2 * l + 1 if fam == "B" else 2 * l
-    if a == 1 and b == -1:
-        return _mat_add(_elementary(n, i, j), _mat_scale(_elementary(n, l + j, l + i), -1))
-    if a == -1 and b == 1:
-        return _mat_add(_elementary(n, j, i), _mat_scale(_elementary(n, l + i, l + j), -1))
-    if a == 1 and b == 1:
-        if fam == "C":
-            return _mat_add(_elementary(n, i, l + j), _elementary(n, j, l + i))
-        return _mat_add(_elementary(n, i, l + j), _mat_scale(_elementary(n, j, l + i), -1))
-    if fam == "C":
-        return _mat_add(_elementary(n, l + i, j), _elementary(n, l + j, i))
-    return _mat_add(_elementary(n, l + i, j), _mat_scale(_elementary(n, l + j, i), -1))
-
-
-def _realize(rd: RootDatum):
-    """Cartan matrices, positive and negative root vector matrices, ambient size."""
-    fam, l = rd.family, rd.rank
-    if fam == "G":
-        raise UnsupportedTypeError("no matrix realization shipped for G2")
-    n = {"A": l + 1, "B": 2 * l + 1, "C": 2 * l, "D": 2 * l}[fam]
-    if fam == "A":
-        cartan = [_mat_add(_elementary(n, i, i), _mat_scale(_elementary(n, i + 1, i + 1), -1)) for i in range(l)]
-    else:
-        cartan = [_mat_add(_elementary(n, i, i), _mat_scale(_elementary(n, l + i, l + i), -1)) for i in range(l)]
-    pos, neg = [], []
-    for root in rd.positive_roots:
-        evec = _root_evector(rd, root)
-        pos.append(_realize_root_vector(rd, evec))
-        neg.append(_realize_root_vector(rd, tuple(-c for c in evec)))
-    return cartan, pos, neg, n
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +41,7 @@ class LieAlgebra:
     a corrupted table yields an algebra whose verification suites fail.
     """
 
-    def __init__(self, rd: RootDatum, labels, weights, brackets, realization=None):
+    def __init__(self, rd: RootDatum, labels, weights, brackets):
         self.rd = rd
         self.g = rd.g
         self.l = rd.rank
@@ -178,7 +51,6 @@ class LieAlgebra:
         self.weights = tuple(tuple(w) for w in weights)
         # brackets[i][j]: dict k -> coefficient of b_k in [b_i, b_j]
         self.brackets = brackets
-        self.realization = realization
         if len(self.labels) != self.g or len(self.weights) != self.g:
             raise ValueError("basis size mismatch")
         self.kappa = self._ad_trace_form()
@@ -415,7 +287,7 @@ class LieAlgebra:
 
         bump(i, j, amount)
         bump(j, i, -amount)
-        return LieAlgebra(self.rd, self.labels, self.weights, brackets, self.realization)
+        return LieAlgebra(self.rd, self.labels, self.weights, brackets)
 
 
 def _support(v: Sequence) -> dict[int, Fraction]:
@@ -457,73 +329,85 @@ def _standard_labels(rd: RootDatum):
 
 
 def build_algebra(rd: RootDatum) -> LieAlgebra:
-    """Concrete algebra for the root datum, with sl2-normalized root vectors."""
-    cartan, pos, neg, n = _realize(rd)
-    l, n_pos = rd.rank, rd.n_positive
+    """Chevalley basis of the root datum, with structure constants from the roots alone.
+
+    [h_i, x_a] = <a, a_i^v> x_a, [x_a, x_-a] = h_a = sum_i c_i (a_i,a_i)/(a,a) h_i
+    for a = sum_i c_i a_i, and [x_a, x_b] = N_{a,b} x_{a+b}.  N = +(p+1) on
+    each extraspecial pair, p the largest integer with b - p a a root; every
+    other N follows from N_{b,a} = -N_{a,b}, N_{-a,-b} = -N_{a,b}, the cyclic
+    rule N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0, and the four-root
+    relation (Carter, Simple Groups of Lie Type, 1972, 4.1-4.2).
+    """
+    l, pos = rd.rank, rd.positive_roots
+    positive = set(pos)
+    roots = list(pos) + [_neg(r) for r in pos]
+    is_root = set(roots)
+    norm = {r: rd.pairing_gram(r, r) for r in roots}
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    table: dict[tuple, Fraction] = {}  # N on pairs of positive roots
+
+    def n(a, b) -> Fraction:
+        """N_{a,b} for roots a, b whose sum is a root."""
+        c = _neg(add(a, b))
+        if (a in positive) == (b in positive):
+            return table[a, b] if a in positive else -table[_neg(a), _neg(b)]
+        if (b in positive) == (c in positive):
+            return norm[c] / norm[a] * n(b, c)
+        return norm[c] / norm[b] * n(c, a)
+
+    def term(a, b, c, e) -> Fraction:
+        """N_{a,b} N_{c,e} / (a+b, a+b), or 0 when a + b is not a root."""
+        s = add(a, b)
+        return n(a, b) * n(c, e) / norm[s] if s in is_root else Fraction(0)
+
+    # positive roots come by height, so every N a pair below needs is known
+    for xi in pos:
+        pairs = [(a, b) for a in pos if (b := add(xi, _neg(a))) in positive]
+        if not pairs:
+            continue
+        gam, dl = pairs[0]  # the extraspecial pair: its first root is least
+        p, s = 0, add(dl, _neg(gam))
+        while s in is_root:
+            p, s = p + 1, add(s, _neg(gam))
+        table[gam, dl], table[dl, gam] = Fraction(p + 1), Fraction(-p - 1)
+        mg, md = _neg(gam), _neg(dl)
+        for a, b in pairs:
+            if (a, b) not in table:
+                # four-root relation on a + b - gam - dl = 0
+                table[a, b] = norm[xi] / table[gam, dl] * (term(b, mg, a, md) + term(mg, a, b, md))
+                table[b, a] = -table[a, b]
+
     g = rd.g
-
-    def diag_value(mat, evec) -> Fraction:
-        # evaluate the weight given by evec on a diagonal matrix
-        acc = Fraction(0)
-        for i, c in enumerate(evec):
-            if c:
-                acc += c * mat.get((i, i), Fraction(0))
-        return acc
-
-    # sl2 normalization: [x_a, y_a] = H with alpha(H) = 2
-    for a, root in enumerate(rd.positive_roots):
-        evec = _root_evector(rd, root)
-        h_raw = _mat_commutator(pos[a], neg[a])
-        c = diag_value(h_raw, evec)
-        if c == 0:
-            raise StructureError(f"degenerate root pairing for {root}")
-        neg[a] = _mat_scale(neg[a], Fraction(2) / c)
-
-    basis_mats = cartan + pos + neg
-    labels = _standard_labels(rd)
-    weights = _standard_weights(rd)
-
-    # expansion solver: write any matrix of the algebra in the chosen basis
-    flat_cols = sorted({key for m in basis_mats for key in m})
-    col_of = {key: idx for idx, key in enumerate(flat_cols)}
-    B = Matrix.from_rows(
-        [[m.get(key, Fraction(0)) for key in flat_cols] for m in basis_mats]
-    )
-    red, pivots = rref(B)
-    if len(pivots) != g:
-        raise StructureError("realization basis is linearly dependent")
-    sub = Matrix.from_rows([[B[i, p] for p in pivots] for i in range(g)])
-    sub_inv_t = inverse(sub).transpose()
-
-    def expand(mat) -> dict[int, Fraction]:
-        restricted = [mat.get(flat_cols[p], Fraction(0)) for p in pivots]
-        coeffs = sub_inv_t.matvec(restricted)
-        # exact verification that mat equals the claimed combination
-        residual = dict(mat)
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            for key, val in basis_mats[i].items():
-                newv = residual.get(key, Fraction(0)) - c * val
-                if newv:
-                    residual[key] = newv
-                else:
-                    residual.pop(key, None)
-        if residual:
-            raise StructureError("bracket escapes the algebra span")
-        return {i: c for i, c in enumerate(coeffs) if c}
-
+    index = {r: l + k for k, r in enumerate(roots)}
+    simple = [tuple(int(k == i) for k in range(l)) for i in range(l)]
     brackets = [[{} for _ in range(g)] for _ in range(g)]
-    for i in range(g):
-        for j in range(i + 1, g):
-            cm = _mat_commutator(basis_mats[i], basis_mats[j])
-            coeffs = expand(cm) if cm else {}
-            brackets[i][j] = coeffs
-            brackets[j][i] = {k: -c for k, c in coeffs.items()}
 
-    L = LieAlgebra(rd, labels, weights, brackets, realization=basis_mats)
+    def put(i, j, terms):
+        brackets[i][j] = terms
+        brackets[j][i] = {k: -c for k, c in terms.items()}
+
+    for i, a_i in enumerate(simple):
+        for r in roots:
+            if c := 2 * rd.pairing_gram(r, a_i) / norm[a_i]:
+                put(i, index[r], {index[r]: c})
+    for k, a in enumerate(roots):
+        for b in roots[k + 1:]:
+            s = add(a, b)
+            if not any(s):
+                put(index[a], index[b], {i: c * norm[a_i] / norm[a] for i, (c, a_i) in enumerate(zip(a, simple)) if c})
+            elif s in is_root:
+                put(index[a], index[b], {index[s]: n(a, b)})
+
+    L = LieAlgebra(rd, _standard_labels(rd), _standard_weights(rd), brackets)
     _check_root_grading(L)
     return L
+
+
+def _neg(root) -> tuple[int, ...]:
+    return tuple(-c for c in root)
 
 
 def _check_root_grading(L: LieAlgebra) -> None:
@@ -630,35 +514,24 @@ def check_root_space_pairing(L: LieAlgebra) -> list[tuple]:
     return bad
 
 
-def trace_form_ratio(L: LieAlgebra) -> Fraction | None:
-    """Scalar relating the realization trace form to kappa, if proportional."""
-    if L.realization is None:
-        return None
-    mats = L.realization
+def check_kappa_root_form(L: LieAlgebra) -> list[tuple]:
+    """Basis pairs where kappa differs from the form the root datum gives alone.
 
-    def tr_prod(a, b):
-        acc = Fraction(0)
-        for (i, k), va in a.items():
-            vb = b.get((k, i))
-            if vb:
-                acc += va * vb
-        return acc
+    kappa(h_i, h_j) = 4(a_i,a_j)/((a_i,a_i)(a_j,a_j)), kappa(x_a, x_-a) = 2/(a,a)
+    and 0 elsewhere, with ( , ) the Killing-normalized product ``rd.inner``.
+    """
+    rd = L.rd
+    simple = [tuple(int(k == i) for k in range(L.l)) for i in range(L.l)]
 
-    ratio = None
-    for i in range(L.g):
-        for j in range(i, L.g):
-            t = tr_prod(mats[i], mats[j])
-            k = L.kappa[i, j]
-            if k == 0 and t == 0:
-                continue
-            if k == 0 or t == 0:
-                return None
-            r = k / t
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-    return ratio
+    def expected(i, j) -> Fraction:
+        if i < L.l and j < L.l:
+            a, b = simple[i], simple[j]
+            return 4 * rd.inner(a, b) / (rd.inner(a, a) * rd.inner(b, b))
+        if L.partner(i) == j:
+            return 2 / rd.inner(L.weights[i], L.weights[i])
+        return Fraction(0)
+
+    return [(i, j) for i in range(L.g) for j in range(i, L.g) if L.kappa[i, j] != expected(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +677,9 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
 
     One sign t_alpha = +1 or -1 per simple root is free; t_alpha of the
     remaining positive roots is forced by the automorphism property.  It is
-    a nonzero rational, a unit only when the root vectors are Chevalley
-    normalized, and sigma squared is the identity either way.
+    a nonzero rational, a unit when the root vectors are Chevalley
+    normalized (as ``build_algebra`` builds them), and sigma squared is the
+    identity either way.
     """
     simple_signs = tuple(int(s) for s in simple_signs)
     if len(simple_signs) != L.l or any(s not in (1, -1) for s in simple_signs):

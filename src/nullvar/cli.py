@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, UnsupportedTypeError) as exc:
-        # unknown labels, and types with a root datum but no algebra (G2), are usage errors
+        # unknown families, malformed labels and ranks below a family's minimum are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,14 +21,16 @@ from .algebra import (
     check_antisymmetry,
     check_jacobi,
     check_kappa_invariance,
+    check_kappa_root_form,
     check_root_space_pairing,
     check_w_antisymmetry,
     orthogonal_complement,
     root_pair_plane,
     standard_borel,
-    trace_form_ratio,
 )
 from .exterior import (
+    binomial_dim,
+    blocked_rank,
     borel_top_wedge,
     casimir,
     check_operator_invariance,
@@ -43,7 +45,6 @@ from .grassmann import (
     check_equivariance_matrices,
     equation_count,
     membership_equivalence_suite,
-    residual_dimension,
     stacked_rank_check,
     transpose_identity_sign,
 )
@@ -135,7 +136,7 @@ class _Collector:
             got = fn()
             ok = got == expected
         except Exception as exc:  # a broken algebra must yield a red record, not a crash
-            got = f"error: {type(exc).__name__}: {exc}"
+            got = _error(exc)
             ok = False
         self.records.append(
             Record(suite=self.suite, name=name, claim=claim, expected=expected, got=got, ok=ok)
@@ -147,7 +148,7 @@ class _Collector:
             got = fn()
             ok = True
         except Exception as exc:
-            got = f"error: {type(exc).__name__}: {exc}"
+            got = _error(exc)
             ok = False
         self.records.append(
             Record(suite=self.suite, name=name, claim=claim, expected="reported", got=got, ok=ok)
@@ -205,9 +206,10 @@ def structure_records(L: LieAlgebra) -> list[Record]:
     )
     col.add(
         "kappa_trace_proportionality",
-        "ad-trace form is a nonzero multiple of the realization trace form",
-        True,
-        lambda: trace_form_ratio(L) is not None,
+        "ad-trace form equals the root-datum form: kappa(h_i,h_j) = 4(a_i,a_j)/((a_i,a_i)(a_j,a_j)), "
+        "kappa(x_a,x_-a) = 2/(a,a), 0 elsewhere",
+        0,
+        lambda: len(check_kappa_root_form(L)),
     )
     return col.records
 
@@ -249,7 +251,7 @@ def exterior_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     try:
         zrep = zeta_report()
     except Exception as exc:
-        col.add("zeta_identity", "zeta = delta_star(w)(id - casimir/c_top) degreewise", True, lambda: (_raise(exc)))
+        col.add("zeta_identity", "zeta = delta_star(w)(id - casimir/c_top) degreewise", True, lambda: _unwrap(exc))
         zrep = None
     if zrep is not None:
         col.add(
@@ -281,7 +283,7 @@ def exterior_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
             lambda: srep.records[L.d].rank_delta_in,
         )
     except Exception as exc:
-        col.add("rank_nullity", "rank-nullity bookkeeping of the wedge complex", True, lambda: (_raise(exc)))
+        col.add("rank_nullity", "rank-nullity bookkeeping of the wedge complex", True, lambda: _unwrap(exc))
 
     if L.d - 3 == 3:
 
@@ -310,8 +312,23 @@ def exterior_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     return col.records
 
 
-def _raise(exc):
-    raise exc
+def _error(exc: Exception) -> str:
+    return f"error: {type(exc).__name__}: {exc}"
+
+
+def _attempt(fn: Callable[[], Any]):
+    """fn's value, or the exception it raised; for a result that feeds several records."""
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
+
+
+def _unwrap(value):
+    """The value itself; an exception is raised instead."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
@@ -468,36 +485,38 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
 def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     col = _Collector("equations")
     # one run of the sampled suite feeds two records; a failure fails both
-    try:
-        membership = membership_equivalence_suite(L, config.samples, config.seed)
-    except Exception as exc:
-        membership = exc
-
-    def membership_report():
-        if isinstance(membership, Exception):
-            raise membership
-        return membership
-
+    membership = _attempt(lambda: membership_equivalence_suite(L, config.samples, config.seed))
     col.add(
         "membership_equivalence",
         "linear membership of the Plucker vector agrees with the direct nullspace predicate",
         True,
-        lambda: membership_report().ok,
+        lambda: _unwrap(membership).ok,
     )
     col.add_value(
         "membership_counts",
         "seeded sample tallies for the equivalence suite",
-        lambda: membership_report().to_json(),
+        lambda: _unwrap(membership).to_json(),
     )
-    col.add_value(
+    # the equations are the rows of the contraction at degree d, so its rank is
+    # the expected count; equation_count takes the wedge rank from degree d-3
+    ambient = binomial_dim(L.g, L.d)
+    try:
+        expected_rank = blocked_rank(L, "delta_star", L.d)
+        expected_residual = ambient - expected_rank
+    except Exception as exc:
+        expected_rank = expected_residual = _error(exc)
+    count = _attempt(lambda: equation_count(L))
+    col.add(
         "equation_count",
-        "rank of the linear equation set on Plucker coordinates",
-        lambda: equation_count(L),
+        "rank of the wedge map into degree d equals the rank of the contraction at degree d",
+        expected_rank,
+        lambda: _unwrap(count),
     )
-    col.add_value(
+    col.add(
         "residual_dimension",
         "ambient Plucker dimension minus the equation rank",
-        lambda: residual_dimension(L),
+        expected_residual,
+        lambda: ambient - _unwrap(count),
     )
     col.add(
         "equation_transpose_relation",
@@ -546,7 +565,7 @@ def repthy_records(L: LieAlgebra) -> list[Record]:
             lambda: window.symmetric,
         )
     except Exception as exc:
-        col.add("gamma_window", "Casimir eigenspace window bookkeeping", True, lambda: (_raise(exc)))
+        col.add("gamma_window", "Casimir eigenspace window bookkeeping", True, lambda: _unwrap(exc))
     return col.records
 
 

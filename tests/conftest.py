@@ -22,3 +22,8 @@ def c2():
 @pytest.fixture(scope="session")
 def b2():
     return build_algebra(build_root_datum("B", 2))
+
+
+@pytest.fixture(scope="session")
+def g2():
+    return build_algebra(build_root_datum("G", 2))

@@ -7,6 +7,7 @@ import pytest
 
 from nullvar.algebra import (
     InvolutionError,
+    LieAlgebra,
     Subspace,
     algebra_from_json,
     build_algebra,
@@ -15,12 +16,12 @@ from nullvar.algebra import (
     check_antisymmetry,
     check_jacobi,
     check_kappa_invariance,
+    check_kappa_root_form,
     check_root_space_pairing,
     check_w_antisymmetry,
     full_algebra,
     orthogonal_complement,
     standard_borel,
-    trace_form_ratio,
 )
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
@@ -43,7 +44,7 @@ def test_a2_shape(a2):
         assert a2.kappa[a2.pos_index(a), a2.neg_index(a)] != 0
 
 
-@pytest.mark.parametrize("fixture", ["a1", "a2", "c2"])
+@pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2"])
 def test_exhaustive_structure_checks(fixture, request):
     L = request.getfixturevalue(fixture)
     assert check_antisymmetry(L) == []
@@ -51,7 +52,51 @@ def test_exhaustive_structure_checks(fixture, request):
     assert check_kappa_invariance(L) == []
     assert check_w_antisymmetry(L) == []
     assert check_root_space_pairing(L) == []
-    assert trace_form_ratio(L) is not None
+    assert check_kappa_root_form(L) == []
+
+
+def test_kappa_root_form_sees_a_rescaled_root_vector(a2):
+    # doubling x_a keeps every bracket identity but leaves the Chevalley normalization
+    i = a2.pos_index(0)
+    scale = {i: Fraction(2)}
+    brackets = [
+        [{k: c * scale.get(m, 1) * scale.get(n, 1) / scale.get(k, 1) for k, c in cell.items()} for n, cell in enumerate(row)]
+        for m, row in enumerate(a2.brackets)
+    ]
+    rescaled = LieAlgebra(a2.rd, a2.labels, a2.weights, brackets)
+    assert check_jacobi(rescaled) == [] and check_kappa_invariance(rescaled) == []
+    assert check_kappa_root_form(rescaled) == [(i, a2.neg_index(0))]
+    assert check_kappa_root_form(a2.with_corrupted_constant(i, a2.neg_index(0), 0, 1)) != []
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2"])
+def test_chevalley_constants(label):
+    L = build_algebra(build_root_datum(label[0], int(label[1:])))
+    rd = L.rd
+    roots = [L.weights[i] for i in range(L.l, L.g)]
+    index = {r: L.l + k for k, r in enumerate(roots)}
+    for cell in (c for row in L.brackets for c in row):
+        assert all(v.denominator == 1 for v in cell.values())
+    pairs = 0
+    for a in roots:
+        neg_a = tuple(-c for c in a)
+        # a(h_a) = 2, with h_a = [x_a, x_-a] on the simple coroots h_i
+        h_a = L.brackets[index[a]][index[neg_a]]
+        assert set(h_a) <= set(range(L.l))
+        assert sum(c * rd.cartan[j][i] * a[j] for i, c in h_a.items() for j in range(L.l)) == 2
+        for b in roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s not in index:
+                continue
+            n_ab = L.n_constant(index[a], index[b])
+            n_neg = L.n_constant(index[neg_a], index[tuple(-c for c in b)])
+            assert n_neg == -n_ab
+            p, down = 0, tuple(y - x for x, y in zip(a, b))
+            while down in index:
+                p, down = p + 1, tuple(y - x for x, y in zip(a, down))
+            assert abs(n_ab) == p + 1, (a, b)
+            pairs += 1
+    assert pairs > 0
 
 
 def test_bracket_antisymmetry_on_vectors(a2):
@@ -122,10 +167,17 @@ def test_involution_dimensions(a1, a2, c2):
         assert iv.minus_subspace().dim == 6
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_involution_signs_are_units(label):
+    # N_{-a,-b} = -N_{a,b} in a Chevalley basis forces t_alpha = +-1; build_involution
+    # itself checks sigma^2 = 1, the automorphism property and the eigenspace dimensions
+    L = build_algebra(build_root_datum(label[0], int(label[1:])))
+    for signs in itertools.product((1, -1), repeat=L.l):
+        inv = build_involution(L, signs)
+        assert all(t in (1, -1) for t in inv.signs)
+
+
 def test_involution_eigenspaces_are_right_eigenvectors(b2):
-    # B2 root vectors are not Chevalley normalized, so some t_alpha are not
-    # units and sigma is not symmetric: left and right eigenvectors differ
-    assert any(t not in (1, -1) for t in build_involution(b2, (1, 1)).signs)
     for signs in itertools.product((1, -1), repeat=b2.l):
         inv = build_involution(b2, signs)
         minus = inv.minus_subspace()

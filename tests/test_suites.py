@@ -32,6 +32,16 @@ def test_membership_failure_fails_both_records(a2, monkeypatch):
     assert records["equation_count"].ok  # the failure stays in the records that use the suite
 
 
+def test_wrong_equation_count_fails_both_records(a2, monkeypatch):
+    true_count = suites.equation_count(a2)
+    monkeypatch.setattr(suites, "equation_count", lambda L: true_count + 1)
+    records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
+    for name in ("equation_count", "residual_dimension"):
+        assert records[name].ok is False
+    assert records["equation_count"].expected == true_count == 28
+    assert records["residual_dimension"].expected == 56 - 28
+
+
 def test_every_single_constant_corruption_turns_structure_red(a2):
     corruptions = [(i, j, k) for i in range(a2.g) for j in range(i + 1, a2.g) for k in range(a2.g)]
     assert len(corruptions) == 224
