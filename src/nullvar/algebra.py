@@ -80,15 +80,7 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.g))
 
-    def root_of_index(self, i: int) -> tuple[int, ...] | None:
-        if i < self.l:
-            return None
-        return self.weights[i]
-
     # -- brackets and forms ---------------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        return self.brackets[i][j]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] for coordinate vectors of length g."""
@@ -216,9 +208,6 @@ class LieAlgebra:
         return Matrix(g, g, tuple(entries))
 
     # -- root bookkeeping ----------------------------------------------------
-
-    def positive_root_index(self, root) -> int:
-        return self.rd.positive_roots.index(tuple(root))
 
     def decomposition(self, a: int) -> tuple[int, int]:
         """One fixed decomposition gamma = alpha + beta of a non-simple positive root.

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import LieAlgebra
-from .linalg import Matrix, frac, kernel_basis, rank
+from .linalg import Matrix, SparseMatrix, frac, integer_row, kernel_basis, rank
 
 
 def binomial_dim(g: int, k: int) -> int:
@@ -262,9 +262,45 @@ def w_sharp(L: LieAlgebra) -> MultiVector:
     return cached
 
 
+def _w_sharp_terms(L: LieAlgebra):
+    """w_sharp's terms as (key, mask, c, -c), cached per algebra.
+
+    For a key u disjoint from key, ``(u & mask).bit_count()`` is odd exactly
+    when the wedge of key with u carries the sign -1.
+    """
+    cached = L._cache.get("w_sharp_terms")
+    if cached is None:
+        cached = []
+        for key, c in w_sharp(L).terms.items():
+            mask = 0
+            for i in _bits(key):
+                mask ^= (1 << i) - 1  # each bit of u below i is one transposition
+            cached.append((key, mask, c, -c))
+        cached = L._cache["w_sharp_terms"] = tuple(cached)
+    return cached
+
+
 def delta(u: MultiVector) -> MultiVector:
-    """Wedge with the degree-3 form; degree +3."""
-    return wedge(w_sharp(u.L), u)
+    """Wedge with the degree-3 form; degree +3.
+
+    Equal to ``wedge(w_sharp(L), u)``; on a basis wedge with coefficient 1
+    every image coefficient is a cached one, so no ``Fraction`` is built.
+    """
+    terms = _w_sharp_terms(u.L)
+    out: dict[int, Fraction] = {}
+    for key, coeff in u.terms.items():
+        unit = coeff == 1
+        for wkey, mask, plus, minus in terms:
+            if key & wkey:
+                continue
+            val = minus if (key & mask).bit_count() & 1 else plus
+            if not unit:
+                val = val * coeff
+            new_key = key | wkey
+            if new_key in out:
+                val += out[new_key]
+            out[new_key] = val
+    return MultiVector(u.L, u.degree + 3, out)
 
 
 def delta_star(u: MultiVector) -> MultiVector:
@@ -328,13 +364,7 @@ def degree_keys(L: LieAlgebra, k: int) -> list[int]:
         return []
     cache = L._cache.setdefault("degree_keys", {})
     if k not in cache:
-        keys = []
-        for combo in itertools.combinations(range(L.g), k):
-            key = 0
-            for i in combo:
-                key |= 1 << i
-            keys.append(key)
-        cache[k] = keys
+        cache[k] = list(map(sum, itertools.combinations([1 << i for i in range(L.g)], k)))
     return cache[k]
 
 
@@ -379,23 +409,57 @@ def graded_matrix(L: LieAlgebra, name: str, k: int) -> GradedOperator:
     return GradedOperator(k, target, Matrix(rows, cols, tuple(entries)))
 
 
-def key_weight(L: LieAlgebra, key: int) -> tuple[int, ...]:
-    acc = [0] * L.l
-    for i in _bits(key):
-        for j, c in enumerate(L.weights[i]):
-            acc[j] += c
-    return tuple(acc)
-
-
 def weight_blocks(L: LieAlgebra, k: int) -> dict[tuple[int, ...], list[int]]:
-    """Degree-k keys grouped by total Cartan weight; operators act blockwise."""
+    """Degree-k keys grouped by total weight (``L.weights`` summed); operators act blockwise."""
     cache = L._cache.setdefault("weight_blocks", {})
     if k not in cache:
-        blocks: dict[tuple[int, ...], list[int]] = {}
-        for key in degree_keys(L, k):
-            blocks.setdefault(key_weight(L, key), []).append(key)
-        cache[k] = blocks
+        # each weight packed into one int in balanced base B: a sum of at most
+        # g weights has digits of size below B/2, so the packed ints add as the
+        # weights do, and itertools sums them without a per-key Python loop
+        base = 2 * L.g * max(abs(c) for w in L.weights for c in w) + 1
+        packed = [sum(c * base**j for j, c in enumerate(w)) for w in L.weights]
+        groups: dict[int, list[int]] = {}
+        for key, total in zip(degree_keys(L, k), map(sum, itertools.combinations(packed, k))):
+            groups.setdefault(total, []).append(key)
+        cache[k] = {_unpack_weight(total, base, L.l): keys for total, keys in groups.items()}
     return cache[k]
+
+
+def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:
+    half = base // 2
+    digits = []
+    for _ in range(length):
+        digits.append((total + half) % base - half)
+        total = (total - digits[-1]) // base
+    return tuple(digits)
+
+
+_ONE = Fraction(1)
+
+
+def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys, equations=False) -> SparseMatrix:
+    """The images under ``fn`` of the degree-k basis wedges ``keys``, as sparse integer rows.
+
+    Row j is the image of ``keys[j]`` over the positions of ``tkeys``.  With
+    ``equations`` the rows are the block's equations instead, one per target
+    key, over the positions of ``keys``, so that their kernel is the
+    combinations of ``keys`` that ``fn`` kills.  Each row is scaled by the lcm
+    of its denominators.  An image term outside ``tkeys`` means the operator
+    left its weight block.
+    """
+    index = {key: i for i, key in enumerate(tkeys)}
+    rows: list[dict] = [{} for _ in tkeys] if equations else []
+    for j, key in enumerate(keys):
+        image = fn(MultiVector(L, k, {key: _ONE})).terms
+        if not image.keys() <= index.keys():
+            raise AssertionError("operator output escapes its weight block")
+        if equations:
+            for out_key, val in image.items():
+                rows[index[out_key]][j] = val
+            continue
+        rows.append({index[out_key]: val for out_key, val in image.items()})
+    cols = len(keys) if equations else len(tkeys)
+    return SparseMatrix(cols, tuple(integer_row(row) for row in rows))
 
 
 def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
@@ -408,22 +472,9 @@ def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
     total = 0
     for wt, keys in weight_blocks(L, k).items():
         tkeys = target_blocks.get(wt, [])
-        if not tkeys:
-            for key in keys:
-                if not fn(MultiVector(L, k, {key: Fraction(1)})).is_zero():
-                    raise AssertionError("operator output escapes its weight block")
-            continue
-        tindex = {key: i for i, key in enumerate(tkeys)}
-        rows = []
-        for key in keys:
-            image = fn(MultiVector(L, k, {key: Fraction(1)}))
-            row = [Fraction(0)] * len(tkeys)
-            for out_key, val in image.terms.items():
-                if out_key not in tindex:
-                    raise AssertionError("operator output escapes its weight block")
-                row[tindex[out_key]] = val
-            rows.append(row)
-        total += rank(Matrix.from_rows(rows))
+        block = _block_matrix(L, fn, k, keys, tkeys)
+        if tkeys:
+            total += rank(block)
     return total
 
 
@@ -433,21 +484,15 @@ def blocked_eigenspace_dim(L: LieAlgebra, name: str, k: int, scalar) -> int:
     if shift != 0:
         raise ValueError("eigenspaces only for degree-preserving operators")
     scalar = frac(scalar)
+
+    def shifted(u: MultiVector) -> MultiVector:
+        return fn(u).sub(u.scale(scalar))
+
     total = 0
-    for wt, keys in weight_blocks(L, k).items():
-        tindex = {key: i for i, key in enumerate(keys)}
-        rows = []
-        for key in keys:
-            image = fn(MultiVector(L, k, {key: Fraction(1)}))
-            row = [Fraction(0)] * len(keys)
-            for out_key, val in image.terms.items():
-                if out_key not in tindex:
-                    raise AssertionError("operator output escapes its weight block")
-                row[tindex[out_key]] = val
-            row[tindex[key]] -= scalar
-            rows.append(row)
-        mat = Matrix.from_rows(rows).transpose()
-        total += kernel_basis(mat).rows
+    for keys in weight_blocks(L, k).values():
+        # the rows are images, so this is the left kernel of the square block
+        # of (op - scalar), which has the dimension of the eigenspace
+        total += kernel_basis(_block_matrix(L, shifted, k, keys, keys)).rows
     return total
 
 
@@ -457,20 +502,11 @@ def delta_kernel_vectors(L: LieAlgebra, k: int) -> list[MultiVector]:
     target_blocks = weight_blocks(L, k + 3) if k + 3 <= L.g else {}
     for wt, keys in weight_blocks(L, k).items():
         tkeys = target_blocks.get(wt, [])
-        tindex = {key: i for i, key in enumerate(tkeys)}
-        cols = []
-        for key in keys:
-            image = delta(MultiVector(L, k, {key: Fraction(1)}))
-            col = [Fraction(0)] * len(tkeys)
-            for out_key, val in image.terms.items():
-                col[tindex[out_key]] = val
-            cols.append(col)
+        equations = _block_matrix(L, delta, k, keys, tkeys, equations=True)
         if tkeys:
-            mat = Matrix.from_rows(cols).transpose()
-            ker = kernel_basis(mat)
+            ker = kernel_basis(equations)
             for i in range(ker.rows):
-                coeffs = ker.row(i)
-                out.append(MultiVector(L, k, {key: c for key, c in zip(keys, coeffs) if c}))
+                out.append(MultiVector(L, k, {key: c for key, c in zip(keys, ker.row(i)) if c}))
         else:
             for key in keys:
                 out.append(MultiVector(L, k, {key: Fraction(1)}))

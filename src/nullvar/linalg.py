@@ -1,11 +1,13 @@
 """Exact rational linear algebra: dense matrices, reduced echelon form, rank, kernels.
 
-Every value is a ``fractions.Fraction``; no rounding ever occurs.  The reduced
-row echelon form is the canonical representative used for subspace equality
-throughout the package.  ``rref`` clears each row's denominators and
-eliminates on Python ``int`` rows, building ``Fraction`` entries only for its
-canonical output; ``rank``, ``kernel_basis``, ``inverse`` and ``solve_in_span``
-all go through it.
+Every value is exact; no rounding ever occurs.  Dense ``Matrix`` entries are
+``fractions.Fraction``; a ``SparseMatrix`` holds integer rows that keep only
+their nonzero entries, as the weight blocks of the exterior operators are
+mostly zeros.  The reduced row echelon form is the canonical representative
+used for subspace equality throughout the package.  ``rref`` eliminates on
+sparse Python ``int`` rows (a dense row is first scaled by the lcm of its
+denominators) and builds ``Fraction`` entries only for its canonical output;
+``rank``, ``kernel_basis``, ``inverse`` and ``solve_in_span`` all go through it.
 """
 
 from __future__ import annotations
@@ -128,89 +130,111 @@ class Matrix:
         return all(x == 0 for x in self.entries)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """``row`` times the lcm of its denominators: the same line, as ints."""
-    out = [0] * len(row)
-    nonzero = [(j, x) for j, x in enumerate(row) if x]
-    if nonzero:
-        den = lcm(*[x.denominator for _, x in nonzero])
-        for j, x in nonzero:
-            out[j] = x.numerator * (den // x.denominator)
-    return out
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Integer matrix held as sparse rows: row i maps each column to its nonzero entry.
+
+    The weight-block operators build these from their images; ``rref``,
+    ``rank`` and ``kernel_basis`` eliminate on them without a dense copy.
+    """
+
+    cols: int
+    entries: tuple[dict[int, int], ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """``row`` (column -> nonzero rational) times the lcm of its denominators."""
+    if not row:
+        return {}
+    den = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
+    """Clear column c of ``row`` in place with ``pivot_row``, whose pivot is at c.
+
+    ``row`` becomes a*row - b*pivot_row with a/b = p/f, g = gcd(p, f) and
+    a > 0, so only the pivot row's nonzero columns are touched.
+    """
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f) if p > 0 else -gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in pivot_row.items():
+        v = row.get(j, 0) - b * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    if a != 1 and row:
+        # the scaling inflated the row; dividing by its content keeps entries small
+        h = gcd(*row.values())
+        if h > 1:
+            for j in row:
+                row[j] //= h
+
+
+def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row echelon form of ``m`` together with its pivot columns.
 
-    Gauss-Jordan elimination on integer rows: a row is only ever replaced by
-    a nonzero multiple of itself plus a multiple of a pivot row, so the row
-    space and the pivots are those of ``m``.  Dividing each pivot row by its
-    pivot at the end gives the canonical ``Fraction`` form.
+    Gauss-Jordan elimination on sparse integer rows (a dense ``m`` is scaled
+    row by row to integers first), one row at a time.  The rows kept so far
+    form a reduced basis: each pivots at its first nonzero column and is zero
+    at every other kept pivot.  A new row is cleared at the kept pivots it
+    meets, which puts nothing into another pivot column; a nonzero remainder
+    pivots at its first column and is cleared from the kept rows.  Rows are
+    taken by descending first column, so a new pivot mostly lies left of the
+    kept rows and seldom needs clearing from them.  A row is only ever
+    replaced by a nonzero multiple of itself minus a multiple of a pivot row,
+    so the row space and the pivots are those of ``m``.  Dividing each kept
+    row by its pivot gives the canonical dense ``Fraction`` form.
     """
     nrows, ncols = m.rows, m.cols
-    work = [_integer_row(m.row(i)) for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        # any nonzero entry can pivot; a unit one spares scaling the other rows
-        pivot_row = None
-        for k in range(r, nrows):
-            x = work[k][c]
-            if x:
-                if pivot_row is None:
-                    pivot_row = k
-                if x == 1 or x == -1:
-                    pivot_row = k
-                    break
-        if pivot_row is None:
+    if isinstance(m, SparseMatrix):
+        work = [dict(row) for row in m.entries]  # elimination edits rows in place
+    else:
+        work = [integer_row({j: x for j, x in enumerate(m.row(i)) if x}) for i in range(nrows)]
+    basis: dict[int, dict[int, int]] = {}
+    for row in sorted((row for row in work if row), key=min, reverse=True):
+        for c in [c for c in row if c in basis]:
+            _reduce(row, basis[c], c)
+        if not row:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        row_r = work[r]
-        p = row_r[c]
-        support = [(j, row_r[j]) for j in range(c, ncols) if row_r[j]]
-        for k in range(nrows):
-            row_k = work[k]
-            f = row_k[c]
-            if not f or k == r:
-                continue
-            # row_k <- a*row_k - b*row_r with a/b = p/f and a > 0
-            g = gcd(p, f) if p > 0 else -gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                row_k = [a * x for x in row_k]
-            for j, x in support:
-                row_k[j] -= b * x
-            if a != 1:
-                # the scaling inflated the row; dividing by its content keeps entries small
-                h = gcd(*row_k)
-                work[k] = [x // h for x in row_k] if h > 1 else row_k
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    zero = Fraction(0)
-    flat = [zero] * (nrows * ncols)
+        c = min(row)
+        for kept in basis.values():
+            if c in kept:
+                _reduce(kept, row, c)
+        basis[c] = row
+    pivots = tuple(sorted(basis))
+    flat = [Fraction(0)] * (nrows * ncols)
     for i, c in enumerate(pivots):
-        row, p = work[i], work[i][c]
+        row = basis[c]
+        p = row[c]
         base = i * ncols
-        for j in range(c, ncols):
-            if row[j]:
-                flat[base + j] = Fraction(row[j], p)
-    return Matrix(nrows, ncols, tuple(flat)), tuple(pivots)
+        for j, x in row.items():
+            flat[base + j] = Fraction(x, p)
+    return Matrix(nrows, ncols, tuple(flat)), pivots
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix | SparseMatrix) -> int:
     """Rank over the rationals."""
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Matrix) -> Matrix:
+def kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
     """Canonical basis of the right kernel, one vector per row, in reduced echelon form.
 
     The row count is cols(m) - rank(m); equal kernels compare equal as matrices.
     """
     red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     rows = []
     for f in free:
         v = [Fraction(0)] * m.cols

@@ -277,9 +277,10 @@ def exterior_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
                 True,
                 lambda rec=rec: rec.ok,
             )
-        col.add_value(
+        col.add(
             "delta_rank_into_degree_d",
             "independent linear equations: rank of the wedge map into degree d",
+            _expected_or_error(lambda: _equation_rank(L)),
             lambda: srep.records[L.d].rank_delta_in,
         )
     except Exception as exc:
@@ -314,6 +315,25 @@ def exterior_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
 
 def _error(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
+
+
+def _expected_or_error(fn: Callable[[], Any]):
+    """fn's value, or the error text that fails the record expecting it."""
+    try:
+        return fn()
+    except Exception as exc:
+        return _error(exc)
+
+
+def _equation_rank(L: LieAlgebra) -> int:
+    """Rank of the contraction at degree d: the equations are its rows.
+
+    The exterior and equations suites both expect it, so it is computed once
+    per algebra.
+    """
+    if "equation_rank" not in L._cache:
+        L._cache["equation_rank"] = blocked_rank(L, "delta_star", L.d)
+    return L._cache["equation_rank"]
 
 
 def _attempt(fn: Callable[[], Any]):
@@ -500,11 +520,8 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     # the equations are the rows of the contraction at degree d, so its rank is
     # the expected count; equation_count takes the wedge rank from degree d-3
     ambient = binomial_dim(L.g, L.d)
-    try:
-        expected_rank = blocked_rank(L, "delta_star", L.d)
-        expected_residual = ambient - expected_rank
-    except Exception as exc:
-        expected_rank = expected_residual = _error(exc)
+    expected_rank = _expected_or_error(lambda: _equation_rank(L))
+    expected_residual = _expected_or_error(lambda: ambient - _equation_rank(L))
     count = _attempt(lambda: equation_count(L))
     col.add(
         "equation_count",

@@ -3,6 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from nullvar.algebra import standard_borel
 
@@ -156,3 +159,15 @@ def test_max_g_cap():
     assert out.returncode == 0
     out = run_cli("info", "--type", "C2", env_extra={"NULLVAR_MAX_G": "bogus"})
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("label", ["A1", "A2"])
+def test_report_is_byte_identical_to_golden(label, tmp_path):
+    # regenerate with: nullvar verify --type <label> --suite all --seed 42 --no-timestamp --out <file>
+    out = tmp_path / "report.json"
+    result = run_cli(
+        "verify", "--type", label, "--suite", "all", "--seed", "42", "--no-timestamp", "--out", str(out)
+    )
+    assert result.returncode == 0, result.stderr
+    golden = Path(__file__).parent / "data" / f"verify_{label}_seed42.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -1,14 +1,18 @@
 """Wedge/contraction operators, Casimir, and the operator identities."""
 
+import itertools
 from fractions import Fraction
 
+from nullvar.algebra import build_algebra
 from nullvar.exterior import (
     MultiVector,
+    blocked_eigenspace_dim,
     blocked_rank,
     borel_top_wedge,
     casimir,
     check_operator_invariance,
     check_w_sharp_invariance,
+    degree_keys,
     delta,
     delta_kernel_vectors,
     delta_star,
@@ -20,9 +24,12 @@ from nullvar.exterior import (
     verify_zeta_identity,
     w_sharp,
     wedge,
+    weight_blocks,
     zeta,
 )
-from nullvar.roots import casimir_eigenvalue, two_rho
+from nullvar.linalg import Matrix, kernel_basis, rank
+from nullvar.roots import build_root_datum, casimir_eigenvalue, two_rho
+from nullvar.seeds import Lcg
 
 
 def test_wedge_basics(a2):
@@ -129,11 +136,63 @@ def test_graded_matrix_rank_deg2(a2):
     assert blocked_rank(a2, "delta", 2) == 28
 
 
-def test_blocked_rank_matches_full_matrix(a2):
-    from nullvar.linalg import rank
+def _kernel_rows(L, k, vectors):
+    keys = degree_keys(L, k)
+    return sorted(tuple(v.terms.get(key, 0) for key in keys) for v in vectors)
 
-    for k in range(0, a2.g + 1):
-        assert blocked_rank(a2, "delta", k) == rank(graded_matrix(a2, "delta", k).matrix)
+
+def test_blocked_rank_matches_full_matrix(a2, c2):
+    # the sparse integer weight blocks against the dense graded matrices
+    for L in (a2, c2):
+        for k in range(0, L.g + 1):
+            dense = graded_matrix(L, "delta", k).matrix
+            assert blocked_rank(L, "delta", k) == rank(dense)
+            # block kernels in reduced echelon form are the rows of the full one
+            ker = kernel_basis(dense)
+            expected = sorted(ker.row(i) for i in range(ker.rows))
+            assert _kernel_rows(L, k, delta_kernel_vectors(L, k)) == expected
+        assert blocked_rank(L, "delta_star", L.d) == rank(graded_matrix(L, "delta_star", L.d).matrix)
+        c_top = casimir_eigenvalue(L.rd, two_rho(L.rd))
+        for k in range(L.g - L.d, L.d + 1):
+            cmat = graded_matrix(L, "casimir", k).matrix
+            shifted = cmat.sub(Matrix.identity(cmat.rows).scale(c_top))
+            assert blocked_eigenspace_dim(L, "casimir", k, c_top) == kernel_basis(shifted).rows > 0
+
+
+def test_delta_is_wedge_with_w_sharp(a2, c2):
+    ws = w_sharp(a2)
+    for k in range(a2.g + 1):
+        for key in degree_keys(a2, k):
+            u = MultiVector(a2, k, {key: Fraction(1)})
+            assert delta(u) == wedge(ws, u)
+    rng = Lcg(11)
+    for L in (a2, c2):
+        ws = w_sharp(L)
+        for _ in range(60):
+            k = rng.randint(0, L.g)
+            keys = degree_keys(L, k)
+            terms = {}
+            for n in range(rng.randint(1, 6)):
+                key = keys[rng.randint(0, len(keys) - 1)]  # repeats add up
+                coeff = rng.randint_nonzero(-3, 3)
+                coeff = coeff if n % 2 else Fraction(coeff, rng.randint(1, 4))
+                terms[key] = terms.get(key, 0) + coeff
+            u = MultiVector(L, k, terms)
+            assert delta(u) == wedge(ws, u)
+            assert delta(u.scale(-1)) == delta(u).scale(-1)
+
+
+def test_weight_blocks_group_keys_by_summed_weights(a2, c2):
+    a3 = build_algebra(build_root_datum("A", 3))
+    for L in (a2, c2, a3):
+        for k in range(L.g + 1):
+            combos = list(itertools.combinations(range(L.g), k))
+            assert degree_keys(L, k) == [sum(1 << i for i in combo) for combo in combos]
+            expected = {}
+            for combo in combos:
+                weight = tuple(sum(L.weights[i][j] for i in combo) for j in range(L.l))
+                expected.setdefault(weight, []).append(sum(1 << i for i in combo))
+            assert weight_blocks(L, k) == expected
 
 
 def test_exact_sequences_a1(a1):

@@ -7,7 +7,9 @@ import pytest
 from nullvar import exterior
 from nullvar.linalg import (
     Matrix,
+    SparseMatrix,
     det,
+    integer_row,
     inverse,
     kernel_basis,
     matrix_from_json,
@@ -155,6 +157,12 @@ def _assert_matches_oracle(m: Matrix):
     red, pivots = rref(m)
     assert (red, pivots) == _fraction_rref(m)
     assert all(type(x) is Fraction for x in red.entries)
+    # the same rows, each scaled to integers, given sparse
+    rows = [integer_row({j: x for j, x in enumerate(m.row(i)) if x}) for i in range(m.rows)]
+    sparse = SparseMatrix(m.cols, tuple(rows))
+    assert sparse.rows == m.rows
+    assert rref(sparse) == (red, pivots)
+    assert kernel_basis(sparse) == kernel_basis(m)
 
 
 @pytest.mark.parametrize("name", ["a2", "c2"])
@@ -163,8 +171,12 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, request, monkeypatc
     blocks = []
 
     def checked_rank(m):
-        _assert_matches_oracle(m)
-        blocks.append(m)
+        assert isinstance(m, SparseMatrix)
+        assert all(type(x) is int and x for row in m.entries for x in row.values())
+        dense = Matrix.from_rows([[row.get(j, 0) for j in range(m.cols)] for row in m.entries])
+        _assert_matches_oracle(dense)
+        assert rref(m) == rref(dense)
+        blocks.append(dense)
         return rank(m)
 
     monkeypatch.setattr(exterior, "rank", checked_rank)

@@ -1,7 +1,12 @@
 """Suite orchestration: shared computations run once and fail every record that uses them;
 a corrupted algebra turns its suite red."""
 
+import dataclasses
+
 from nullvar import suites
+from nullvar.algebra import build_algebra
+from nullvar.exterior import ExactSequenceReport
+from nullvar.roots import build_root_datum
 
 
 def test_membership_suite_runs_once(a2, monkeypatch):
@@ -40,6 +45,28 @@ def test_wrong_equation_count_fails_both_records(a2, monkeypatch):
         assert records[name].ok is False
     assert records["equation_count"].expected == true_count == 28
     assert records["residual_dimension"].expected == 56 - 28
+
+
+def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monkeypatch):
+    L = build_algebra(build_root_datum("A", 2))  # fresh: the equation rank is cached on the algebra
+    report = suites.verify_exact_sequences(L)
+    records = list(report.records)
+    records[L.d] = dataclasses.replace(records[L.d], rank_delta_in=records[L.d].rank_delta_in + 1)
+    monkeypatch.setattr(suites, "verify_exact_sequences", lambda L: ExactSequenceReport(tuple(records)))
+    calls = []
+    original = suites.blocked_rank
+
+    def counting(L, name, k):
+        calls.append((name, k))
+        return original(L, name, k)
+
+    monkeypatch.setattr(suites, "blocked_rank", counting)
+    config = suites.SuiteConfig("A", 2, samples=12, zeta_samples=2)
+    records = {r.name: r for r in suites.exterior_records(L, config) + suites.equations_records(L, config)}
+    assert records["delta_rank_into_degree_d"].ok is False
+    assert (records["delta_rank_into_degree_d"].expected, records["delta_rank_into_degree_d"].got) == (28, 29)
+    assert records["equation_count"].ok and records["equation_count"].expected == 28
+    assert calls == [("delta_star", L.d)]
 
 
 def test_every_single_constant_corruption_turns_structure_red(a2):
