@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--chart-samples", type=int, default=50, dest="chart_samples")
     p_verify.add_argument("--zeta-samples", type=int, default=100, dest="zeta_samples")
     p_verify.add_argument("--degree-cap", type=int, default=None, dest="degree_cap",
-                          help="highest degree checked as a full matrix identity")
+                          help="highest degree checked on every basis wedge")
     p_verify.add_argument("--corrupt", default=None, metavar="I,J,K",
                           help="testing hook: shift the structure constant C_ij^k before verifying")
     p_verify.add_argument("--out", default=None, help="write the JSON report to this path")

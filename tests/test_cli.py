@@ -161,7 +161,7 @@ def test_max_g_cap():
     assert out.returncode == 2
 
 
-@pytest.mark.parametrize("label", ["A1", "A2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "C2"])
 def test_report_is_byte_identical_to_golden(label, tmp_path):
     # regenerate with: nullvar verify --type <label> --suite all --seed 42 --no-timestamp --out <file>
     out = tmp_path / "report.json"

@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from nullvar.algebra import build_algebra
 from nullvar.exterior import (
     MultiVector,
@@ -114,6 +116,63 @@ def test_casimir_eigenvalues(a1, a2):
     assert casimir_eigenvalue(a2.rd, two_rho(a2.rd)) == Fraction(8, 3)
     top1 = borel_top_wedge(a1)
     assert casimir(top1) == top1.scale(casimir_eigenvalue(a1.rd, two_rho(a1.rd)))
+
+
+def _oracle_casimir(L, u):
+    """sum_i b_i . (b^i . u) over the kappa-dual basis, from the Lie actions alone."""
+    acc = MultiVector.zero(L, u.degree)
+    for i in range(L.g):
+        acc = acc.add(lie_action_basis(L, i, lie_action(L, L.dual_basis_vector(i), u)))
+    return acc
+
+
+def _basis_wedges(L):
+    return [MultiVector(L, k, {key: Fraction(1)}) for k in range(L.g + 1) for key in degree_keys(L, k)]
+
+
+def _casimir_mismatches(L, vectors):
+    return [u for u in vectors if casimir(u) != _oracle_casimir(L, u)]
+
+
+def test_casimir_table_matches_dual_basis_sum(a2, b2, c2, g2):
+    for L in (a2, b2, c2):
+        assert _casimir_mismatches(L, _basis_wedges(L)) == []
+    rng = Lcg(5)
+    wedges = []
+    for _ in range(50):
+        k = rng.randint(0, g2.g)
+        keys = degree_keys(g2, k)
+        wedges.append(MultiVector(g2, k, {keys[rng.randint(0, len(keys) - 1)]: Fraction(1)}))
+    assert _casimir_mismatches(g2, wedges) == []
+
+
+def test_casimir_table_on_multivectors(a2, c2):
+    rng = Lcg(17)
+    for L in (a2, c2):
+        vectors = []
+        for _ in range(40):
+            k = rng.randint(1, L.g - 1)
+            keys = degree_keys(L, k)
+            terms = {}
+            for n in range(rng.randint(1, 6)):
+                key = keys[rng.randint(0, len(keys) - 1)]  # repeats add up
+                coeff = rng.randint_nonzero(-3, 3)
+                coeff = coeff if n % 2 else Fraction(coeff, rng.randint(1, 4))
+                terms[key] = terms.get(key, 0) + coeff
+            vectors.append(MultiVector(L, k, terms))
+        assert _casimir_mismatches(L, vectors) == []
+        assert casimir(vectors[0].scale(Fraction(-2, 3))) == casimir(vectors[0]).scale(Fraction(-2, 3))
+
+
+@pytest.mark.parametrize("replaced", [[1], [1, 4]])
+def test_casimir_oracle_sees_a_flipped_table_sign(replaced):
+    L = build_algebra(build_root_datum("A", 2))  # private copy: its cache is corrupted below
+    casimir(MultiVector.basis(L, [0]))
+    table, _ = L._cache["casimir_table"]
+    replaced = sum(1 << i for i in replaced)
+    (key, mask, plus, minus), *rest = table[replaced]
+    table[replaced] = ((key, mask, minus, plus), *rest)
+    assert _casimir_mismatches(L, _basis_wedges(L)) != []
 
 
 def test_zeta_examples(a2):
