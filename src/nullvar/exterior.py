@@ -1,7 +1,10 @@
 """Exterior algebra of a Lie algebra and its invariant differential operators.
 
 Multivectors are sparse maps from basis subsets (encoded as bitmasks over the
-g basis indices, ascending bit order) to rational coefficients.  The operators:
+g basis indices, ascending bit order) to rational coefficients.  The contraction,
+the Lie action, the Casimir and the wedge of rows scale their input to integers
+over its common denominator, sum ``int``s against integer tables, and build one
+``Fraction`` per output term.  The operators:
 
   delta       wedge with the trilinear form seen inside the algebra (degree +3)
   delta_star  contraction with the trilinear form (degree -3)
@@ -116,6 +119,17 @@ class MultiVector:
         return f"MultiVector(deg={self.degree}, {{{items}}})"
 
 
+def _integer_terms(terms: dict) -> tuple[int, dict]:
+    """``(den, ints)``: the rational ``terms`` are ``ints`` over their common denominator."""
+    den = lcm(1, *[c.denominator for c in terms.values()])
+    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def _from_integers(L: LieAlgebra, degree: int, ints: dict[int, int], den: int) -> MultiVector:
+    """The multivector with coefficients ``ints`` over ``den``: one ``Fraction`` per nonzero term."""
+    return MultiVector(L, degree, {key: Fraction(n, den) for key, n in ints.items() if n})
+
+
 def _bits(key: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -170,25 +184,39 @@ def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
 
 
 def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
-    acc = MultiVector.scalar(L, 1)
+    """Wedge of coordinate vectors in order, summed in ``int``s over the product of the row denominators."""
+    acc, den = {0: 1}, 1
     for row in rows:
-        acc = wedge(acc, MultiVector.from_vector(L, row))
-    return acc
+        row_den, row = _integer_terms({j: c for j, c in enumerate(row) if c})
+        den *= row_den
+        out: dict[int, int] = {}
+        for key, n in acc.items():
+            for j, c in row.items():
+                if key >> j & 1:
+                    continue
+                # the new factor passes every factor of key above j
+                new = key | 1 << j
+                out[new] = out.get(new, 0) + (-n * c if (key >> j).bit_count() & 1 else n * c)
+        acc = out
+    return _from_integers(L, len(rows), acc, den)
 
 
 # ---------------------------------------------------------------------------
 # Lie action and Casimir
 
 
-def _ad_sparse(L: LieAlgebra):
-    cache = L._cache.get("ad_sparse")
-    if cache is None:
-        cache = [
-            [tuple(L.brackets[i][j].items()) for j in range(L.g)]
-            for i in range(L.g)
-        ]
-        L._cache["ad_sparse"] = cache
-    return cache
+def _ad_sparse(L: LieAlgebra) -> tuple[list, int]:
+    """``(ad, den)``: ``ad[i][j]`` holds ``(m, n)`` for each term (n / den) b_m of [b_i, b_j]."""
+    cached = L._cache.get("ad_sparse")
+    if cached is None:
+        den, ints = _integer_terms(
+            {(i, j, m): c for i, row in enumerate(L.brackets) for j, cell in enumerate(row) for m, c in cell.items()}
+        )
+        ad = [[[] for _ in range(L.g)] for _ in range(L.g)]
+        for (i, j, m), n in ints.items():
+            ad[i][j].append((m, n))
+        cached = L._cache["ad_sparse"] = (ad, den)
+    return cached
 
 
 def _replace_key(key: int, old: int, new: int) -> tuple[int, int] | None:
@@ -205,25 +233,22 @@ def _replace_key(key: int, old: int, new: int) -> tuple[int, int] | None:
 
 
 def lie_action_basis(L: LieAlgebra, i: int, u: MultiVector) -> MultiVector:
-    """Derivation extension of ad b_i."""
-    ad = _ad_sparse(L)[i]
-    out: dict[int, Fraction] = {}
-    for key, coeff in u.terms.items():
+    """Derivation extension of ad b_i, summed in ``int``s over one denominator."""
+    ad, ad_den = _ad_sparse(L)
+    den, terms = _integer_terms(u.terms)
+    out: dict[int, int] = {}
+    for key, n in terms.items():
         k = key
         while k:
             j = (k & -k).bit_length() - 1
             k &= k - 1
-            for m, c in ad[j]:
+            for m, c in ad[i][j]:
                 rep = _replace_key(key, j, m)
                 if rep is None:
                     continue
                 sign, new_key = rep
-                val = out.get(new_key, Fraction(0)) + sign * coeff * c
-                if val:
-                    out[new_key] = val
-                else:
-                    out.pop(new_key, None)
-    return MultiVector(L, u.degree, out)
+                out[new_key] = out.get(new_key, 0) + sign * n * c
+    return _from_integers(L, u.degree, out, den * ad_den)
 
 
 def lie_action(L: LieAlgebra, a, u: MultiVector) -> MultiVector:
@@ -282,11 +307,8 @@ def _casimir_table(L: LieAlgebra) -> tuple[dict, int]:
     den = lcm(1, *[v.denominator for mv in parts.values() for v in mv.terms.values()])
     table = {}
     for replaced, mv in parts.items():
-        terms = []
-        for key, v in mv.terms.items():
-            n = v.numerator * (den // v.denominator)
-            terms.append((key, _sign_mask(replaced) ^ _sign_mask(key), n, -n))
-        table[replaced] = tuple(terms)
+        ints = [(key, int(v * den)) for key, v in mv.terms.items()]
+        table[replaced] = tuple((key, _sign_mask(replaced) ^ _sign_mask(key), n, -n) for key, n in ints)
     cached = L._cache["casimir_table"] = (table, den)
     return cached
 
@@ -300,11 +322,10 @@ def casimir(u: MultiVector) -> MultiVector:
     table and of ``u``.
     """
     L = u.L
-    table, den = _casimir_table(L)
-    scale = lcm(1, *[c.denominator for c in u.terms.values()])
+    table, table_den = _casimir_table(L)
+    den, terms = _integer_terms(u.terms)
     out: dict[int, int] = {}
-    for key, coeff in u.terms.items():
-        n = coeff.numerator * (scale // coeff.denominator)
+    for key, n in terms.items():
         bits = [1 << i for i in _bits(key)]
         for a, bj in enumerate(bits):
             for replaced in (bj, *[bj | bl for bl in bits[a + 1 :]]):
@@ -314,8 +335,7 @@ def casimir(u: MultiVector) -> MultiVector:
                         continue
                     new = rest | put
                     out[new] = out.get(new, 0) + n * (minus if (rest & mask).bit_count() & 1 else plus)
-    den *= scale
-    return MultiVector(L, u.degree, {key: Fraction(v, den) for key, v in out.items() if v})
+    return _from_integers(L, u.degree, out, den * table_den)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +397,16 @@ def delta_star(u: MultiVector) -> MultiVector:
 
     On a decomposable wedge this sums, over ascending positions a < b < c,
     (-1)^(a+b+c-3) w(v_a, v_b, v_c) times the wedge with those factors removed.
+    The sum runs in ``int``s against the w table over its common denominator.
     """
     L = u.L
-    table = L.w_table
-    out: dict[int, Fraction] = {}
-    for key, coeff in u.terms.items():
+    cached = L._cache.get("w_integer")
+    if cached is None:
+        cached = L._cache["w_integer"] = _integer_terms(L.w_table)
+    w_den, table = cached
+    den, terms = _integer_terms(u.terms)
+    out: dict[int, int] = {}
+    for key, coeff in terms.items():
         idx = _bits(key)
         n = len(idx)
         for a in range(n - 2):
@@ -392,16 +417,11 @@ def delta_star(u: MultiVector) -> MultiVector:
                     val = table.get((ia, ib, idx[c]))
                     if not val:
                         continue
-                    # (-1)^(a+b+c-3): odd position sum gives +1
-                    sign = 1 if (a + b + c) & 1 else -1
                     new_key = key & ~(1 << ia) & ~(1 << ib) & ~(1 << idx[c])
-                    term = sign * coeff * val
-                    cur = out.get(new_key, Fraction(0)) + term
-                    if cur:
-                        out[new_key] = cur
-                    else:
-                        out.pop(new_key, None)
-    return MultiVector(L, u.degree - 3, out)
+                    # (-1)^(a+b+c-3): odd position sum gives +1
+                    val = coeff * val if (a + b + c) & 1 else -coeff * val
+                    out[new_key] = out.get(new_key, 0) + val
+    return _from_integers(L, u.degree - 3, out, den * w_den)
 
 
 def delta_star_scalar(L: LieAlgebra) -> Fraction:

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -26,12 +27,14 @@ from nullvar.exterior import (
     verify_zeta_identity,
     w_sharp,
     wedge,
+    wedge_rows,
     weight_blocks,
     zeta,
 )
 from nullvar.linalg import Matrix, kernel_basis, rank
 from nullvar.roots import build_root_datum, casimir_eigenvalue, two_rho
 from nullvar.seeds import Lcg
+from nullvar.variety import chart, random_chart_parameters, random_subspace
 
 
 def test_wedge_basics(a2):
@@ -173,6 +176,124 @@ def test_casimir_oracle_sees_a_flipped_table_sign(replaced):
     (key, mask, plus, minus), *rest = table[replaced]
     table[replaced] = ((key, mask, minus, plus), *rest)
     assert _casimir_mismatches(L, _basis_wedges(L)) != []
+
+
+# Fraction references for the integer paths: the contraction, the Lie action
+# and the wedge of rows as they were summed before the integer tables.
+
+
+def _indices(key):
+    return [i for i in range(key.bit_length()) if key >> i & 1]
+
+
+def _oracle_delta_star(u):
+    """Contraction summed in Fraction straight from ``L.w_table``."""
+    L = u.L
+    out = {}
+    for key, coeff in u.terms.items():
+        idx = _indices(key)
+        for a, b, c in itertools.combinations(range(len(idx)), 3):
+            val = L.w_table.get((idx[a], idx[b], idx[c]))
+            if val:
+                new_key = key & ~(1 << idx[a]) & ~(1 << idx[b]) & ~(1 << idx[c])
+                sign = 1 if (a + b + c) & 1 else -1  # (-1)^(a+b+c-3)
+                out[new_key] = out.get(new_key, Fraction(0)) + sign * coeff * val
+    return MultiVector(L, u.degree - 3, out)
+
+
+def _oracle_lie_action_basis(L, i, u):
+    """ad b_i on each factor in turn, summed in Fraction straight from ``L.brackets``."""
+    out = {}
+    for key, coeff in u.terms.items():
+        idx = _indices(key)
+        for pos, j in enumerate(idx):
+            for m, c in L.brackets[i][j].items():
+                for new_key, sign in MultiVector.basis(L, idx[:pos] + [m] + idx[pos + 1 :]).terms.items():
+                    out[new_key] = out.get(new_key, Fraction(0)) + sign * coeff * c
+    return MultiVector(L, u.degree, out)
+
+
+def _oracle_wedge_rows(L, rows):
+    acc = MultiVector.scalar(L, 1)
+    for row in rows:
+        acc = wedge(acc, MultiVector.from_vector(L, row))
+    return acc
+
+
+def _integer_path_mismatches(L, vectors):
+    bad = [("delta_star", u) for u in vectors if delta_star(u) != _oracle_delta_star(u)]
+    for u, i in itertools.product(vectors, range(L.g)):
+        if lie_action_basis(L, i, u) != _oracle_lie_action_basis(L, i, u):
+            bad.append(("lie_action_basis", i, u))
+    return bad
+
+
+def _wedges_up_to_six(L):
+    return [MultiVector(L, k, {key: Fraction(1)}) for k in range(7) for key in degree_keys(L, k)]
+
+
+def _seeded_multivectors(L, seed, count=30):
+    """Multivectors whose coefficients have denominators 1, 3 and 7."""
+    rng = Lcg(seed)
+    vectors = []
+    for _ in range(count):
+        k = rng.randint(1, L.g - 1)
+        keys = degree_keys(L, k)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            key = keys[rng.randint(0, len(keys) - 1)]  # repeats add up
+            terms[key] = terms.get(key, 0) + Fraction(rng.randint_nonzero(-3, 3), (1, 3, 7)[rng.randint(0, 2)])
+        vectors.append(MultiVector(L, k, terms))
+    return vectors
+
+
+def test_integer_paths_match_fraction_oracles(a2, c2):
+    for L in (a2, c2):
+        assert _integer_path_mismatches(L, _wedges_up_to_six(L) + _seeded_multivectors(L, 31)) == []
+        for k in range(7):
+            for combo in itertools.combinations(range(L.g), k):
+                rows = [L.basis_vector(i) for i in reversed(combo)]
+                assert wedge_rows(L, rows) == _oracle_wedge_rows(L, rows)
+
+
+def test_plucker_wedge_matches_fraction_oracle(a2, c2):
+    rng = Lcg(23)
+    for L in (a2, c2):
+        subspaces = [random_subspace(L, rng, L.d) for _ in range(5)]
+        subspaces += [chart(L, random_chart_parameters(L, rng)) for _ in range(5)]
+        for S in subspaces:
+            rows = S.basis_rows()
+            P = wedge_rows(L, rows)
+            assert not P.is_zero() and P == _oracle_wedge_rows(L, rows)
+            assert _integer_path_mismatches(L, [P]) == []
+        for _ in range(5):
+            # rows over denominators up to 7, not always independent
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(L.g)] for _ in range(L.d)]
+            assert wedge_rows(L, rows) == _oracle_wedge_rows(L, rows)
+
+
+@pytest.mark.parametrize("table", ["w_integer", "ad_sparse"])
+def test_oracles_see_a_flipped_integer_table_sign(table):
+    L = build_algebra(build_root_datum("A", 2))  # private copy: its cache is corrupted below
+    u = MultiVector.basis(L, [0, 1, 2])
+    delta_star(u)  # builds the integer w table
+    lie_action_basis(L, 0, u)  # builds the integer ad table
+    if table == "w_integer":
+        _, ints = L._cache["w_integer"]
+        triple = next(iter(ints))
+        ints[triple] = -ints[triple]
+    else:
+        ad, _ = L._cache["ad_sparse"]
+        i, j = next((i, j) for i in range(L.g) for j in range(L.g) if ad[i][j])
+        (m, n), *rest = ad[i][j]
+        ad[i][j] = [(m, -n), *rest]
+    assert _integer_path_mismatches(L, _basis_wedges(L)) != []
+
+
+def test_integer_paths_with_non_integral_constants(a2):
+    L = a2.with_corrupted_constant(2, 3, 1, Fraction(1, 2))
+    assert lcm(*[v.denominator for v in L.w_table.values()]) == 2
+    assert _integer_path_mismatches(L, _wedges_up_to_six(L) + _seeded_multivectors(L, 37)) == []
 
 
 def test_zeta_examples(a2):
