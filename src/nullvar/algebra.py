@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, frac, inverse, kernel_basis, rref, solve_in_span
+from .linalg import Matrix, frac, inverse, kernel_basis, rref
 from .roots import RootDatum, build_root_datum
 
 Vector = tuple[Fraction, ...]
@@ -559,7 +559,15 @@ class Subspace:
         return [self.matrix.row(i) for i in range(self.dim)]
 
     def contains(self, vector) -> bool:
-        return solve_in_span(self.matrix, [frac(x) for x in vector]) is not None
+        """Reduce ``vector`` by each echelon row at its pivot; it lies in S iff nothing is left."""
+        v = [frac(x) for x in vector]
+        if len(v) != self.L.g:
+            raise ValueError("ambient dimension mismatch")
+        for row, p in zip(self.basis_rows(), self.pivots):
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return not any(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis_rows())

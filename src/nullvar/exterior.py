@@ -1,10 +1,11 @@
 """Exterior algebra of a Lie algebra and its invariant differential operators.
 
 Multivectors are sparse maps from basis subsets (encoded as bitmasks over the
-g basis indices, ascending bit order) to rational coefficients.  The contraction,
-the Lie action, the Casimir and the wedge of rows scale their input to integers
-over its common denominator, sum ``int``s against integer tables, and build one
-``Fraction`` per output term.  The operators:
+g basis indices, ascending bit order) to integer numerators over one positive
+denominator, which is not reduced.  Every operator reads the numerators, sums
+``int``s against an integer table cached per algebra, and returns its image
+over the input's denominator times the table's; rationals appear only in the
+constructor and in the ``terms`` view.  The operators:
 
   delta       wedge with the trilinear form seen inside the algebra (degree +3)
   delta_star  contraction with the trilinear form (degree -3)
@@ -24,12 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra
-from .linalg import Matrix, SparseMatrix, frac, integer_row, kernel_basis, rank
-
-_ONE = Fraction(1)
+from .linalg import Matrix, SparseMatrix, frac, kernel_basis, rank
 
 
 def binomial_dim(g: int, k: int) -> int:
@@ -37,27 +36,43 @@ def binomial_dim(g: int, k: int) -> int:
 
 
 class MultiVector:
-    """Homogeneous element of the exterior algebra of a Lie algebra."""
+    """Homogeneous element of the exterior algebra of a Lie algebra.
 
-    __slots__ = ("L", "degree", "terms")
+    ``ints`` maps each key to a nonzero integer numerator over ``den`` > 0.
+    """
+
+    __slots__ = ("L", "degree", "ints", "den")
 
     def __init__(self, L: LieAlgebra, degree: int, terms: dict[int, Fraction]):
+        """The multivector with rational coefficients ``terms``, over their common denominator."""
         self.L = L
         self.degree = degree
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.den, self.ints = _integer_terms({k: c for k, v in terms.items() if (c := frac(v))})
+
+    @staticmethod
+    def over(L: LieAlgebra, degree: int, ints: dict[int, int], den: int = 1) -> "MultiVector":
+        """The multivector with integer numerators ``ints`` over ``den``; zero numerators are dropped."""
+        u = object.__new__(MultiVector)
+        u.L, u.degree, u.den = L, degree, den
+        u.ints = {k: n for k, n in ints.items() if n}
+        return u
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The rational coefficients, as a fresh dict."""
+        return {k: Fraction(n, self.den) for k, n in self.ints.items()}
 
     @staticmethod
     def zero(L: LieAlgebra, degree: int) -> "MultiVector":
-        return MultiVector(L, degree, {})
+        return MultiVector.over(L, degree, {})
 
     @staticmethod
     def scalar(L: LieAlgebra, value) -> "MultiVector":
-        value = frac(value)
-        return MultiVector(L, 0, {0: value} if value else {})
+        return MultiVector(L, 0, {0: value})
 
     @staticmethod
     def from_vector(L: LieAlgebra, coords) -> "MultiVector":
-        return MultiVector(L, 1, {1 << i: frac(c) for i, c in enumerate(coords) if c})
+        return MultiVector(L, 1, {1 << i: c for i, c in enumerate(coords)})
 
     @staticmethod
     def basis(L: LieAlgebra, indices) -> "MultiVector":
@@ -65,53 +80,55 @@ class MultiVector:
         key = 0
         for i in indices:
             if key >> i & 1:
-                return MultiVector(L, len(indices), {})
+                return MultiVector.zero(L, len(indices))
             key |= 1 << i
-        sign = _sort_sign(indices)
-        return MultiVector(L, len(indices), {key: Fraction(sign)})
+        return MultiVector.over(L, len(indices), {key: _sort_sign(indices)})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def coefficient(self, indices) -> Fraction:
         key = 0
         for i in indices:
             key |= 1 << i
-        sign = _sort_sign(list(indices))
-        return Fraction(sign) * self.terms.get(key, Fraction(0))
+        return Fraction(_sort_sign(list(indices)) * self.ints.get(key, 0), self.den)
 
     def scalar_value(self) -> Fraction:
         if self.degree != 0:
             raise ValueError("not a degree-0 element")
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.ints.get(0, 0), self.den)
+
+    def reduced(self) -> "MultiVector":
+        """The same multivector over its least denominator."""
+        g = gcd(self.den, *self.ints.values())
+        return MultiVector.over(self.L, self.degree, {k: n // g for k, n in self.ints.items()}, self.den // g)
 
     def add(self, other: "MultiVector") -> "MultiVector":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            new = out.get(k, Fraction(0)) + v
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
-        return MultiVector(self.L, self.degree, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {k: a * n for k, n in self.ints.items()}
+        for k, n in other.ints.items():
+            out[k] = out.get(k, 0) + b * n
+        return MultiVector.over(self.L, self.degree, out, den)
 
     def sub(self, other: "MultiVector") -> "MultiVector":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "MultiVector":
         c = frac(c)
-        if not c:
-            return MultiVector(self.L, self.degree, {})
-        return MultiVector(self.L, self.degree, {k: c * v for k, v in self.terms.items()})
+        return MultiVector.over(
+            self.L, self.degree, {k: c.numerator * n for k, n in self.ints.items()}, c.denominator * self.den
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiVector)
             and self.L is other.L
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.ints.keys() == other.ints.keys()
+            and all(n * other.den == other.ints[k] * self.den for k, n in self.ints.items())
         )
 
     def __repr__(self):
@@ -123,11 +140,6 @@ def _integer_terms(terms: dict) -> tuple[int, dict]:
     """``(den, ints)``: the rational ``terms`` are ``ints`` over their common denominator."""
     den = lcm(1, *[c.denominator for c in terms.values()])
     return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-
-
-def _from_integers(L: LieAlgebra, degree: int, ints: dict[int, int], den: int) -> MultiVector:
-    """The multivector with coefficients ``ints`` over ``den``: one ``Fraction`` per nonzero term."""
-    return MultiVector(L, degree, {key: Fraction(n, den) for key, n in ints.items() if n})
 
 
 def _bits(key: int) -> tuple[int, ...]:
@@ -168,19 +180,15 @@ def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
     """Graded-commutative product; degrees add."""
     if u.L is not v.L:
         raise ValueError("different ambient algebras")
-    out: dict[int, Fraction] = {}
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
+    out: dict[int, int] = {}
+    for k1, n1 in u.ints.items():
+        for k2, n2 in v.ints.items():
             merged = _merge(k1, k2)
             if merged is None:
                 continue
             sign, key = merged
-            new = out.get(key, Fraction(0)) + sign * c1 * c2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return MultiVector(u.L, u.degree + v.degree, out)
+            out[key] = out.get(key, 0) + sign * n1 * n2
+    return MultiVector.over(u.L, u.degree + v.degree, out, u.den * v.den)
 
 
 def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
@@ -198,7 +206,7 @@ def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
                 new = key | 1 << j
                 out[new] = out.get(new, 0) + (-n * c if (key >> j).bit_count() & 1 else n * c)
         acc = out
-    return _from_integers(L, len(rows), acc, den)
+    return MultiVector.over(L, len(rows), acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +243,8 @@ def _replace_key(key: int, old: int, new: int) -> tuple[int, int] | None:
 def lie_action_basis(L: LieAlgebra, i: int, u: MultiVector) -> MultiVector:
     """Derivation extension of ad b_i, summed in ``int``s over one denominator."""
     ad, ad_den = _ad_sparse(L)
-    den, terms = _integer_terms(u.terms)
     out: dict[int, int] = {}
-    for key, n in terms.items():
+    for key, n in u.ints.items():
         k = key
         while k:
             j = (k & -k).bit_length() - 1
@@ -248,7 +255,7 @@ def lie_action_basis(L: LieAlgebra, i: int, u: MultiVector) -> MultiVector:
                     continue
                 sign, new_key = rep
                 out[new_key] = out.get(new_key, 0) + sign * n * c
-    return _from_integers(L, u.degree, out, den * ad_den)
+    return MultiVector.over(L, u.degree, out, u.den * ad_den)
 
 
 def lie_action(L: LieAlgebra, a, u: MultiVector) -> MultiVector:
@@ -299,16 +306,17 @@ def _casimir_table(L: LieAlgebra) -> tuple[dict, int]:
     cached = L._cache.get("casimir_table")
     if cached is not None:
         return cached
-    basis = [MultiVector(L, 1, {1 << j: _ONE}) for j in range(L.g)]
+    basis = [MultiVector.over(L, 1, {1 << j: 1}) for j in range(L.g)]
     parts = {1 << j: _dual_basis_casimir(b) for j, b in enumerate(basis)}
     for j, l in itertools.combinations(range(L.g), 2):
         both = _dual_basis_casimir(wedge(basis[j], basis[l]))
         parts[(1 << j) | (1 << l)] = both.sub(wedge(parts[1 << j], basis[l])).sub(wedge(basis[j], parts[1 << l]))
-    den = lcm(1, *[v.denominator for mv in parts.values() for v in mv.terms.values()])
+    parts = {replaced: mv.reduced() for replaced, mv in parts.items()}
+    den = lcm(1, *[mv.den for mv in parts.values()])
     table = {}
     for replaced, mv in parts.items():
-        ints = [(key, int(v * den)) for key, v in mv.terms.items()]
-        table[replaced] = tuple((key, _sign_mask(replaced) ^ _sign_mask(key), n, -n) for key, n in ints)
+        f, mask = den // mv.den, _sign_mask(replaced)
+        table[replaced] = tuple((key, mask ^ _sign_mask(key), f * n, -f * n) for key, n in mv.ints.items())
     cached = L._cache["casimir_table"] = (table, den)
     return cached
 
@@ -318,14 +326,13 @@ def casimir(u: MultiVector) -> MultiVector:
 
     Composing two derivations acts on each factor of a wedge and on each pair
     of factors, so each factor and each pair is replaced by its table entry.
-    Coefficients are summed as integers over the common denominator of the
-    table and of ``u``.
+    The image is summed in ``int``s over the denominator of ``u`` times the
+    table's.
     """
     L = u.L
     table, table_den = _casimir_table(L)
-    den, terms = _integer_terms(u.terms)
     out: dict[int, int] = {}
-    for key, n in terms.items():
+    for key, n in u.ints.items():
         bits = [1 << i for i in _bits(key)]
         for a, bj in enumerate(bits):
             for replaced in (bj, *[bj | bl for bl in bits[a + 1 :]]):
@@ -335,7 +342,7 @@ def casimir(u: MultiVector) -> MultiVector:
                         continue
                     new = rest | put
                     out[new] = out.get(new, 0) + n * (minus if (rest & mask).bit_count() & 1 else plus)
-    return _from_integers(L, u.degree, out, den * table_den)
+    return MultiVector.over(L, u.degree, out, u.den * table_den)
 
 
 # ---------------------------------------------------------------------------
@@ -351,45 +358,35 @@ def w_sharp(L: LieAlgebra) -> MultiVector:
         for (i, j, k), val in L.w_table.items():
             term = wedge(wedge(duals[i], duals[j]), duals[k]).scale(val)
             acc = acc.add(term)
-        cached = acc
-        L._cache["w_sharp"] = cached
+        cached = L._cache["w_sharp"] = acc.reduced()
     return cached
 
 
-def _w_sharp_terms(L: LieAlgebra):
-    """w_sharp's terms as (key, mask, c, -c), cached per algebra.
+def _w_sharp_terms(L: LieAlgebra) -> tuple[tuple, int]:
+    """``(terms, den)``: w_sharp's terms as (key, mask, n, -n) over den, cached per algebra.
 
     For a key u disjoint from key, ``(u & mask).bit_count()`` is odd exactly
     when the wedge of key with u carries the sign -1.
     """
     cached = L._cache.get("w_sharp_terms")
     if cached is None:
-        terms = w_sharp(L).terms.items()
-        cached = L._cache["w_sharp_terms"] = tuple((key, _sign_mask(key), c, -c) for key, c in terms)
+        ws = w_sharp(L)
+        terms = tuple((key, _sign_mask(key), n, -n) for key, n in ws.ints.items())
+        cached = L._cache["w_sharp_terms"] = (terms, ws.den)
     return cached
 
 
 def delta(u: MultiVector) -> MultiVector:
-    """Wedge with the degree-3 form; degree +3.
-
-    Equal to ``wedge(w_sharp(L), u)``; on a basis wedge with coefficient 1
-    every image coefficient is a cached one, so no ``Fraction`` is built.
-    """
-    terms = _w_sharp_terms(u.L)
-    out: dict[int, Fraction] = {}
-    for key, coeff in u.terms.items():
-        unit = coeff == 1
+    """Wedge with the degree-3 form; degree +3.  Equal to ``wedge(w_sharp(L), u)``."""
+    terms, w_den = _w_sharp_terms(u.L)
+    out: dict[int, int] = {}
+    for key, n in u.ints.items():
         for wkey, mask, plus, minus in terms:
             if key & wkey:
                 continue
-            val = minus if (key & mask).bit_count() & 1 else plus
-            if not unit:
-                val = val * coeff
             new_key = key | wkey
-            if new_key in out:
-                val += out[new_key]
-            out[new_key] = val
-    return MultiVector(u.L, u.degree + 3, out)
+            out[new_key] = out.get(new_key, 0) + n * (minus if (key & mask).bit_count() & 1 else plus)
+    return MultiVector.over(u.L, u.degree + 3, out, u.den * w_den)
 
 
 def delta_star(u: MultiVector) -> MultiVector:
@@ -404,9 +401,8 @@ def delta_star(u: MultiVector) -> MultiVector:
     if cached is None:
         cached = L._cache["w_integer"] = _integer_terms(L.w_table)
     w_den, table = cached
-    den, terms = _integer_terms(u.terms)
     out: dict[int, int] = {}
-    for key, coeff in terms.items():
+    for key, coeff in u.ints.items():
         idx = _bits(key)
         n = len(idx)
         for a in range(n - 2):
@@ -421,7 +417,7 @@ def delta_star(u: MultiVector) -> MultiVector:
                     # (-1)^(a+b+c-3): odd position sum gives +1
                     val = coeff * val if (a + b + c) & 1 else -coeff * val
                     out[new_key] = out.get(new_key, 0) + val
-    return _from_integers(L, u.degree - 3, out, den * w_den)
+    return MultiVector.over(L, u.degree - 3, out, u.den * w_den)
 
 
 def delta_star_scalar(L: LieAlgebra) -> Fraction:
@@ -492,7 +488,7 @@ def graded_matrix(L: LieAlgebra, name: str, k: int) -> GradedOperator:
     index = key_index_map(L, target)
     entries = [Fraction(0)] * (rows * cols)
     for col, key in enumerate(degree_keys(L, k)):
-        image = fn(MultiVector(L, k, {key: Fraction(1)}))
+        image = fn(MultiVector.over(L, k, {key: 1}))
         for out_key, val in image.terms.items():
             entries[index[out_key] * cols + col] = val
     return GradedOperator(k, target, Matrix(rows, cols, tuple(entries)))
@@ -526,26 +522,30 @@ def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:
 def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys, equations=False) -> SparseMatrix:
     """The images under ``fn`` of the degree-k basis wedges ``keys``, as sparse integer rows.
 
-    Row j is the image of ``keys[j]`` over the positions of ``tkeys``.  With
-    ``equations`` the rows are the block's equations instead, one per target
-    key, over the positions of ``keys``, so that their kernel is the
-    combinations of ``keys`` that ``fn`` kills.  Each row is scaled by the lcm
-    of its denominators.  An image term outside ``tkeys`` means the operator
+    Row j is the numerators of the image of ``keys[j]`` over the positions of
+    ``tkeys``.  With ``equations`` the rows are the block's equations instead,
+    one per target key, over the positions of ``keys``, so that their kernel
+    is the combinations of ``keys`` that ``fn`` kills; the images must then
+    share one denominator.  An image term outside ``tkeys`` means the operator
     left its weight block.
     """
     index = {key: i for i, key in enumerate(tkeys)}
     rows: list[dict] = [{} for _ in tkeys] if equations else []
+    dens = set()
     for j, key in enumerate(keys):
-        image = fn(MultiVector(L, k, {key: _ONE})).terms
-        if not image.keys() <= index.keys():
+        image = fn(MultiVector.over(L, k, {key: 1}))
+        if not image.ints.keys() <= index.keys():
             raise AssertionError("operator output escapes its weight block")
         if equations:
-            for out_key, val in image.items():
-                rows[index[out_key]][j] = val
+            dens.add(image.den)
+            for out_key, n in image.ints.items():
+                rows[index[out_key]][j] = n
             continue
-        rows.append({index[out_key]: val for out_key, val in image.items()})
+        rows.append({index[out_key]: n for out_key, n in image.ints.items()})
+    if len(dens) > 1:
+        raise AssertionError("equation rows over different denominators")
     cols = len(keys) if equations else len(tkeys)
-    return SparseMatrix(cols, tuple(integer_row(row) for row in rows))
+    return SparseMatrix(cols, tuple(rows))
 
 
 def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
@@ -595,7 +595,7 @@ def delta_kernel_vectors(L: LieAlgebra, k: int) -> list[MultiVector]:
                 out.append(MultiVector(L, k, {key: c for key, c in zip(keys, ker.row(i)) if c}))
         else:
             for key in keys:
-                out.append(MultiVector(L, k, {key: Fraction(1)}))
+                out.append(MultiVector.over(L, k, {key: 1}))
     return out
 
 
@@ -711,7 +711,7 @@ class ZetaReport:
 def _zeta_matrix_identity(L: LieAlgebra, k: int, scalar, c_top) -> tuple[bool, str | None]:
     """The identity on every basis wedge of degree k: the columns of its matrix form."""
     for key in degree_keys(L, k):
-        if not _zeta_vector_identity(MultiVector(L, k, {key: _ONE}), scalar, c_top):
+        if not _zeta_vector_identity(MultiVector.over(L, k, {key: 1}), scalar, c_top):
             return False, f"basis wedge {list(_bits(key))}"
     return True, None
 
@@ -746,7 +746,7 @@ def verify_zeta_identity(
     squares_ok = True
     for k in range(0, L.g + 1):
         for key in degree_keys(L, k):
-            u = MultiVector(L, k, {key: Fraction(1)})
+            u = MultiVector.over(L, k, {key: 1})
             if not delta(delta(u)).is_zero():
                 squares_ok = False
             if u.degree >= 6 and not delta_star(delta_star(u)).is_zero():
@@ -767,9 +767,8 @@ def verify_zeta_identity(
                 terms = {}
                 for _ in range(4):
                     key = keys[rng.randint(0, len(keys) - 1)]
-                    coeff = Fraction(rng.randint_nonzero(-3, 3))
-                    terms[key] = terms.get(key, Fraction(0)) + coeff
-                u = MultiVector(L, k, terms)
+                    terms[key] = terms.get(key, 0) + rng.randint_nonzero(-3, 3)
+                u = MultiVector.over(L, k, terms)
                 if not _zeta_vector_identity(u, scalar, c_top):
                     ok = False
                     break
@@ -791,27 +790,22 @@ def check_operator_invariance(L: LieAlgebra, degrees, samples: int = 0, seed: in
     """
     from .seeds import Lcg
 
+    def commutes(i: int, k: int, key: int) -> bool:
+        u = MultiVector.over(L, k, {key: 1})
+        au = lie_action_basis(L, i, u)
+        return all(op(au) == lie_action_basis(L, i, op(u)) for op in (delta, delta_star))
+
     for k in degrees:
         for i in range(L.g):
-            for key in degree_keys(L, k):
-                u = MultiVector(L, k, {key: Fraction(1)})
-                au = lie_action_basis(L, i, u)
-                if delta(au) != lie_action_basis(L, i, delta(u)):
-                    return False
-                if delta_star(au) != lie_action_basis(L, i, delta_star(u)):
-                    return False
+            if not all(commutes(i, k, key) for key in degree_keys(L, k)):
+                return False
     rng = Lcg(seed)
     rest = [k for k in range(0, L.g + 1) if k not in set(degrees)]
     for _ in range(samples):
         k = rest[rng.randint(0, len(rest) - 1)] if rest else 0
         keys = degree_keys(L, k)
         key = keys[rng.randint(0, len(keys) - 1)]
-        i = rng.randint(0, L.g - 1)
-        u = MultiVector(L, k, {key: Fraction(1)})
-        au = lie_action_basis(L, i, u)
-        if delta(au) != lie_action_basis(L, i, delta(u)):
-            return False
-        if delta_star(au) != lie_action_basis(L, i, delta_star(u)):
+        if not commutes(rng.randint(0, L.g - 1), k, key):
             return False
     return True
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import LieAlgebra, Subspace, orthogonal_complement
 from .exterior import (
     MultiVector,
+    _bits,
     binomial_dim,
     blocked_rank,
     degree_keys,
@@ -101,11 +102,7 @@ def pairing_matrix(L: LieAlgebra, k: int) -> Matrix:
     entries = [Fraction(0)] * (n * n)
     cartan = list(range(L.l))
     for row_idx, key in enumerate(keys):
-        bits = []
-        kk = key
-        while kk:
-            bits.append((kk & -kk).bit_length() - 1)
-            kk &= kk - 1
+        bits = _bits(key)
         root_part = [i for i in bits if i >= L.l]
         h_count = len(bits) - len(root_part)
         partner_key = 0
@@ -119,14 +116,7 @@ def pairing_matrix(L: LieAlgebra, k: int) -> Matrix:
             col_idx = index.get(other)
             if col_idx is None:
                 continue
-            other_bits = []
-            kk = other
-            while kk:
-                other_bits.append((kk & -kk).bit_length() - 1)
-                kk &= kk - 1
-            gram = Matrix.from_rows(
-                [[L.kappa[i, j] for j in other_bits] for i in bits]
-            )
+            gram = Matrix.from_rows([[L.kappa[i, j] for j in _bits(other)] for i in bits])
             entries[row_idx * n + col_idx] = det(gram)
     return Matrix(n, n, tuple(entries))
 
@@ -254,7 +244,7 @@ def check_equivariance_matrices(L: LieAlgebra, degrees) -> bool:
     for k in degrees:
         for i in range(L.g):
             for key in degree_keys(L, k):
-                u = MultiVector(L, k, {key: Fraction(1)})
+                u = MultiVector.over(L, k, {key: 1})
                 if delta_star(lie_action_basis(L, i, u)) != lie_action_basis(L, i, delta_star(u)):
                     return False
     return True

@@ -7,7 +7,7 @@ mostly zeros.  The reduced row echelon form is the canonical representative
 used for subspace equality throughout the package.  ``rref`` eliminates on
 sparse Python ``int`` rows (a dense row is first scaled by the lcm of its
 denominators) and builds ``Fraction`` entries only for its canonical output;
-``rank``, ``kernel_basis``, ``inverse`` and ``solve_in_span`` all go through it.
+``rank``, ``kernel_basis`` and ``inverse`` go through it.
 """
 
 from __future__ import annotations
@@ -287,28 +287,6 @@ def det(m: Matrix) -> Fraction:
                 for j in range(c, n):
                     work[k][j] -= fk * work[c][j]
     return result
-
-
-def solve_in_span(basis_rows: Matrix, target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Coefficients c with c . basis_rows == target, or None if target lies outside the span."""
-    k, n = basis_rows.rows, basis_rows.cols
-    if len(target) != n:
-        raise ValueError("target length mismatch")
-    aug_rows = [[basis_rows[i, j] for i in range(k)] + [frac(target[j])] for j in range(n)]
-    red, pivots = rref(Matrix.from_rows(aug_rows))
-    if any(p == k for p in pivots):
-        return None
-    sol = [Fraction(0)] * k
-    for r, p in enumerate(pivots):
-        sol[p] = red[r, k]
-    for j in range(n):
-        acc = Fraction(0)
-        for i in range(k):
-            if sol[i]:
-                acc += sol[i] * basis_rows[i, j]
-        if acc != frac(target[j]):
-            return None
-    return tuple(sol)
 
 
 def matrix_to_json(m: Matrix) -> dict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import LieAlgebra, StructureError, Subspace, standard_borel
-from .linalg import Matrix, frac, rank
+from .linalg import Matrix, frac, rank, rref
 
 
 class NotInVarietyError(ValueError):
@@ -229,54 +229,20 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
     degeneration preserves dimension and the nullspace property.
     """
     grades = _grading(L, weight)
-
-    def top_grade(row) -> int:
-        return max(grades[i] for i, x in enumerate(row) if x)
-
-    def initial_form(row):
-        m = top_grade(row)
-        return tuple(x if grades[i] == m and x else Fraction(0) for i, x in enumerate(row))
-
-    rows = [list(r) for r in V.basis_rows()]
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[int, list[int]] = {}
-        for idx, row in enumerate(rows):
-            groups.setdefault(top_grade(row), []).append(idx)
-        for grade, members in groups.items():
-            if len(members) < 2:
-                continue
-            # echelonize initial forms inside the group; a dependency pushes the
-            # combined row to a strictly lower top grade
-            echelon: list[tuple[tuple[Fraction, ...], int]] = []
-            for idx in members:
-                form = list(initial_form(rows[idx]))
-                combo = {idx: Fraction(1)}
-                for eform, eidx in echelon:
-                    lead = next((j for j, x in enumerate(eform) if x), None)
-                    if lead is not None and form[lead]:
-                        f = form[lead] / eform[lead]
-                        for j in range(L.g):
-                            form[j] -= f * eform[j]
-                        combo[eidx] = combo.get(eidx, Fraction(0)) - f
-                if any(form):
-                    echelon.append((tuple(form), idx))
-                else:
-                    new_row = [Fraction(0)] * L.g
-                    for src, c in combo.items():
-                        factor = c
-                        src_row = rows[src]
-                        for j in range(L.g):
-                            if src_row[j]:
-                                new_row[j] += factor * src_row[j]
-                    if not any(new_row):
-                        raise StructureError("dependent basis rows in degeneration")
-                    rows[idx] = new_row
-                    changed = True
-            if changed:
-                break
-    return Subspace(L, [initial_form(r) for r in rows])
+    # echelon rows over columns of descending grade pivot at their top grade,
+    # and their top-grade parts stay independent: each is nonzero at its own
+    # pivot and zero at every other
+    order = sorted(range(L.g), key=lambda i: -grades[i])
+    red, pivots = rref(Matrix(V.dim, L.g, tuple(row[i] for row in V.basis_rows() for i in order)))
+    rows = []
+    for r, p in enumerate(pivots):
+        top = grades[order[p]]
+        form = [Fraction(0)] * L.g
+        for c, i in enumerate(order):
+            if grades[i] == top:
+                form[i] = red[r, c]
+        rows.append(form)
+    return Subspace(L, rows)
 
 
 # ---------------------------------------------------------------------------

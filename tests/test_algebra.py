@@ -25,7 +25,7 @@ from nullvar.algebra import (
 )
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
-from nullvar.variety import is_nullspace
+from nullvar.variety import is_nullspace, random_subspace
 
 def test_a1_structure(a1):
     h, x, y = a1.basis_vector(0), a1.basis_vector(1), a1.basis_vector(2)
@@ -248,6 +248,28 @@ def test_subspace_canonical_equality(a2):
         a2.basis_vector(1),
     ]
     assert Subspace(a2, rows1) == Subspace(a2, rows2)
+
+
+@pytest.mark.parametrize("fixture", ["a2", "c2"])
+def test_contains_agrees_with_dimension_growth(fixture, request):
+    L = request.getfixturevalue(fixture)
+    rng = Lcg(41)
+    seen = set()
+    for _ in range(15):
+        S = random_subspace(L, rng, rng.randint(0, L.g))
+        rows = S.basis_rows()
+        inside = [Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in rows]
+        vectors = [
+            [sum((c * row[j] for c, row in zip(inside, rows)), Fraction(0)) for j in range(L.g)],
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(L.g)],
+        ] + [L.basis_vector(j) for j in range(L.g)]
+        for v in vectors:
+            grows = S.add(Subspace(L, [v])).dim > S.dim
+            assert S.contains(v) == (not grows)
+            seen.add(grows)
+        with pytest.raises(ValueError):
+            S.contains([0] * (L.g + 1))
+    assert seen == {True, False}
 
 
 def test_subspace_json_roundtrip(a2):

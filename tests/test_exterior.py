@@ -178,8 +178,9 @@ def test_casimir_oracle_sees_a_flipped_table_sign(replaced):
     assert _casimir_mismatches(L, _basis_wedges(L)) != []
 
 
-# Fraction references for the integer paths: the contraction, the Lie action
-# and the wedge of rows as they were summed before the integer tables.
+# Fraction references for the integer paths: the wedge, the contraction, the
+# Lie action and the wedge of rows as they were summed before the integer
+# tables, all read from the rational ``terms`` view.
 
 
 def _indices(key):
@@ -213,15 +214,27 @@ def _oracle_lie_action_basis(L, i, u):
     return MultiVector(L, u.degree, out)
 
 
+def _oracle_wedge(u, v):
+    """Graded product summed in Fraction, each pair of keys sorted by ``MultiVector.basis``."""
+    out = {}
+    for k1, c1 in u.terms.items():
+        for k2, c2 in v.terms.items():
+            for key, sign in MultiVector.basis(u.L, _indices(k1) + _indices(k2)).terms.items():
+                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return MultiVector(u.L, u.degree + v.degree, out)
+
+
 def _oracle_wedge_rows(L, rows):
     acc = MultiVector.scalar(L, 1)
     for row in rows:
-        acc = wedge(acc, MultiVector.from_vector(L, row))
+        acc = _oracle_wedge(acc, MultiVector.from_vector(L, row))
     return acc
 
 
 def _integer_path_mismatches(L, vectors):
-    bad = [("delta_star", u) for u in vectors if delta_star(u) != _oracle_delta_star(u)]
+    ws = w_sharp(L)
+    bad = [("delta", u) for u in vectors if delta(u) != _oracle_wedge(ws, u)]
+    bad += [("delta_star", u) for u in vectors if delta_star(u) != _oracle_delta_star(u)]
     for u, i in itertools.product(vectors, range(L.g)):
         if lie_action_basis(L, i, u) != _oracle_lie_action_basis(L, i, u):
             bad.append(("lie_action_basis", i, u))
@@ -272,13 +285,19 @@ def test_plucker_wedge_matches_fraction_oracle(a2, c2):
             assert wedge_rows(L, rows) == _oracle_wedge_rows(L, rows)
 
 
-@pytest.mark.parametrize("table", ["w_integer", "ad_sparse"])
+@pytest.mark.parametrize("table", ["w_integer", "ad_sparse", "w_sharp_terms"])
 def test_oracles_see_a_flipped_integer_table_sign(table):
     L = build_algebra(build_root_datum("A", 2))  # private copy: its cache is corrupted below
     u = MultiVector.basis(L, [0, 1, 2])
     delta_star(u)  # builds the integer w table
     lie_action_basis(L, 0, u)  # builds the integer ad table
-    if table == "w_integer":
+    delta(u)  # builds w_sharp's integer terms
+    if table == "w_sharp_terms":
+        ((key, mask, plus, minus), *rest), den = L._cache["w_sharp_terms"]
+        L._cache["w_sharp_terms"] = (((key, mask, minus, plus), *rest), den)
+        one = MultiVector.scalar(L, 1)
+        assert delta(one) != _oracle_wedge(w_sharp(L), one)
+    elif table == "w_integer":
         _, ints = L._cache["w_integer"]
         triple = next(iter(ints))
         ints[triple] = -ints[triple]
@@ -288,6 +307,39 @@ def test_oracles_see_a_flipped_integer_table_sign(table):
         (m, n), *rest = ad[i][j]
         ad[i][j] = [(m, -n), *rest]
     assert _integer_path_mismatches(L, _basis_wedges(L)) != []
+
+
+def _fraction_sum(u, v):
+    out = u.terms
+    for key, c in v.terms.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_multivector_arithmetic_matches_fraction_oracles(a2, c2):
+    for L in (a2, c2):
+        vectors = _seeded_multivectors(L, 43)
+        sums = 0
+        for u, v in itertools.product(vectors, repeat=2):
+            assert wedge(u, v).terms == _oracle_wedge(u, v).terms
+            assert (u == v) == (u.terms == v.terms)
+            if u.degree == v.degree:
+                assert u.add(v).terms == _fraction_sum(u, v)
+                assert u.sub(v).terms == _fraction_sum(u, v.scale(-1))
+                sums += 1
+        assert sums > len(vectors)
+        for u in vectors:
+            for c in (Fraction(-2, 3), Fraction(0), Fraction(7), Fraction(5, 21)):
+                assert u.scale(c).terms == {key: c * x for key, x in u.terms.items() if c * x}
+            # the same value over unequal denominators
+            for f in (3, 7, 21):
+                inflated = MultiVector.over(L, u.degree, {key: f * n for key, n in u.ints.items()}, f * u.den)
+                assert inflated == u and u == inflated and inflated.terms == u.terms
+                assert inflated.add(u) == u.scale(2) and inflated.sub(u).is_zero()
+                assert MultiVector.over(L, u.degree, u.ints, f * u.den) != u
+            view = u.terms
+            view.clear()
+            assert u.terms and not u.is_zero()
 
 
 def test_integer_paths_with_non_integral_constants(a2):

@@ -16,7 +16,6 @@ from nullvar.linalg import (
     matrix_to_json,
     rank,
     rref,
-    solve_in_span,
 )
 from nullvar.seeds import Lcg
 
@@ -116,13 +115,6 @@ def test_det_matches_elimination():
     assert det(m) == 1
     singular = Matrix.from_rows([[1, 2], [2, 4]])
     assert det(singular) == 0
-
-
-def test_solve_in_span():
-    basis = Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    sol = solve_in_span(basis, [2, 3, 5])
-    assert sol == (Fraction(2), Fraction(3))
-    assert solve_in_span(basis, [0, 0, 1]) is None
 
 
 def test_matrix_json_roundtrip():

@@ -28,6 +28,7 @@ from nullvar.variety import (
     parabolic_closure,
     parabolic_profile,
     random_chart_parameters,
+    random_subspace,
     subspace_fingerprint,
 )
 
@@ -132,6 +133,32 @@ def test_degenerate_preserves_nullspace_and_dim(a2):
         lim = degenerate(a2, V, (3, 2))
         assert lim.dim == V.dim
         assert is_nullspace(a2, lim)
+
+
+def test_degenerate_limit_holds_the_top_grade_parts(a2, c2):
+    rng = Lcg(19)
+    for L in (a2, c2):
+        for case in range(12):
+            if case % 3:
+                V = random_subspace(L, rng, rng.randint(1, L.g))
+            else:
+                V = chart(L, random_chart_parameters(L, rng))
+            while True:  # a regular weight of mixed sign
+                weight = [rng.randint(-4, 4) for _ in range(L.l)]
+                grades = [sum(c * m for c, m in zip(L.weights[i], weight)) for i in range(L.g)]
+                if all(grades[L.pos_index(a)] for a in range(L.n_pos)):
+                    break
+            lim = degenerate(L, V, weight)
+            assert lim.dim == V.dim
+            for row in lim.basis_rows():
+                assert len({grades[i] for i, x in enumerate(row) if x}) == 1
+            rows = V.basis_rows()
+            for _ in range(5):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in rows]
+                v = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(L.g)]
+                if any(v):
+                    top = max(grades[i] for i, x in enumerate(v) if x)
+                    assert lim.contains([x if grades[i] == top else 0 for i, x in enumerate(v)])
 
 
 def test_degenerate_rejects_irregular_weight(a2):
