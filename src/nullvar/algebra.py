@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, frac, inverse, kernel_basis, rref
-from .roots import RootDatum, build_root_datum
+from .roots import RootDatum
 
 Vector = tuple[Fraction, ...]
 
@@ -244,24 +244,6 @@ class LieAlgebra:
             raise StructureError(f"bracket of indices {i},{j} is not a single root vector")
         return nonzero[0][1]
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        constants = []
-        for i in range(self.g):
-            for j in range(i + 1, self.g):
-                for k in sorted(self.brackets[i][j]):
-                    constants.append({"i": i, "j": j, "k": k, "c": str(self.brackets[i][j][k])})
-        from .linalg import matrix_to_json
-
-        return {
-            "type": self.rd.label(),
-            "g": self.g,
-            "basis": list(self.labels),
-            "constants": constants,
-            "kappa": matrix_to_json(self.kappa),
-        }
-
     def with_corrupted_constant(self, i: int, j: int, k: int, amount=1) -> "LieAlgebra":
         """Copy with C_{ij}^k shifted by ``amount`` (antisymmetry preserved)."""
         amount = frac(amount)
@@ -282,24 +264,6 @@ class LieAlgebra:
 def _support(v: Sequence) -> dict[int, Fraction]:
     """Nonzero coordinates of a vector, coerced to Fraction once each."""
     return {i: c for i, a in enumerate(v) if a and (c := frac(a))}
-
-
-def algebra_from_json(data: dict) -> LieAlgebra:
-    """Rebuild an algebra from its JSON dump; bit-exact round trip with to_json."""
-    from .roots import parse_type_label
-
-    family, rank = parse_type_label(data["type"])
-    rd = build_root_datum(family, rank)
-    g = rd.g
-    brackets = [[{} for _ in range(g)] for _ in range(g)]
-    for rec in data["constants"]:
-        i, j, k = rec["i"], rec["j"], rec["k"]
-        c = Fraction(rec["c"])
-        brackets[i][j][k] = c
-        brackets[j][i][k] = -c
-    labels = tuple(data["basis"])
-    weights = _standard_weights(rd)
-    return LieAlgebra(rd, labels, weights, brackets)
 
 
 def _standard_weights(rd: RootDatum):

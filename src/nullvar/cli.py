@@ -100,8 +100,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         samples=args.samples,
         chart_samples=args.chart_samples,
-        zeta_samples=args.zeta_samples,
-        degree_cap=args.degree_cap,
         corrupt=corrupt,
     )
     report = run_suites(config)
@@ -194,15 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--type", required=True, help="type label such as A2 or C2")
     p_info.set_defaults(fn=cmd_info)
 
-    p_verify = sub.add_parser("verify", help="run verification suites and write a report")
+    p_verify = sub.add_parser(
+        "verify",
+        help="run verification suites and write a report",
+        description="Run the named verification suites and write a JSON report. The exterior suite checks "
+        "the zeta identity and the vanishing squares of the wedge and contraction operators on every basis "
+        "wedge of every degree.",
+    )
     p_verify.add_argument("--type", required=True)
     p_verify.add_argument("--suite", default="all", choices=["all", "structure", "exterior", "nullspace", "equations", "repthy"])
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--samples", type=int, default=200, help="membership equivalence sample count")
     p_verify.add_argument("--chart-samples", type=int, default=50, dest="chart_samples")
-    p_verify.add_argument("--zeta-samples", type=int, default=100, dest="zeta_samples")
-    p_verify.add_argument("--degree-cap", type=int, default=None, dest="degree_cap",
-                          help="highest degree checked on every basis wedge")
     p_verify.add_argument("--corrupt", default=None, metavar="I,J,K",
                           help="testing hook: shift the structure constant C_ij^k before verifying")
     p_verify.add_argument("--out", default=None, help="write the JSON report to this path")

@@ -18,6 +18,11 @@ carries (-1)^(a+b+c-3), so on degree 3 the contraction returns the plain value
 of the form.  Any consistent choice satisfies the structural identities; this
 one makes the contraction adjoint to the wedge under the kappa pairing up to
 one global sign per algebra, which verify routines measure rather than assume.
+
+``verify_zeta_identity`` checks zeta = delta_star(w) (id - casimir / c_top)
+and the vanishing squares of delta and delta_star on every basis wedge of
+every degree, in one pass that applies delta and delta_star to each wedge
+once: the exact matrix identities, column by column.
 """
 
 from __future__ import annotations
@@ -460,15 +465,6 @@ def key_index_map(L: LieAlgebra, k: int) -> dict[int, int]:
     return cache[k]
 
 
-@dataclass(frozen=True)
-class GradedOperator:
-    """Exact matrix of an operator between two fixed exterior degrees."""
-
-    source_degree: int
-    target_degree: int
-    matrix: Matrix  # shape: dim(target) x dim(source)
-
-
 _OPS = {
     "delta": (delta, 3),
     "delta_star": (delta_star, -3),
@@ -477,21 +473,21 @@ _OPS = {
 }
 
 
-def graded_matrix(L: LieAlgebra, name: str, k: int) -> GradedOperator:
-    """Matrix of the named operator restricted to degree k."""
+def graded_matrix(L: LieAlgebra, name: str, k: int) -> Matrix:
+    """Matrix of the named operator restricted to degree k: dim(target) x dim(source)."""
     fn, shift = _OPS[name]
     target = k + shift
     rows = binomial_dim(L.g, target)
     cols = binomial_dim(L.g, k)
     if rows == 0 or cols == 0:
-        return GradedOperator(k, target, Matrix.zeros(rows, cols))
+        return Matrix.zeros(rows, cols)
     index = key_index_map(L, target)
     entries = [Fraction(0)] * (rows * cols)
     for col, key in enumerate(degree_keys(L, k)):
         image = fn(MultiVector.over(L, k, {key: 1}))
         for out_key, val in image.terms.items():
             entries[index[out_key] * cols + col] = val
-    return GradedOperator(k, target, Matrix(rows, cols, tuple(entries)))
+    return Matrix(rows, cols, tuple(entries))
 
 
 def weight_blocks(L: LieAlgebra, k: int) -> dict[tuple[int, ...], list[int]]:
@@ -673,107 +669,40 @@ def verify_exact_sequences(L: LieAlgebra) -> ExactSequenceReport:
     return ExactSequenceReport(tuple(records))
 
 
-@dataclass(frozen=True)
-class ZetaDegreeRecord:
-    k: int
-    mode: str  # "matrix" or "sampled"
-    ok: bool
-    witness: str | None = None
+def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
+    """Check zeta = delta_star(w) (id - casimir / c_top) and that delta and delta_star square to zero.
 
-    def to_json(self) -> dict:
-        data = {"k": self.k, "mode": self.mode, "ok": self.ok}
-        if self.witness:
-            data["witness"] = self.witness
-        return data
-
-
-@dataclass(frozen=True)
-class ZetaReport:
-    scalar: Fraction
-    c_two_rho: Fraction
-    records: tuple[ZetaDegreeRecord, ...]
-    squares_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.squares_ok and all(r.ok for r in self.records)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "delta_star_w": str(self.scalar),
-            "c_two_rho": str(self.c_two_rho),
-            "squares_ok": self.squares_ok,
-            "degrees": [r.to_json() for r in self.records],
-        }
-
-
-def _zeta_matrix_identity(L: LieAlgebra, k: int, scalar, c_top) -> tuple[bool, str | None]:
-    """The identity on every basis wedge of degree k: the columns of its matrix form."""
-    for key in degree_keys(L, k):
-        if not _zeta_vector_identity(MultiVector.over(L, k, {key: 1}), scalar, c_top):
-            return False, f"basis wedge {list(_bits(key))}"
-    return True, None
-
-
-def _zeta_vector_identity(u: MultiVector, scalar, c_top) -> bool:
-    lhs = zeta(u)
-    rhs = u.scale(scalar).sub(casimir(u).scale(scalar / c_top))
-    return lhs == rhs
-
-
-def verify_zeta_identity(
-    L: LieAlgebra,
-    full_degrees=None,
-    samples: int = 0,
-    seed: int = 0,
-) -> ZetaReport:
-    """Check zeta = delta_star(w) (id - casimir / c_top) and both squares vanishing.
-
-    Degrees in ``full_degrees`` (default: all) are checked on every basis
-    wedge, which is the exact matrix identity column by column; remaining
-    degrees are checked on seeded random sparse multivectors.
+    Both are checked on every basis wedge of every degree, which is the exact
+    matrix identity column by column.  The images of each wedge under delta
+    and delta_star are computed once and serve both squares and both halves
+    of zeta.  Returns ``(squares_ok, zeta_ok)`` with ``zeta_ok[k]`` the
+    verdict at degree k; the squares check stops at its first failure, and
+    each degree's zeta check at its first failing wedge.
     """
     from .roots import casimir_eigenvalue, two_rho
-    from .seeds import Lcg
 
     scalar = delta_star_scalar(L)
-    c_top = casimir_eigenvalue(L.rd, two_rho(L.rd))
-    if full_degrees is None:
-        full_degrees = range(0, L.g + 1)
-    full_degrees = sorted(set(full_degrees))
-
+    ratio = scalar / casimir_eigenvalue(L.rd, two_rho(L.rd))
     squares_ok = True
+    zeta_ok = []
     for k in range(0, L.g + 1):
+        ok = True
         for key in degree_keys(L, k):
+            if not (ok or squares_ok):
+                break
             u = MultiVector.over(L, k, {key: 1})
-            if not delta(delta(u)).is_zero():
+            up, down = delta(u), delta_star(u)
+            # delta twice lands above degree g unless k + 6 <= g, delta_star twice
+            # below degree 0 unless k >= 6; there the square is zero for want of keys
+            if squares_ok and (
+                k + 6 <= L.g and not delta(up).is_zero() or k >= 6 and not delta_star(down).is_zero()
+            ):
                 squares_ok = False
-            if u.degree >= 6 and not delta_star(delta_star(u)).is_zero():
-                squares_ok = False
-        if not squares_ok:
-            break
-
-    records = []
-    rng = Lcg(seed)
-    for k in range(0, L.g + 1):
-        if k in full_degrees:
-            ok, witness = _zeta_matrix_identity(L, k, scalar, c_top)
-            records.append(ZetaDegreeRecord(k=k, mode="matrix", ok=ok, witness=witness))
-        else:
-            keys = degree_keys(L, k)
-            ok = True
-            for _ in range(samples):
-                terms = {}
-                for _ in range(4):
-                    key = keys[rng.randint(0, len(keys) - 1)]
-                    terms[key] = terms.get(key, 0) + rng.randint_nonzero(-3, 3)
-                u = MultiVector.over(L, k, terms)
-                if not _zeta_vector_identity(u, scalar, c_top):
-                    ok = False
-                    break
-            records.append(ZetaDegreeRecord(k=k, mode="sampled", ok=ok))
-    return ZetaReport(scalar=scalar, c_two_rho=c_top, records=tuple(records), squares_ok=squares_ok)
+            # zeta(u) + (scalar / c_top) casimir(u) = scalar u
+            if ok and delta(down).add(delta_star(up)).add(casimir(u).scale(ratio)) != u.scale(scalar):
+                ok = False
+        zeta_ok.append(ok)
+    return squares_ok, zeta_ok
 
 
 def check_w_sharp_invariance(L: LieAlgebra) -> bool:

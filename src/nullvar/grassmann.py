@@ -70,9 +70,8 @@ class LinearEquationSet:
 
 
 def equation_set(L: LieAlgebra) -> LinearEquationSet:
-    op = graded_matrix(L, "delta_star", L.d)
     return LinearEquationSet(
-        matrix=op.matrix,
+        matrix=graded_matrix(L, "delta_star", L.d),
         rank=blocked_rank(L, "delta_star", L.d),
         ambient_plucker_dim=binomial_dim(L.g, L.d),
     )
@@ -130,8 +129,8 @@ def transpose_identity_sign(L: LieAlgebra) -> int | None:
     low = L.d - 3
     if low < 0:
         return 1
-    m_star = graded_matrix(L, "delta_star", L.d).matrix
-    m_delta = graded_matrix(L, "delta", low).matrix
+    m_star = graded_matrix(L, "delta_star", L.d)
+    m_delta = graded_matrix(L, "delta", low)
     g_low = pairing_matrix(L, low)
     g_high = pairing_matrix(L, L.d)
     lhs = m_star.transpose() @ g_low
@@ -152,8 +151,8 @@ def stacked_rank_check(L: LieAlgebra) -> bool:
     low = L.d - 3
     if low < 0:
         return True
-    m_star = graded_matrix(L, "delta_star", L.d).matrix
-    transported = (pairing_matrix(L, L.d) @ graded_matrix(L, "delta", low).matrix).transpose()
+    m_star = graded_matrix(L, "delta_star", L.d)
+    transported = (pairing_matrix(L, L.d) @ graded_matrix(L, "delta", low)).transpose()
     base = rank(m_star)
     stacked = rank(m_star.vstack(transported))
     return base == stacked == rank(transported)

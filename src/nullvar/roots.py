@@ -110,9 +110,6 @@ class RootDatum:
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def height(self, root) -> int:
-        return sum(root)
-
     def pairing_gram(self, u, v) -> Fraction:
         acc = Fraction(0)
         for i, a in enumerate(u):

@@ -193,14 +193,6 @@ def parabolic_profile(L: LieAlgebra, V: Subspace) -> tuple[int, tuple[int, ...]]
     return p.dim, included
 
 
-def subspace_fingerprint(L: LieAlgebra, V: Subspace) -> tuple[int, int]:
-    """Conjugation-invariant fingerprint: (dim p_V, dim of p_V meeting its kappa-orthogonal)."""
-    from .algebra import orthogonal_complement
-
-    p = parabolic_closure(L, V)
-    return p.dim, p.intersection(orthogonal_complement(L, p)).dim
-
-
 # ---------------------------------------------------------------------------
 # one-parameter degenerations
 
@@ -247,10 +239,6 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # the D operator and the cubic local equations
-
-
-def nilradical(L: LieAlgebra) -> Subspace:
-    return Subspace(L, [L.basis_vector(L.pos_index(a)) for a in range(L.n_pos)])
 
 
 def d_operator_corank(L: LieAlgebra) -> int:

@@ -9,7 +9,6 @@ from nullvar.algebra import (
     InvolutionError,
     LieAlgebra,
     Subspace,
-    algebra_from_json,
     build_algebra,
     build_involution,
     cartan_subspace,
@@ -277,13 +276,6 @@ def test_subspace_json_roundtrip(a2):
     data = S.to_json()
     assert data["dim"] == 5
     assert Subspace.from_json(a2, data) == S
-
-
-def test_algebra_json_roundtrip(c2):
-    dump = c2.to_json()
-    rebuilt = algebra_from_json(dump)
-    assert rebuilt.to_json() == dump
-    assert rebuilt.kappa == c2.kappa
 
 
 def test_corruption_changes_checks(a2):

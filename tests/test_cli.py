@@ -152,6 +152,14 @@ def test_verify_b2_nullspace_green(tmp_path):
     assert all(r["ok"] for r in report["records"])
 
 
+@pytest.mark.parametrize("flag", ["--degree-cap", "--zeta-samples"])
+def test_removed_zeta_flags_are_usage_errors(flag):
+    # the zeta identity is checked on every basis wedge, so no knob selects degrees or samples
+    out = run_cli("verify", "--type", "A1", flag, "2")
+    assert out.returncode == 2
+    assert "unrecognized arguments" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_max_g_cap():
     out = run_cli("info", "--type", "B3")
     assert out.returncode == 2  # g = 21 above the default cap

@@ -61,7 +61,7 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
         return original(L, name, k)
 
     monkeypatch.setattr(suites, "blocked_rank", counting)
-    config = suites.SuiteConfig("A", 2, samples=12, zeta_samples=2)
+    config = suites.SuiteConfig("A", 2, samples=12)
     records = {r.name: r for r in suites.exterior_records(L, config) + suites.equations_records(L, config)}
     assert records["delta_rank_into_degree_d"].ok is False
     assert (records["delta_rank_into_degree_d"].expected, records["delta_rank_into_degree_d"].got) == (28, 29)

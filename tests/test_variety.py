@@ -29,7 +29,6 @@ from nullvar.variety import (
     parabolic_profile,
     random_chart_parameters,
     random_subspace,
-    subspace_fingerprint,
 )
 
 
@@ -106,13 +105,6 @@ def test_orbit_labels_and_profiles(a2, c2):
 
 def test_open_orbit_closure_is_full(a2):
     assert parabolic_closure(a2, chart(a2, (2, -3))).dim == a2.g
-
-
-def test_subspace_fingerprint(a2):
-    # fingerprint of the Borel: the parabolic is the Borel itself and meets
-    # its orthogonal in the nilradical
-    dim_p, dim_rad = subspace_fingerprint(a2, standard_borel(a2))
-    assert (dim_p, dim_rad) == (5, 3)
 
 
 def test_degenerate(a2, c2):
