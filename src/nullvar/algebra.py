@@ -245,7 +245,13 @@ class LieAlgebra:
         return nonzero[0][1]
 
     def with_corrupted_constant(self, i: int, j: int, k: int, amount=1) -> "LieAlgebra":
-        """Copy with C_{ij}^k shifted by ``amount`` (antisymmetry preserved)."""
+        """Copy with C_{ij}^k shifted by ``amount`` (antisymmetry preserved).
+
+        ``i == j`` raises ``ValueError``: C_ii^k would be shifted by ``amount`` and
+        back, leaving the algebra unchanged.
+        """
+        if i == j:
+            raise ValueError(f"corrupting C_ii^k leaves the algebra unchanged (i = j = {i})")
         amount = frac(amount)
         brackets = [[dict(cell) for cell in row] for row in self.brackets]
 

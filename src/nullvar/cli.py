@@ -93,6 +93,11 @@ def cmd_verify(args) -> int:
         corrupt = _parse_ints(args.corrupt, 3, "--corrupt")
         if any(i < 0 or i >= rd.g for i in corrupt):
             raise UsageError("--corrupt indices out of range")
+        if corrupt[0] == corrupt[1]:
+            raise UsageError("--corrupt needs I != J: C_ii^k is shifted and shifted back")
+    for flag, value in (("--samples", args.samples), ("--chart-samples", args.chart_samples)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     config = SuiteConfig(
         family=rd.family,
         rank=rd.rank,
@@ -205,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=200, help="membership equivalence sample count")
     p_verify.add_argument("--chart-samples", type=int, default=50, dest="chart_samples")
     p_verify.add_argument("--corrupt", default=None, metavar="I,J,K",
-                          help="testing hook: shift the structure constant C_ij^k before verifying")
+                          help="testing hook: shift the structure constant C_ij^k (I != J) before verifying")
     p_verify.add_argument("--out", default=None, help="write the JSON report to this path")
     p_verify.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     p_verify.set_defaults(fn=cmd_verify)

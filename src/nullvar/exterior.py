@@ -711,34 +711,6 @@ def check_w_sharp_invariance(L: LieAlgebra) -> bool:
     return all(lie_action_basis(L, i, ws).is_zero() for i in range(L.g))
 
 
-def check_operator_invariance(L: LieAlgebra, degrees, samples: int = 0, seed: int = 0) -> bool:
-    """delta and delta_star commute with every basis Lie action.
-
-    Checked as exact matrix identities on the listed degrees and on seeded
-    random basis wedges elsewhere.
-    """
-    from .seeds import Lcg
-
-    def commutes(i: int, k: int, key: int) -> bool:
-        u = MultiVector.over(L, k, {key: 1})
-        au = lie_action_basis(L, i, u)
-        return all(op(au) == lie_action_basis(L, i, op(u)) for op in (delta, delta_star))
-
-    for k in degrees:
-        for i in range(L.g):
-            if not all(commutes(i, k, key) for key in degree_keys(L, k)):
-                return False
-    rng = Lcg(seed)
-    rest = [k for k in range(0, L.g + 1) if k not in set(degrees)]
-    for _ in range(samples):
-        k = rest[rng.randint(0, len(rest) - 1)] if rest else 0
-        keys = degree_keys(L, k)
-        key = keys[rng.randint(0, len(keys) - 1)]
-        if not commutes(rng.randint(0, L.g - 1), k, key):
-            return False
-    return True
-
-
 def borel_top_wedge(L: LieAlgebra) -> MultiVector:
     """Top wedge of the standard Borel subalgebra: a weight-2rho vector of degree d."""
     indices = list(range(L.l)) + [L.pos_index(a) for a in range(L.n_pos)]

@@ -24,6 +24,7 @@ from .exterior import (
     delta_star,
     graded_matrix,
     key_index_map,
+    lie_action_basis,
     wedge_rows,
 )
 from .linalg import Matrix, det, frac, rank
@@ -236,14 +237,24 @@ def membership_equivalence_suite(L: LieAlgebra, samples: int, seed: int) -> Memb
     )
 
 
-def check_equivariance_matrices(L: LieAlgebra, degrees) -> bool:
-    """Contraction commutes with every basis Lie action at the listed degrees."""
-    from .exterior import lie_action_basis
+def check_equivariance_matrices(L: LieAlgebra, ops) -> bool:
+    """Each operator in ``ops`` commutes with every basis Lie action on every basis wedge of degree 0-3.
 
-    for k in degrees:
-        for i in range(L.g):
-            for key in degree_keys(L, k):
-                u = MultiVector.over(L, k, {key: 1})
-                if delta_star(lie_action_basis(L, i, u)) != lie_action_basis(L, i, delta_star(u)):
+    ``lie_action_basis(L, i, .)`` is the derivation D_i extending ad b_i, for
+    any structure constants, Jacobi identity or not.  The commutator of D_i with
+    the wedge by a fixed 3-form is the wedge by D_i of that form, which degree 0
+    shows; its commutator with the contraction by a fixed 3-form is the
+    contraction by the transformed form, which degree 3 shows.  So degrees 0-3
+    decide commutation on the whole exterior algebra.  Commuting with the simple
+    root vectors alone would imply it only through the Jacobi identity, which a
+    corrupted constant breaks, so every basis element is checked.
+    """
+    for k in range(4):
+        for key in degree_keys(L, k):
+            u = MultiVector.over(L, k, {key: 1})
+            images = [op(u) for op in ops]
+            for i in range(L.g):
+                au = lie_action_basis(L, i, u)
+                if any(op(au) != lie_action_basis(L, i, image) for op, image in zip(ops, images)):
                     return False
     return True

@@ -281,3 +281,9 @@ def test_subspace_json_roundtrip(a2):
 def test_corruption_changes_checks(a2):
     bad = a2.with_corrupted_constant(a2.pos_index(0), a2.pos_index(1), a2.pos_index(2), 1)
     assert check_jacobi(bad) != []
+
+
+def test_corrupting_a_diagonal_constant_is_rejected(a2):
+    # C_ii^k would be shifted and shifted back by antisymmetry, a silent no-op
+    with pytest.raises(ValueError, match="unchanged"):
+        a2.with_corrupted_constant(1, 1, 0)

@@ -179,3 +179,18 @@ def test_report_is_byte_identical_to_golden(label, tmp_path):
     assert result.returncode == 0, result.stderr
     golden = Path(__file__).parent / "data" / f"verify_{label}_seed42.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_diagonal_corruption_is_a_usage_error():
+    # C_ii^k is shifted and shifted back, so the run would verify the sound algebra
+    out = run_cli("verify", "--type", "A2", "--corrupt", "1,1,0")
+    assert out.returncode == 2
+    assert "I != J" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-1"), ("--chart-samples", "-3")])
+def test_sample_counts_below_one_are_usage_errors(flag, value):
+    # zero or negative samples would give records that cannot fail
+    out = run_cli("verify", "--type", "A1", flag, value)
+    assert out.returncode == 2
+    assert f"{flag} must be at least 1" in out.stderr and "Traceback" not in out.stderr

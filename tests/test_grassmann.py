@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nullvar.algebra import Subspace, build_involution, standard_borel
+from nullvar.exterior import MultiVector, degree_keys, delta, delta_star, lie_action_basis
 from nullvar.grassmann import (
     check_equivariance_matrices,
     equation_count,
@@ -114,5 +115,38 @@ def test_membership_equivalence_suites(a1, a2, c2):
     assert linear_membership(a2, plucker(a2, standard_borel(a2)))
 
 
-def test_equivariance(a2):
-    assert check_equivariance_matrices(a2, range(0, 4))
+def _equivariance_oracle(L, ops):
+    """Every op commutes with every basis Lie action on every basis wedge of every degree."""
+    for k in range(L.g + 1):
+        for key in degree_keys(L, k):
+            u = MultiVector.over(L, k, {key: 1})
+            for i in range(L.g):
+                au = lie_action_basis(L, i, u)
+                if any(op(au) != lie_action_basis(L, i, op(u)) for op in ops):
+                    return False
+    return True
+
+
+def test_equivariance(a1, a2):
+    for L in (a1, a2):
+        assert check_equivariance_matrices(L, (delta_star,))
+        assert check_equivariance_matrices(L, (delta,))
+
+
+# a corruption that the simple root vectors e_+-alpha_i alone do not detect:
+# without the Jacobi identity they no longer generate the action
+@pytest.mark.parametrize("fixture,generators_miss", [("a2", (0, 4, 6)), ("c2", (0, 4, 7))], ids=["a2", "c2"])
+def test_equivariance_matches_all_degree_oracle(fixture, generators_miss, request):
+    # degrees 0-3 decide commutation on the whole exterior algebra, corrupted
+    # constants included; the oracle checks every degree
+    L = request.getfixturevalue(fixture)
+    rng = Lcg(13)
+    corruptions = [(2, 3, 1), generators_miss]
+    while len(corruptions) < 5:
+        i, j, k = (rng.randint(0, L.g - 1) for _ in range(3))
+        if i != j:
+            corruptions.append((i, j, k))
+    algebras = [L] + [L.with_corrupted_constant(*c) for c in corruptions]
+    for M in algebras:
+        for ops in ((delta,), (delta_star,), (delta, delta_star)):
+            assert check_equivariance_matrices(M, ops) == _equivariance_oracle(M, ops) == (M is L)

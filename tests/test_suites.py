@@ -62,7 +62,7 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
 
     monkeypatch.setattr(suites, "blocked_rank", counting)
     config = suites.SuiteConfig("A", 2, samples=12)
-    records = {r.name: r for r in suites.exterior_records(L, config) + suites.equations_records(L, config)}
+    records = {r.name: r for r in suites.exterior_records(L) + suites.equations_records(L, config)}
     assert records["delta_rank_into_degree_d"].ok is False
     assert (records["delta_rank_into_degree_d"].expected, records["delta_rank_into_degree_d"].got) == (28, 29)
     assert records["equation_count"].ok and records["equation_count"].expected == 28
@@ -78,3 +78,20 @@ def test_every_single_constant_corruption_turns_structure_red(a2):
     ]
     assert green == []
     assert all(r.ok for r in suites.structure_records(a2))
+
+
+def test_invariance_records_go_red_on_corrupted_c2(c2):
+    L = c2.with_corrupted_constant(2, 3, 1)
+    records = {
+        r.name: r
+        for r in suites.exterior_records(L) + suites.equations_records(L, suites.SuiteConfig("C", 2, samples=3))
+    }
+    for name in ("operator_invariance", "contraction_equivariance"):
+        assert (records[name].ok, records[name].got) == (False, False)
+
+
+def test_d_relations_record_goes_red_on_corrupted_c2(c2):
+    config = suites.SuiteConfig("C", 2, chart_samples=1)
+    # the first identity (h, k Cartan) fails here
+    records = {r.name: r for r in suites.nullspace_records(c2.with_corrupted_constant(0, 1, 0), config)}
+    assert (records["d_operator_relations"].ok, records["d_operator_relations"].got) == (False, False)

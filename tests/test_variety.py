@@ -203,6 +203,9 @@ def test_seeded_chart_points(a1, a2, c2):
             assert is_nullspace(L, V)
 
 
-def test_d_relations(a2, c2):
-    assert check_d_relations(a2, 30, 7)
-    assert check_d_relations(c2, 30, 7)
+def test_d_relations(a1, a2, c2):
+    assert check_d_relations(a1)
+    assert check_d_relations(a2)
+    assert check_d_relations(c2)
+    # only the third identity (c = a + b a root) fails on this corruption
+    assert not check_d_relations(c2.with_corrupted_constant(2, 3, 1))
