@@ -124,17 +124,6 @@ class LieAlgebra:
         """Vector b^i with kappa(b^i, b_j) = delta_ij."""
         return self.kappa_inv.row(i)
 
-    def kappa_pair(self, x: Sequence, y: Sequence) -> Fraction:
-        acc = Fraction(0)
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            base = i * self.g
-            for j, b in enumerate(y):
-                if b:
-                    acc += frac(a) * self.kappa.entries[base + j] * frac(b)
-        return acc
-
     @property
     def w_table(self) -> dict[tuple[int, int, int], Fraction]:
         """Nonzero values w(b_i, b_j, b_k) on ascending basis triples."""
@@ -198,14 +187,6 @@ class LieAlgebra:
                     if zc is not None:
                         acc += val * xa * yb * zc
         return acc
-
-    def ad_matrix(self, i: int) -> Matrix:
-        g = self.g
-        entries = [Fraction(0)] * (g * g)
-        for j in range(g):
-            for k, c in self.brackets[i][j].items():
-                entries[k * g + j] = c
-        return Matrix(g, g, tuple(entries))
 
     # -- root bookkeeping ----------------------------------------------------
 
@@ -539,9 +520,6 @@ class Subspace:
                 v = [x - c * y for x, y in zip(v, row)]
         return not any(v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis_rows())
-
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace(self.L, self.matrix.vstack(other.matrix))
 
@@ -581,19 +559,9 @@ class Subspace:
         return sub
 
 
-def cartan_subspace(L: LieAlgebra) -> Subspace:
-    return Subspace(L, [L.basis_vector(i) for i in range(L.l)])
-
-
 def standard_borel(L: LieAlgebra) -> Subspace:
     rows = [L.basis_vector(i) for i in range(L.l)]
     rows += [L.basis_vector(L.pos_index(a)) for a in range(L.n_pos)]
-    return Subspace(L, rows)
-
-
-def opposite_borel(L: LieAlgebra) -> Subspace:
-    rows = [L.basis_vector(i) for i in range(L.l)]
-    rows += [L.basis_vector(L.neg_index(a)) for a in range(L.n_pos)]
     return Subspace(L, rows)
 
 
@@ -623,9 +591,6 @@ class Involution:
         self.L = L
         self.signs = tuple(signs)  # t_alpha per positive root: sigma(x_alpha) = t_alpha x_{-alpha}
         self.matrix = matrix
-
-    def apply(self, vector) -> Vector:
-        return self.matrix.matvec([frac(x) for x in vector])
 
     def fixed_subspace(self) -> Subspace:
         """Vectors v with sigma v = v: the right kernel of sigma - 1."""

@@ -92,12 +92,6 @@ class MultiVector:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def coefficient(self, indices) -> Fraction:
-        key = 0
-        for i in indices:
-            key |= 1 << i
-        return Fraction(_sort_sign(list(indices)) * self.ints.get(key, 0), self.den)
-
     def scalar_value(self) -> Fraction:
         if self.degree != 0:
             raise ValueError("not a degree-0 element")

@@ -27,7 +27,7 @@ from .exterior import (
     lie_action_basis,
     wedge_rows,
 )
-from .linalg import Matrix, det, frac, rank
+from .linalg import Matrix, det
 from .seeds import Lcg
 from .variety import chart, is_nullspace, random_chart_parameters, random_subspace
 
@@ -141,22 +141,6 @@ def transpose_identity_sign(L: LieAlgebra) -> int | None:
     if lhs == rhs.scale(-1):
         return -1
     return None
-
-
-def stacked_rank_check(L: LieAlgebra) -> bool:
-    """Row space of the equation matrix equals the pairing image of the wedge map.
-
-    Stacks the contraction matrix over the pairing-transported wedge columns
-    and verifies the rank does not grow.
-    """
-    low = L.d - 3
-    if low < 0:
-        return True
-    m_star = graded_matrix(L, "delta_star", L.d)
-    transported = (pairing_matrix(L, L.d) @ graded_matrix(L, "delta", low)).transpose()
-    base = rank(m_star)
-    stacked = rank(m_star.vstack(transported))
-    return base == stacked == rank(transported)
 
 
 # ---------------------------------------------------------------------------

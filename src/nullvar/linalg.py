@@ -126,9 +126,6 @@ class Matrix:
             raise ValueError("column mismatch")
         return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
 
 @dataclass(frozen=True)
 class SparseMatrix:

@@ -83,15 +83,6 @@ class ClaimReport:
     total: int
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "ambient_dim": self.ambient_dim,
-            "summand_dims": list(self.summand_dims),
-            "total": self.total,
-            "ok": self.ok,
-        }
-
 
 def verify_dimension_claim(rd: RootDatum, claim: DecompositionClaim) -> ClaimReport:
     """Sum of multiplicity-weighted Weyl dimensions against the ambient dimension."""
@@ -131,14 +122,6 @@ class WindowRecord:
     expected: int
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "eigenspace_dim": self.eigenspace_dim,
-            "expected": self.expected,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class WindowReport:
@@ -148,13 +131,6 @@ class WindowReport:
     @property
     def ok(self) -> bool:
         return self.symmetric and all(r.ok for r in self.records)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "symmetric": self.symmetric,
-            "degrees": [r.to_json() for r in self.records],
-        }
 
 
 def verify_gamma_window(L: LieAlgebra) -> WindowReport:

@@ -135,18 +135,6 @@ class RootDatum:
                     acc[j] += frac(a) * c
         return tuple(acc)
 
-    def adjoint_weight(self) -> tuple[int, ...]:
-        """Highest root expressed on the fundamental weights."""
-        theta = self.highest_root
-        coeffs = []
-        for j in range(self.rank):
-            alpha_j = tuple(1 if k == j else 0 for k in range(self.rank))
-            val = 2 * self.pairing_gram(theta, alpha_j) / self.pairing_gram(alpha_j, alpha_j)
-            if val.denominator != 1:
-                raise ValueError("non-integral Cartan pairing")
-            coeffs.append(int(val))
-        return tuple(coeffs)
-
     def to_json(self) -> dict:
         return {
             "type": self.label(),

@@ -46,7 +46,6 @@ from .grassmann import (
     check_equivariance_matrices,
     equation_count,
     membership_equivalence_suite,
-    stacked_rank_check,
     transpose_identity_sign,
 )
 from .repcheck import claims_for, verify_dimension_claim, verify_gamma_window
@@ -524,13 +523,6 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
         True,
         lambda: transpose_identity_sign(L) is not None,
     )
-    if L.g <= 8:
-        col.add(
-            "equation_rowspace_stack",
-            "stacking pairing-transported wedge rows does not grow the equation row space",
-            True,
-            lambda: stacked_rank_check(L),
-        )
     col.add(
         "contraction_equivariance",
         "the contraction commutes with every basis Lie action at low degrees",

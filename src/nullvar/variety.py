@@ -6,6 +6,11 @@ parameter per simple root; the line over a non-simple positive root gamma is
 cut out, inside its plane, by the vanishing of w against the lines of one
 decomposition gamma = alpha + beta.  Zero parameters are allowed and land on
 orbit boundary strata.
+
+The local picture at the Borel goes through one sparse operator
+D(v1 ^ v2 ^ v3) = v1 (x) [v2,v3] + v2 (x) [v3,v1] + v3 (x) [v1,v2]: ``_d``
+gives its value on a basis triple, summed from the structure constants, and
+both its corank and its grading relations read D from there.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .algebra import LieAlgebra, StructureError, Subspace, standard_borel
-from .linalg import Matrix, frac, rank, rref
+from .algebra import LieAlgebra, StructureError, Subspace
+from .linalg import Matrix, SparseMatrix, frac, integer_row, rank, rref
 
 
 class NotInVarietyError(ValueError):
@@ -48,17 +52,6 @@ class ChartPoint:
         rows = [self.L.basis_vector(i) for i in range(self.L.l)]
         rows += [list(line) for line in self.lines]
         return Subspace(self.L, rows)
-
-    def effective_parameters(self) -> tuple[Fraction, ...]:
-        """Coefficient of x_{-gamma} in each line, normalized to x_gamma + t x_{-gamma}."""
-        out = []
-        for a, line in enumerate(self.lines):
-            pos = line[self.L.pos_index(a)]
-            neg = line[self.L.neg_index(a)]
-            if pos == 0:
-                raise StructureError("line escaped the chart normal form")
-            out.append(neg / pos)
-        return tuple(out)
 
 
 def _line_vector(L: LieAlgebra, a: int, t) -> tuple[Fraction, ...]:
@@ -114,15 +107,6 @@ class ChartConsistencyReport:
     def ok(self) -> bool:
         return all(c[2] for c in self.comparisons)
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "roots": [
-                {"root": list(root), "decompositions": n, "agree": agree}
-                for root, n, agree in self.comparisons
-            ],
-        }
-
 
 def chart_consistency(L: LieAlgebra, t) -> ChartConsistencyReport:
     """Compare the derived line of every decomposition of each non-simple root."""
@@ -169,9 +153,6 @@ class OrbitLabel:
     @property
     def codim(self) -> int:
         return self.rank - len(self.nonzero)
-
-    def to_json(self) -> dict:
-        return {"I": list(self.nonzero), "codim": self.codim}
 
 
 def orbit_label(L: LieAlgebra, t) -> OrbitLabel:
@@ -241,32 +222,40 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
 # the D operator and the cubic local equations
 
 
-def d_operator_corank(L: LieAlgebra) -> int:
-    """Corank of D: wedge^3 b -> b (x) [b, b] for the standard Borel.
+def _slot(L: LieAlgebra, i: int, j: int, k: int) -> dict[tuple[int, int], Fraction]:
+    """b_i (x) [b_j, b_k] as (first factor index, m) -> coefficient."""
+    return {(i, m): c for m, c in L.brackets[j][k].items()}
 
-    D(v1 ^ v2 ^ v3) = v1 (x) [v2,v3] + v2 (x) [v3,v1] + v3 (x) [v1,v2].
-    """
+
+def _combine(terms) -> dict[tuple[int, int], Fraction]:
+    """Sum of scale * tensor over (scale, tensor) pairs, without zero entries."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for scale, tensor in terms:
+        for key, c in tensor.items():
+            acc[key] = acc.get(key, 0) + scale * c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _d(L: LieAlgebra, i: int, j: int, k: int) -> dict[tuple[int, int], Fraction]:
+    """D(b_i ^ b_j ^ b_k) = b_i (x) [b_j,b_k] + b_j (x) [b_k,b_i] + b_k (x) [b_i,b_j]."""
+    return _combine((1, _slot(L, a, b, c)) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+
+
+def d_operator_corank(L: LieAlgebra) -> int:
+    """Corank of D: wedge^3 b -> b (x) [b, b] for the standard Borel."""
     borel_idx = list(range(L.l)) + [L.pos_index(a) for a in range(L.n_pos)]
-    nil_idx = [L.pos_index(a) for a in range(L.n_pos)]
-    nil_col = {idx: c for c, idx in enumerate(nil_idx)}
-    d_b = len(borel_idx)
-    n_n = len(nil_idx)
-    target_dim = d_b * n_n
+    borel_pos = {idx: s for s, idx in enumerate(borel_idx)}
+    nil_col = {L.pos_index(a): a for a in range(L.n_pos)}
+    target_dim = len(borel_idx) * L.n_pos
     rows = []
-    for i1, i2, i3 in itertools.combinations(range(d_b), 3):
-        row = [Fraction(0)] * target_dim
-        for slot, (a, b, c) in enumerate(((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))):
-            br = L.brackets[borel_idx[b]][borel_idx[c]]
-            for k, coeff in br.items():
-                if coeff:
-                    if k not in nil_col:
-                        raise StructureError("bracket of Borel elements left the nilradical")
-                    row[a * n_n + nil_col[k]] += coeff
-        rows.append(row)
-    if not rows:
-        return target_dim
-    r = rank(Matrix.from_rows(rows))
-    corank = target_dim - r
+    for triple in itertools.combinations(borel_idx, 3):
+        row = {}
+        for (a, m), c in _d(L, *triple).items():
+            if m not in nil_col:
+                raise StructureError("bracket of Borel elements left the nilradical")
+            row[borel_pos[a] * L.n_pos + nil_col[m]] = c
+        rows.append(integer_row(row))
+    corank = target_dim - rank(SparseMatrix(target_dim, tuple(rows)))
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
     return corank
@@ -289,7 +278,6 @@ class CubicSystem:
     base: Subspace
     complement: Subspace
     polynomials: tuple[dict[Monomial, Fraction], ...]
-    triples: tuple[tuple[int, int, int], ...]
 
     @property
     def n_vars(self) -> int:
@@ -337,8 +325,7 @@ def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> Cubi
     ys = complement.basis_rows()
     d, m = len(xs), len(ys)
     polynomials = []
-    triples = list(itertools.combinations(range(d), 3))
-    for (i1, i2, i3) in triples:
+    for (i1, i2, i3) in itertools.combinations(range(d), 3):
         poly: dict[Monomial, Fraction] = {}
         slots = []
         for i in (i1, i2, i3):
@@ -358,7 +345,7 @@ def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> Cubi
                     else:
                         poly.pop(mono, None)
         polynomials.append(poly)
-    return CubicSystem(L, base, complement, tuple(polynomials), tuple(triples))
+    return CubicSystem(L, base, complement, tuple(polynomials))
 
 
 def coordinate_complement(L: LieAlgebra, base: Subspace) -> Subspace:
@@ -393,90 +380,44 @@ def check_d_relations(L: LieAlgebra) -> bool:
                       + x_b (x) [x_a, x_c]                             for c = a+b a root,
     with N the coefficient of x_c in [x_a, x_b].  The second and third only
     hold after the specialization their derivation uses; they are checked in
-    that specialized form.  Each identity is linear in each Cartan argument,
-    so finite checks decide them: the first on every pair of Cartan basis
-    vectors (h_i, h_j), the second on the vectors (a+b)(h_j) h_i - (a+b)(h_i) h_j
-    for i < j, which span the kernel of a+b, and the third on every pair of
-    positive roots.
+    that specialized form.  Each side is linear in each Cartan argument, so
+    finite checks on basis indices decide them: the first on every pair of
+    Cartan basis vectors (h_i, h_j), the second on the vectors
+    s_j h_i - s_i h_j with s_p = (a+b)(h_p), i < j, which span the kernel of
+    a+b, expanded as s_j (the identity at h_i) - s_i (the identity at h_j),
+    and the third on every pair of positive roots.  alpha(h_p) is read off
+    [h_p, x_a].
     """
 
-    def tensor_of_pairs(pairs):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for vec_a, vec_b, scale in pairs:
-            if not scale:
-                continue
-            for i, a in enumerate(vec_a):
-                if not a:
-                    continue
-                for j, b in enumerate(vec_b):
-                    if b:
-                        key = (i, j)
-                        new = acc.get(key, Fraction(0)) + scale * frac(a) * frac(b)
-                        if new:
-                            acc[key] = new
-                        else:
-                            acc.pop(key, None)
-        return acc
+    def alpha(a: int, p: int) -> Fraction:
+        x = L.pos_index(a)
+        return L.brackets[p][x].get(x, Fraction(0))
 
-    def d_of(v1, v2, v3):
-        return tensor_of_pairs(
-            [
-                (v1, L.bracket(v2, v3), Fraction(1)),
-                (v2, L.bracket(v3, v1), Fraction(1)),
-                (v3, L.bracket(v1, v2), Fraction(1)),
-            ]
-        )
-
-    def root_value(a, h_vec):
-        # root value on a Cartan vector via the bracket
-        xa = L.basis_vector(L.pos_index(a))
-        br = L.bracket(h_vec, xa)
-        return br[L.pos_index(a)]
-
-    cartan = [L.basis_vector(i) for i in range(L.l)]
     for a in range(L.n_pos):
-        xa = L.basis_vector(L.pos_index(a))
-        for h, k in itertools.product(cartan, repeat=2):
-            lhs = tensor_of_pairs([(h, xa, root_value(a, k))])
-            rhs = _tensor_add(d_of(h, k, xa), tensor_of_pairs([(k, xa, root_value(a, h))]))
-            if lhs != rhs:
+        xa = L.pos_index(a)
+        for i, j in itertools.product(range(L.l), repeat=2):
+            if _combine([(alpha(a, j), {(i, xa): 1}), (-alpha(a, i), {(j, xa): 1}), (-1, _d(L, i, j, xa))]):
                 return False
     pos_set = {r: i for i, r in enumerate(L.rd.positive_roots)}
     for a, b in itertools.permutations(range(L.n_pos), 2):
-        xa = L.basis_vector(L.pos_index(a))
-        xb = L.basis_vector(L.pos_index(b))
-        sums = [root_value(a, h) + root_value(b, h) for h in cartan]
+        xa, xb = L.pos_index(a), L.pos_index(b)
+        gaps = [  # lhs - rhs of the second identity at h_p
+            _combine([(alpha(a, p), {(xa, xb): 1}), (-alpha(b, p), {(xb, xa): 1}),
+                      (-1, _d(L, p, xa, xb)), (1, _slot(L, p, xa, xb))])
+            for p in range(L.l)
+        ]
+        sums = [alpha(a, p) + alpha(b, p) for p in range(L.l)]
         for i, j in itertools.combinations(range(L.l), 2):
-            hs = [sums[j] * x - sums[i] * y for x, y in zip(cartan[i], cartan[j])]
-            lhs2 = tensor_of_pairs([(xa, xb, root_value(a, hs))])
-            rhs2 = d_of(hs, xa, xb)
-            rhs2 = _tensor_add(rhs2, tensor_of_pairs([(xb, xa, root_value(b, hs))]))
-            rhs2 = _tensor_add(rhs2, tensor_of_pairs([(hs, L.bracket(xa, xb), Fraction(-1))]))
-            if lhs2 != rhs2:
+            if _combine([(sums[j], gaps[i]), (-sums[i], gaps[j])]):
                 return False
-        csum = tuple(x + y for x, y in zip(L.rd.positive_roots[a], L.rd.positive_roots[b]))
-        c = pos_set.get(csum)
+        c = pos_set.get(tuple(x + y for x, y in zip(L.rd.positive_roots[a], L.rd.positive_roots[b])))
         if c is not None:
-            xc = L.basis_vector(L.pos_index(c))
-            n_ab = L.bracket(xa, xb)[L.pos_index(c)]
-            lhs3 = tensor_of_pairs([(xc, xc, n_ab)])
-            rhs3 = d_of(xc, xa, xb)
-            rhs3 = _tensor_add(rhs3, tensor_of_pairs([(xa, L.bracket(xb, xc), Fraction(-1))]))
-            rhs3 = _tensor_add(rhs3, tensor_of_pairs([(xb, L.bracket(xa, xc), Fraction(1))]))
-            if lhs3 != rhs3:
+            xc = L.pos_index(c)
+            n_ab = L.brackets[xa][xb].get(xc, Fraction(0))
+            if _combine([(n_ab, {(xc, xc): 1}), (-1, _d(L, xc, xa, xb)),
+                         (1, _slot(L, xa, xb, xc)), (-1, _slot(L, xb, xa, xc))]):
                 return False
     return True
-
-
-def _tensor_add(t1, t2):
-    out = dict(t1)
-    for key, val in t2.items():
-        new = out.get(key, Fraction(0)) + val
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
 
 
 def random_chart_parameters(L: LieAlgebra, rng, nonzero: bool = False):

@@ -15,7 +15,6 @@ from nullvar.grassmann import (
     pairing_matrix,
     plucker,
     residual_dimension,
-    stacked_rank_check,
     transpose_identity_sign,
 )
 from nullvar.seeds import Lcg
@@ -91,11 +90,6 @@ def test_scalar_invariance(a2):
 def test_transpose_identity(a1, a2, c2):
     for L in (a1, a2, c2):
         assert transpose_identity_sign(L) is not None
-
-
-def test_stacked_rank_check_small(a1, a2):
-    assert stacked_rank_check(a1)
-    assert stacked_rank_check(a2)
 
 
 def test_pairing_matrix_symmetric(a2):
