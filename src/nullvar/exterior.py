@@ -509,33 +509,21 @@ def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys, equations=False) -> SparseMatrix:
+def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> SparseMatrix:
     """The images under ``fn`` of the degree-k basis wedges ``keys``, as sparse integer rows.
 
     Row j is the numerators of the image of ``keys[j]`` over the positions of
-    ``tkeys``.  With ``equations`` the rows are the block's equations instead,
-    one per target key, over the positions of ``keys``, so that their kernel
-    is the combinations of ``keys`` that ``fn`` kills; the images must then
-    share one denominator.  An image term outside ``tkeys`` means the operator
-    left its weight block.
+    ``tkeys``.  An image term outside ``tkeys`` means the operator left its
+    weight block.
     """
     index = {key: i for i, key in enumerate(tkeys)}
-    rows: list[dict] = [{} for _ in tkeys] if equations else []
-    dens = set()
-    for j, key in enumerate(keys):
+    rows = []
+    for key in keys:
         image = fn(MultiVector.over(L, k, {key: 1}))
         if not image.ints.keys() <= index.keys():
             raise AssertionError("operator output escapes its weight block")
-        if equations:
-            dens.add(image.den)
-            for out_key, n in image.ints.items():
-                rows[index[out_key]][j] = n
-            continue
         rows.append({index[out_key]: n for out_key, n in image.ints.items()})
-    if len(dens) > 1:
-        raise AssertionError("equation rows over different denominators")
-    cols = len(keys) if equations else len(tkeys)
-    return SparseMatrix(cols, tuple(rows))
+    return SparseMatrix(len(tkeys), tuple(rows))
 
 
 def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
@@ -570,23 +558,6 @@ def blocked_eigenspace_dim(L: LieAlgebra, name: str, k: int, scalar) -> int:
         # of (op - scalar), which has the dimension of the eigenspace
         total += kernel_basis(_block_matrix(L, shifted, k, keys, keys)).rows
     return total
-
-
-def delta_kernel_vectors(L: LieAlgebra, k: int) -> list[MultiVector]:
-    """Basis of ker(delta at degree k), assembled from weight blocks."""
-    out = []
-    target_blocks = weight_blocks(L, k + 3) if k + 3 <= L.g else {}
-    for wt, keys in weight_blocks(L, k).items():
-        tkeys = target_blocks.get(wt, [])
-        equations = _block_matrix(L, delta, k, keys, tkeys, equations=True)
-        if tkeys:
-            ker = kernel_basis(equations)
-            for i in range(ker.rows):
-                out.append(MultiVector(L, k, {key: c for key, c in zip(keys, ker.row(i)) if c}))
-        else:
-            for key in keys:
-                out.append(MultiVector.over(L, k, {key: 1}))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Named verification suites producing reproducible report records.
 
 Each record carries the mathematical claim it checks, the expected and
-observed values, and a pass flag.  Record computations are isolated: an
-exception inside one check becomes a failing record naming that check, so a
-corrupted algebra degrades to red records instead of a crash.
+observed values, and a pass flag.  ``_Collector.add`` is the one way to make a
+record: it evaluates both sides, and an exception on either side becomes that
+side's ``error: ...`` text and fails that record only.  A result that feeds
+several records is read through ``_once``, which raises its stored exception
+again on every read, and per-degree records are emitted for every degree
+whether or not the shared computation raised.  So a failing check keeps its
+record name: a corrupted algebra degrades to red records with the same names
+as a sound one, never to a crash or a missing record.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .exterior import (
     casimir,
     check_w_sharp_invariance,
     delta,
-    delta_kernel_vectors,
     delta_star,
     delta_star_scalar,
     verify_exact_sequences,
@@ -127,28 +131,43 @@ class _Collector:
         self.records: list[Record] = []
 
     def add(self, name: str, claim: str, expected, fn: Callable[[], Any]):
-        """Run one check; exceptions become failing records naming the check."""
-        try:
-            got = fn()
-            ok = got == expected
-        except Exception as exc:  # a broken algebra must yield a red record, not a crash
-            got = _error(exc)
-            ok = False
+        """Record one check; ``expected`` is a value or a zero-argument callable.
+
+        An exception on either side becomes that side's error text and fails
+        this record only.
+        """
+        expected, expected_ran = _evaluate(expected) if callable(expected) else (expected, True)
+        got, got_ran = _evaluate(fn)
+        ok = expected_ran and got_ran and got == expected
         self.records.append(
             Record(suite=self.suite, name=name, claim=claim, expected=expected, got=got, ok=ok)
         )
 
-    def add_value(self, name: str, claim: str, fn: Callable[[], Any]):
-        """Record an observed value with no independent expectation; errors fail."""
-        try:
-            got = fn()
-            ok = True
-        except Exception as exc:
-            got = _error(exc)
-            ok = False
-        self.records.append(
-            Record(suite=self.suite, name=name, claim=claim, expected="reported", got=got, ok=ok)
-        )
+
+def _evaluate(fn: Callable[[], Any]) -> tuple[Any, bool]:
+    """(fn's value, True), or (the error text of its exception, False)."""
+    try:
+        return fn(), True
+    except Exception as exc:  # a broken algebra must yield a red record, not a crash
+        return f"error: {type(exc).__name__}: {exc}", False
+
+
+def _once(fn: Callable[[], Any]) -> Callable[[], Any]:
+    """A reader of fn's result for several records: fn runs at most once, on the
+    first read, and its exception is raised again on every read."""
+    cell: dict[str, Any] = {}
+
+    def read():
+        if not cell:
+            try:
+                cell["value"] = fn()
+            except Exception as exc:
+                cell["error"] = exc
+        if "error" in cell:
+            raise cell["error"]
+        return cell["value"]
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -231,59 +250,43 @@ def exterior_records(L: LieAlgebra) -> list[Record]:
         lambda: casimir(borel_top_wedge(L)) == borel_top_wedge(L).scale(casimir_eigenvalue(L.rd, two_rho(L.rd))),
     )
 
-    try:
-        squares_ok, zeta_ok = verify_zeta_identity(L)
-    except Exception as exc:
-        col.add("zeta_identity", "zeta = delta_star(w)(id - casimir/c_top) degreewise", True, lambda: _unwrap(exc))
-    else:
+    zeta = _once(lambda: verify_zeta_identity(L))
+    col.add(
+        "squares_vanish",
+        "wedge and contraction operators square to zero at every degree",
+        True,
+        lambda: zeta()[0],
+    )
+    for k in range(L.g + 1):
         col.add(
-            "squares_vanish",
-            "wedge and contraction operators square to zero at every degree",
+            f"zeta_identity_degree_{k}",
+            f"zeta = delta_star(w)(id - casimir/c_top) at degree {k} (matrix)",
             True,
-            lambda: squares_ok,
+            lambda k=k: zeta()[1][k],
         )
-        for k, ok in enumerate(zeta_ok):
-            col.add(
-                f"zeta_identity_degree_{k}",
-                f"zeta = delta_star(w)(id - casimir/c_top) at degree {k} (matrix)",
-                True,
-                lambda ok=ok: ok,
-            )
 
-    try:
-        srep = verify_exact_sequences(L)
-        for rec in srep.records:
-            col.add(
-                f"rank_nullity_degree_{rec.k}",
-                "dim ker(delta_k) = rank(delta_(k-3)) + window multiplicity of the top module",
-                True,
-                lambda rec=rec: rec.ok,
-            )
+    srep = _once(lambda: verify_exact_sequences(L))
+    for k in range(L.g + 1):
         col.add(
-            "delta_rank_into_degree_d",
-            "independent linear equations: rank of the wedge map into degree d",
-            _expected_or_error(lambda: _equation_rank(L)),
-            lambda: srep.records[L.d].rank_delta_in,
+            f"rank_nullity_degree_{k}",
+            "dim ker(delta_k) = rank(delta_(k-3)) + window multiplicity of the top module",
+            True,
+            lambda k=k: srep().records[k].ok,
         )
-    except Exception as exc:
-        col.add("rank_nullity", "rank-nullity bookkeeping of the wedge complex", True, lambda: _unwrap(exc))
-
+    col.add(
+        "delta_rank_into_degree_d",
+        "independent linear equations: rank of the wedge map into degree d",
+        lambda: _equation_rank(L),
+        lambda: srep().records[L.d].rank_delta_in,
+    )
     if L.d - 3 == 3:
-
-        def kernel_is_w_line():
-            vectors = delta_kernel_vectors(L, 3)
-            if len(vectors) != 1:
-                return False
-            ws = w_sharp(L)
-            key = next(iter(ws.terms))
-            ratio = vectors[0].terms.get(key, Fraction(0)) / ws.terms[key]
-            return ratio != 0 and vectors[0].terms == ws.scale(ratio).terms
-
+        # delta(w) = w ^ w = 0 for the odd-degree form, so a nonzero form spans a
+        # line inside the kernel, and a one-dimensional kernel is that line
         col.add(
             "delta3_kernel_is_w_line",
             "kernel of the wedge map on degree 3 is exactly the line of the form",
             True,
-            kernel_is_w_line,
+            lambda: srep().records[3].ker_delta == 1 and not w_sharp(L).is_zero(),
         )
 
     col.add(
@@ -295,18 +298,6 @@ def exterior_records(L: LieAlgebra) -> list[Record]:
     return col.records
 
 
-def _error(exc: Exception) -> str:
-    return f"error: {type(exc).__name__}: {exc}"
-
-
-def _expected_or_error(fn: Callable[[], Any]):
-    """fn's value, or the error text that fails the record expecting it."""
-    try:
-        return fn()
-    except Exception as exc:
-        return _error(exc)
-
-
 def _equation_rank(L: LieAlgebra) -> int:
     """Rank of the contraction at degree d: the equations are its rows.
 
@@ -316,21 +307,6 @@ def _equation_rank(L: LieAlgebra) -> int:
     if "equation_rank" not in L._cache:
         L._cache["equation_rank"] = blocked_rank(L, "delta_star", L.d)
     return L._cache["equation_rank"]
-
-
-def _attempt(fn: Callable[[], Any]):
-    """fn's value, or the exception it raised; for a result that feeds several records."""
-    try:
-        return fn()
-    except Exception as exc:
-        return exc
-
-
-def _unwrap(value):
-    """The value itself; an exception is raised instead."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
@@ -416,8 +392,6 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
             t = tuple(Fraction(x) for x in pattern)
             label = orbit_label(L, t)
             prof = parabolic_profile(L, chart(L, t))
-            if label.codim != L.l - len(label.nonzero):
-                return "codim mismatch"
             if prof[1] != label.nonzero:
                 return "profile does not recover the label"
             profiles.append(prof)
@@ -486,36 +460,34 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
 
 def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     col = _Collector("equations")
-    # one run of the sampled suite feeds two records; a failure fails both
-    membership = _attempt(lambda: membership_equivalence_suite(L, config.samples, config.seed))
+    membership = _once(lambda: membership_equivalence_suite(L, config.samples, config.seed))
     col.add(
         "membership_equivalence",
         "linear membership of the Plucker vector agrees with the direct nullspace predicate",
         True,
-        lambda: _unwrap(membership).ok,
+        lambda: membership().ok,
     )
-    col.add_value(
+    col.add(
         "membership_counts",
-        "seeded sample tallies for the equivalence suite",
-        lambda: _unwrap(membership).to_json(),
+        "every chart sample (every third, from the second) is a nullspace to both membership tests",
+        (config.samples + 1) // 3,
+        lambda: membership().chart_agree_true,
     )
     # the equations are the rows of the contraction at degree d, so its rank is
     # the expected count; equation_count takes the wedge rank from degree d-3
     ambient = binomial_dim(L.g, L.d)
-    expected_rank = _expected_or_error(lambda: _equation_rank(L))
-    expected_residual = _expected_or_error(lambda: ambient - _equation_rank(L))
-    count = _attempt(lambda: equation_count(L))
+    count = _once(lambda: equation_count(L))
     col.add(
         "equation_count",
         "rank of the wedge map into degree d equals the rank of the contraction at degree d",
-        expected_rank,
-        lambda: _unwrap(count),
+        lambda: _equation_rank(L),
+        count,
     )
     col.add(
         "residual_dimension",
         "ambient Plucker dimension minus the equation rank",
-        expected_residual,
-        lambda: ambient - _unwrap(count),
+        lambda: ambient - _equation_rank(L),
+        lambda: ambient - count(),
     )
     col.add(
         "equation_transpose_relation",
@@ -541,23 +513,20 @@ def repthy_records(L: LieAlgebra) -> list[Record]:
             True,
             lambda claim=claim: verify_dimension_claim(L.rd, claim).ok,
         )
-    try:
-        window = verify_gamma_window(L)
-        for rec in window.records:
-            col.add(
-                f"gamma_window_degree_{rec.k}",
-                "Casimir eigenspace of the top scalar matches the window multiplicity",
-                rec.expected,
-                lambda rec=rec: rec.eigenspace_dim,
-            )
+    window = _once(lambda: verify_gamma_window(L))
+    for k in range(L.g + 1):
         col.add(
-            "gamma_window_symmetry",
-            "eigenspace dimensions are symmetric under degree reflection k to g-k",
-            True,
-            lambda: window.symmetric,
+            f"gamma_window_degree_{k}",
+            "Casimir eigenspace of the top scalar matches the window multiplicity",
+            lambda k=k: window().records[k].expected,
+            lambda k=k: window().records[k].eigenspace_dim,
         )
-    except Exception as exc:
-        col.add("gamma_window", "Casimir eigenspace window bookkeeping", True, lambda: _unwrap(exc))
+    col.add(
+        "gamma_window_symmetry",
+        "eigenspace dimensions are symmetric under degree reflection k to g-k",
+        True,
+        lambda: window().symmetric,
+    )
     return col.records
 
 

@@ -20,10 +20,12 @@ from nullvar.algebra import (
     standard_borel,
 )
 from nullvar.exterior import (
+    MultiVector,
     blocked_rank,
     borel_top_wedge,
     casimir,
-    delta_kernel_vectors,
+    degree_keys,
+    graded_matrix,
     verify_exact_sequences,
     verify_zeta_identity,
     w_sharp,
@@ -33,6 +35,7 @@ from nullvar.grassmann import (
     membership_equivalence_suite,
     residual_dimension,
 )
+from nullvar.linalg import kernel_basis
 from nullvar.repcheck import claims_for, hook_content_dim, verify_dimension_claim
 from nullvar.roots import casimir_eigenvalue, dim_gamma_two_rho, weyl_dim
 from nullvar.seeds import Lcg
@@ -125,12 +128,13 @@ def test_criterion_07_exact_sequences(a1, a2, c2):
         ok = ok and verify_exact_sequences(L).ok
     ok = ok and blocked_rank(a2, "delta", 2) == 28
     ok = ok and blocked_rank(c2, "delta", 3) == 119
-    kernel = delta_kernel_vectors(c2, 3)
-    ok = ok and len(kernel) == 1
+    kernel = kernel_basis(graded_matrix(c2, "delta", 3))
+    ok = ok and kernel.rows == 1
+    vector = MultiVector(c2, 3, dict(zip(degree_keys(c2, 3), kernel.row(0))))
     ws = w_sharp(c2)
     key = next(iter(ws.terms))
-    ratio = kernel[0].terms.get(key, Fraction(0)) / ws.terms[key]
-    ok = ok and ratio != 0 and kernel[0].terms == ws.scale(ratio).terms
+    ratio = vector.terms.get(key, Fraction(0)) / ws.terms[key]
+    ok = ok and ratio != 0 and vector == ws.scale(ratio)
     _report(7, "rank-nullity at every degree; ranks 28 (A2) and 119 (C2) with the form line as kernel", ok)
 
 

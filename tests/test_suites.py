@@ -1,7 +1,11 @@
 """Suite orchestration: shared computations run once and fail every record that uses them;
-a corrupted algebra turns its suite red."""
+a corrupted algebra turns its suite red and keeps every record name."""
 
 import dataclasses
+import json
+from pathlib import Path
+
+import pytest
 
 from nullvar import suites
 from nullvar.algebra import build_algebra
@@ -21,8 +25,16 @@ def test_membership_suite_runs_once(a2, monkeypatch):
     records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
     assert len(calls) == 1
     assert records["membership_equivalence"].ok
-    counts = records["membership_counts"].got
-    assert counts["samples"] == 12 and counts["ok"] is True
+    # samples 1, 4, 7 and 10 of 12 are chart points
+    counts = records["membership_counts"]
+    assert (counts.expected, counts.got, counts.ok) == (4, 4, True)
+
+
+def test_membership_counts_goes_red_by_count(a2):
+    config = suites.SuiteConfig("A", 2, samples=12)
+    records = {r.name: r for r in suites.equations_records(a2.with_corrupted_constant(0, 1, 2), config)}
+    counts = records["membership_counts"]
+    assert (counts.expected, counts.got, counts.ok) == (4, 0, False)
 
 
 def test_membership_failure_fails_both_records(a2, monkeypatch):
@@ -95,3 +107,45 @@ def test_d_relations_record_goes_red_on_corrupted_c2(c2):
     # the first identity (h, k Cartan) fails here
     records = {r.name: r for r in suites.nullspace_records(c2.with_corrupted_constant(0, 1, 0), config)}
     assert (records["d_operator_relations"].ok, records["d_operator_relations"].got) == (False, False)
+
+
+GOLDEN_C2 = Path(__file__).parent / "data" / "verify_C2_seed42.json"
+
+
+@pytest.mark.parametrize("corrupt", [(2, 3, 1), (3, 5, 7), (4, 6, 2)])
+def test_corrupted_c2_keeps_every_record_name(corrupt):
+    sound = [r["name"] for r in json.loads(GOLDEN_C2.read_text())["records"]]
+    payload = suites.run_suites(suites.SuiteConfig("C", 2, corrupt=corrupt))
+    assert [r["name"] for r in payload["records"]] == sound
+    assert not payload["ok"]
+
+
+SHARED_READERS = {
+    "verify_zeta_identity": ("squares_vanish", "zeta_identity_degree_"),
+    "verify_exact_sequences": ("rank_nullity_degree_", "delta_rank_into_degree_d", "delta3_kernel_is_w_line"),
+    "verify_gamma_window": ("gamma_window_degree_", "gamma_window_symmetry"),
+}
+
+
+@pytest.fixture(scope="module")
+def c2_records(c2):
+    return [r.to_json() for r in suites.exterior_records(c2) + suites.repthy_records(c2)]
+
+
+@pytest.mark.parametrize("shared", sorted(SHARED_READERS))
+def test_raising_shared_computation_fails_only_its_readers(c2, c2_records, shared, monkeypatch):
+    def broken(L):
+        raise RuntimeError(f"{shared} broke")
+
+    monkeypatch.setattr(suites, shared, broken)
+    records = [r.to_json() for r in suites.exterior_records(c2) + suites.repthy_records(c2)]
+    assert [r["name"] for r in records] == [r["name"] for r in c2_records]
+    readers = 0
+    for sound, got in zip(c2_records, records):
+        if got["name"].startswith(SHARED_READERS[shared]):
+            readers += 1
+            assert (got["ok"], got["got"]) == (False, f"error: RuntimeError: {shared} broke")
+        else:
+            assert got == sound
+    # every degree 0..10 of C2 keeps its record, plus the whole-complex records
+    assert readers == {"verify_zeta_identity": 12, "verify_exact_sequences": 13, "verify_gamma_window": 12}[shared]
