@@ -191,19 +191,12 @@ class LieAlgebra:
     # -- root bookkeeping ----------------------------------------------------
 
     def decomposition(self, a: int) -> tuple[int, int]:
-        """One fixed decomposition gamma = alpha + beta of a non-simple positive root.
-
-        alpha is the lowest-height positive root (first in root order) with
-        gamma - alpha again positive.
-        """
-        gamma = self.rd.positive_roots[a]
-        pos = self.rd.positive_roots
-        pos_set = {r: idx for idx, r in enumerate(pos)}
-        for b, alpha in enumerate(pos):
-            rest = tuple(gc - ac for gc, ac in zip(gamma, alpha))
-            if rest in pos_set:
-                return b, pos_set[rest]
-        raise StructureError(f"positive root {gamma} admits no decomposition")
+        """The fixed decomposition gamma = alpha + beta of a non-simple positive root: the
+        first of ``all_decompositions``, alpha the first positive root with gamma - alpha positive."""
+        decomps = self.all_decompositions(a)
+        if not decomps:
+            raise StructureError(f"positive root {self.rd.positive_roots[a]} admits no decomposition")
+        return decomps[0]
 
     def all_decompositions(self, a: int) -> list[tuple[int, int]]:
         gamma = self.rd.positive_roots[a]
@@ -585,22 +578,31 @@ def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
 
 
 class Involution:
-    """Automorphism of order two acting as -id on the Cartan subalgebra."""
+    """Automorphism of order two acting as -id on the Cartan subalgebra.
 
-    def __init__(self, L: LieAlgebra, signs, matrix: Matrix):
+    sigma is h -> -h, x_alpha -> t_alpha x_{-alpha}, x_{-alpha} -> x_alpha / t_alpha,
+    a signed permutation of the basis fixed by the numbers t_alpha.
+    """
+
+    def __init__(self, L: LieAlgebra, signs):
         self.L = L
-        self.signs = tuple(signs)  # t_alpha per positive root: sigma(x_alpha) = t_alpha x_{-alpha}
-        self.matrix = matrix
+        self.signs = tuple(signs)  # t_alpha per positive root
+
+    def _root_pairs(self, sign) -> list[Vector]:
+        """x_alpha + sign * t_alpha x_{-alpha} for each positive root alpha."""
+        L = self.L
+        return [
+            tuple(p + sign * t * n for p, n in zip(L.basis_vector(L.pos_index(a)), L.basis_vector(L.neg_index(a))))
+            for a, t in enumerate(self.signs)
+        ]
 
     def fixed_subspace(self) -> Subspace:
-        """Vectors v with sigma v = v: the right kernel of sigma - 1."""
-        m = self.matrix.sub(Matrix.identity(self.L.g))
-        return Subspace(self.L, kernel_basis(m))
+        """sigma v = v: spanned by the x_alpha + t_alpha x_{-alpha}."""
+        return Subspace(self.L, self._root_pairs(1))
 
     def minus_subspace(self) -> Subspace:
-        """Vectors v with sigma v = -v: the right kernel of sigma + 1."""
-        m = self.matrix.add(Matrix.identity(self.L.g))
-        return Subspace(self.L, kernel_basis(m))
+        """sigma v = -v: spanned by the h_i and the x_alpha - t_alpha x_{-alpha}."""
+        return Subspace(self.L, [self.L.basis_vector(i) for i in range(self.L.l)] + self._root_pairs(-1))
 
 
 def build_involution(L: LieAlgebra, simple_signs) -> Involution:
@@ -611,16 +613,15 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
     remaining positive roots is forced by the automorphism property.  It is
     a nonzero rational, a unit when the root vectors are Chevalley
     normalized (as ``build_algebra`` builds them), and sigma squared is the
-    identity either way.
+    identity either way.  With sigma(b_i) = c_i b_pi(i), sigma[b_i, b_j] =
+    [sigma b_i, sigma b_j] is checked on every basis pair i < j on the bracket
+    table: {pi(k): c_k C_ij^k} must equal {m: c_i c_j C_pi(i)pi(j)^m}.
     """
     simple_signs = tuple(int(s) for s in simple_signs)
     if len(simple_signs) != L.l or any(s not in (1, -1) for s in simple_signs):
         raise InvolutionError("need one sign in {+1,-1} per simple root")
-    n_pos = L.n_pos
-    signs: list[Fraction | None] = [None] * n_pos
-    for a in range(L.l):
-        signs[a] = Fraction(simple_signs[a])
-    for a in range(L.l, n_pos):
+    signs: list[Fraction | None] = [Fraction(s) for s in simple_signs] + [None] * (L.n_pos - L.l)
+    for a in range(L.l, L.n_pos):
         b, c = L.decomposition(a)
         if signs[b] is None or signs[c] is None:
             raise StructureError("positive roots are not in height order")
@@ -628,34 +629,12 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
         n_mm = L.n_constant(L.neg_index(b), L.neg_index(c))
         signs[a] = signs[b] * signs[c] * n_mm / n_pp
 
-    g = L.g
-    cols = []
-    for i in range(L.l):
-        cols.append({i: Fraction(-1)})
-    for a in range(n_pos):
-        cols.append({L.neg_index(a): signs[a]})
-    for a in range(n_pos):
-        cols.append({L.pos_index(a): 1 / signs[a]})
-    entries = [Fraction(0)] * (g * g)
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            entries[i * g + j] = v
-    sigma = Matrix(g, g, tuple(entries))
-
-    if sigma @ sigma != Matrix.identity(g):
-        raise InvolutionError("sigma squared is not the identity")
-    for i in range(g):
-        si = sigma.matvec(L.basis_vector(i))
-        for j in range(i + 1, g):
-            sj = sigma.matvec(L.basis_vector(j))
-            lhs = sigma.matvec(
-                [L.brackets[i][j].get(k, Fraction(0)) for k in range(g)]
-            )
-            rhs = L.bracket(si, sj)
-            if tuple(lhs) != tuple(rhs):
+    perm = list(range(L.l)) + [L.partner(i) for i in range(L.l, L.g)]
+    scale = [Fraction(-1)] * L.l + signs + [1 / t for t in signs]
+    for i in range(L.g):
+        for j in range(i + 1, L.g):
+            lhs = {perm[k]: scale[k] * c for k, c in L.brackets[i][j].items() if c}
+            rhs = {m: scale[i] * scale[j] * c for m, c in L.brackets[perm[i]][perm[j]].items() if c}
+            if lhs != rhs:
                 raise InvolutionError(f"sigma fails to be an automorphism on ({i},{j})")
-
-    inv = Involution(L, signs, sigma)
-    if inv.fixed_subspace().dim != (g - L.l) // 2 or inv.minus_subspace().dim != L.d:
-        raise InvolutionError("eigenspace dimensions are off")
-    return inv
+    return Involution(L, signs)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra
-from .linalg import Matrix, SparseMatrix, frac, kernel_basis, rank
+from .linalg import Matrix, SparseMatrix, frac, integer_terms, kernel_basis, rank
 
 
 def binomial_dim(g: int, k: int) -> int:
@@ -52,7 +52,7 @@ class MultiVector:
         """The multivector with rational coefficients ``terms``, over their common denominator."""
         self.L = L
         self.degree = degree
-        self.den, self.ints = _integer_terms({k: c for k, v in terms.items() if (c := frac(v))})
+        self.den, self.ints = integer_terms({k: c for k, v in terms.items() if (c := frac(v))})
 
     @staticmethod
     def over(L: LieAlgebra, degree: int, ints: dict[int, int], den: int = 1) -> "MultiVector":
@@ -135,12 +135,6 @@ class MultiVector:
         return f"MultiVector(deg={self.degree}, {{{items}}})"
 
 
-def _integer_terms(terms: dict) -> tuple[int, dict]:
-    """``(den, ints)``: the rational ``terms`` are ``ints`` over their common denominator."""
-    den = lcm(1, *[c.denominator for c in terms.values()])
-    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-
-
 def _bits(key: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -194,7 +188,7 @@ def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
     """Wedge of coordinate vectors in order, summed in ``int``s over the product of the row denominators."""
     acc, den = {0: 1}, 1
     for row in rows:
-        row_den, row = _integer_terms({j: c for j, c in enumerate(row) if c})
+        row_den, row = integer_terms({j: c for j, c in enumerate(row) if c})
         den *= row_den
         out: dict[int, int] = {}
         for key, n in acc.items():
@@ -216,7 +210,7 @@ def _ad_sparse(L: LieAlgebra) -> tuple[list, int]:
     """``(ad, den)``: ``ad[i][j]`` holds ``(m, n)`` for each term (n / den) b_m of [b_i, b_j]."""
     cached = L._cache.get("ad_sparse")
     if cached is None:
-        den, ints = _integer_terms(
+        den, ints = integer_terms(
             {(i, j, m): c for i, row in enumerate(L.brackets) for j, cell in enumerate(row) for m, c in cell.items()}
         )
         ad = [[[] for _ in range(L.g)] for _ in range(L.g)]
@@ -398,7 +392,7 @@ def delta_star(u: MultiVector) -> MultiVector:
     L = u.L
     cached = L._cache.get("w_integer")
     if cached is None:
-        cached = L._cache["w_integer"] = _integer_terms(L.w_table)
+        cached = L._cache["w_integer"] = integer_terms(L.w_table)
     w_den, table = cached
     out: dict[int, int] = {}
     for key, coeff in u.ints.items():

@@ -55,24 +55,35 @@ def linear_membership(L: LieAlgebra, P: MultiVector) -> bool:
 
 @dataclass(frozen=True)
 class LinearEquationSet:
-    """Coordinates of the degree-d contraction: one row per linear equation."""
+    """The degree-d contraction as sparse rows: one linear equation per degree-(d-3) basis wedge.
 
-    matrix: Matrix
+    Row r holds the nonzero ``(column, coefficient)`` pairs of the r-th key of
+    ``degree_keys(L, d - 3)``; column c is the c-th key of ``degree_keys(L, d)``.
+    """
+
+    equations: tuple[tuple[tuple[int, Fraction], ...], ...]
     rank: int
     ambient_plucker_dim: int
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
-        data = matrix_to_json(self.matrix)
-        data["rank"] = self.rank
-        data["ambient_plucker_dim"] = self.ambient_plucker_dim
-        return data
+        return {
+            "rows": len(self.equations),
+            "cols": self.ambient_plucker_dim,
+            "equations": [[[c, str(x)] for c, x in row] for row in self.equations],
+            "rank": self.rank,
+            "ambient_plucker_dim": self.ambient_plucker_dim,
+        }
 
 
 def equation_set(L: LieAlgebra) -> LinearEquationSet:
+    """The contraction's images of the degree-d basis wedges, transposed into rows."""
+    index = key_index_map(L, L.d - 3)
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in index]
+    for col, key in enumerate(degree_keys(L, L.d)):
+        for out_key, x in delta_star(MultiVector.over(L, L.d, {key: 1})).terms.items():
+            rows[index[out_key]].append((col, x))
     return LinearEquationSet(
-        matrix=graded_matrix(L, "delta_star", L.d),
+        equations=tuple(map(tuple, rows)),
         rank=blocked_rank(L, "delta_star", L.d),
         ambient_plucker_dim=binomial_dim(L.g, L.d),
     )

@@ -96,30 +96,9 @@ class Matrix:
                         out[rbase + j] += a * b
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = Fraction(0)
-            for j, x in enumerate(v):
-                if x:
-                    acc += self.entries[base + j] * x
-            out.append(acc)
-        return tuple(out)
-
     def scale(self, c) -> "Matrix":
         c = frac(c)
         return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-1))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -143,12 +122,10 @@ class SparseMatrix:
         return len(self.entries)
 
 
-def integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """``row`` (column -> nonzero rational) times the lcm of its denominators."""
-    if not row:
-        return {}
-    den = lcm(*[x.denominator for x in row.values()])
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+def integer_terms(terms: dict) -> tuple[int, dict]:
+    """``(den, ints)``: the rational ``terms`` are ``ints`` over their common denominator."""
+    den = lcm(1, *[c.denominator for c in terms.values()])
+    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
 
 
 def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
@@ -196,7 +173,7 @@ def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
     if isinstance(m, SparseMatrix):
         work = [dict(row) for row in m.entries]  # elimination edits rows in place
     else:
-        work = [integer_row({j: x for j, x in enumerate(m.row(i)) if x}) for i in range(nrows)]
+        work = [integer_terms({j: x for j, x in enumerate(m.row(i)) if x})[1] for i in range(nrows)]
     basis: dict[int, dict[int, int]] = {}
     for row in sorted((row for row in work if row), key=min, reverse=True):
         for c in [c for c in row if c in basis]:

@@ -344,12 +344,8 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
         bad = 0
         for signs in itertools.product((1, -1), repeat=L.l):
             inv = build_involution(L, signs)
-            minus = inv.minus_subspace()
-            if minus.dim != L.d:
-                bad += 1
-            elif not is_nullspace(L, minus):
-                bad += 1
-            elif minus != orthogonal_complement(L, inv.fixed_subspace()):
+            minus = inv.minus_subspace()  # d independent spanning rows, so of dimension d
+            if not is_nullspace(L, minus) or minus != orthogonal_complement(L, inv.fixed_subspace()):
                 bad += 1
         return bad
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, StructureError, Subspace
-from .linalg import Matrix, SparseMatrix, frac, integer_row, rank, rref
+from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank, rref
 
 
 class NotInVarietyError(ValueError):
@@ -254,7 +254,7 @@ def d_operator_corank(L: LieAlgebra) -> int:
             if m not in nil_col:
                 raise StructureError("bracket of Borel elements left the nilradical")
             row[borel_pos[a] * L.n_pos + nil_col[m]] = c
-        rows.append(integer_row(row))
+        rows.append(integer_terms(row)[1])
     corank = target_dim - rank(SparseMatrix(target_dim, tuple(rows)))
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")

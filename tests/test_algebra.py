@@ -8,6 +8,7 @@ import pytest
 from nullvar.algebra import (
     InvolutionError,
     LieAlgebra,
+    StructureError,
     Subspace,
     build_algebra,
     build_involution,
@@ -21,7 +22,7 @@ from nullvar.algebra import (
     orthogonal_complement,
     standard_borel,
 )
-from nullvar.linalg import Matrix
+from nullvar.linalg import Matrix, kernel_basis
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import is_nullspace, random_subspace
@@ -169,22 +170,129 @@ def test_involution_dimensions(a1, a2, c2):
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
 def test_involution_signs_are_units(label):
     # N_{-a,-b} = -N_{a,b} in a Chevalley basis forces t_alpha = +-1; build_involution
-    # itself checks sigma^2 = 1, the automorphism property and the eigenspace dimensions
+    # itself checks the automorphism property on every basis pair
     L = build_algebra(build_root_datum(label[0], int(label[1:])))
     for signs in itertools.product((1, -1), repeat=L.l):
         inv = build_involution(L, signs)
         assert all(t in (1, -1) for t in inv.signs)
 
 
+def _dense_sigma(L, signs) -> Matrix:
+    """sigma as a g x g matrix: column j is the image of b_j."""
+    g = L.g
+    entries = [Fraction(0)] * (g * g)
+    for i in range(L.l):
+        entries[i * g + i] = Fraction(-1)
+    for a, t in enumerate(signs):
+        p, n = L.pos_index(a), L.neg_index(a)
+        entries[n * g + p], entries[p * g + n] = t, 1 / t
+    return Matrix(g, g, tuple(entries))
+
+
+def _matvec(m: Matrix, v) -> tuple:
+    return tuple(sum((m[i, j] * x for j, x in enumerate(v) if x), Fraction(0)) for i in range(m.rows))
+
+
+def _dense_build_involution(L, simple_signs):
+    """The dense builder that ``build_involution`` replaced, kept as an oracle.
+
+    It checks sigma^2 = 1 and the automorphism property through dense products,
+    takes the eigenspaces as kernels of sigma -+ 1, and returns
+    ``(signs, fixed, minus)``.
+    """
+    simple_signs = tuple(int(s) for s in simple_signs)
+    if len(simple_signs) != L.l or any(s not in (1, -1) for s in simple_signs):
+        raise InvolutionError("need one sign in {+1,-1} per simple root")
+    signs = [Fraction(s) for s in simple_signs] + [None] * (L.n_pos - L.l)
+    for a in range(L.l, L.n_pos):
+        b, c = L.decomposition(a)
+        if signs[b] is None or signs[c] is None:
+            raise StructureError("positive roots are not in height order")
+        n_pp = L.n_constant(L.pos_index(b), L.pos_index(c))
+        n_mm = L.n_constant(L.neg_index(b), L.neg_index(c))
+        signs[a] = signs[b] * signs[c] * n_mm / n_pp
+    g = L.g
+    sigma = _dense_sigma(L, signs)
+    if sigma @ sigma != Matrix.identity(g):
+        raise InvolutionError("sigma squared is not the identity")
+    for i in range(g):
+        si = _matvec(sigma, L.basis_vector(i))
+        for j in range(i + 1, g):
+            lhs = _matvec(sigma, [L.brackets[i][j].get(k, Fraction(0)) for k in range(g)])
+            if lhs != L.bracket(si, _matvec(sigma, L.basis_vector(j))):
+                raise InvolutionError(f"sigma fails to be an automorphism on ({i},{j})")
+
+    def eigenspace(e):
+        rows = [[x - e * (i == j) for j, x in enumerate(sigma.row(i))] for i in range(g)]
+        return Subspace(L, kernel_basis(Matrix.from_rows(rows)))
+
+    fixed, minus = eigenspace(1), eigenspace(-1)
+    if fixed.dim != (g - L.l) // 2 or minus.dim != L.d:
+        raise InvolutionError("eigenspace dimensions are off")
+    return tuple(signs), fixed, minus
+
+
+def _involution_outcome(build, L, signs):
+    try:
+        return build(L, signs)
+    except (InvolutionError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+# corrupted constants (i, j, k) of A2: one the builder accepts, one that breaks the
+# automorphism check, one whose bracket of root vectors is no longer a single root
+# vector; and a sign outside {+1, -1}
+_INVOLUTION_WITNESSES = [
+    ((2, 5, 0), (1, -1), None),
+    ((2, 3, 4), (1, 1), "sigma fails to be an automorphism on (2,7)"),
+    ((2, 3, 0), (-1, 1), "bracket of indices 2,3 is not a single root vector"),
+    (None, (2, 1), "need one sign in {+1,-1} per simple root"),
+]
+
+
+@pytest.mark.parametrize(
+    "corruption,signs,error", _INVOLUTION_WITNESSES, ids=["green", "automorphism", "n_constant", "bad_sign"]
+)
+def test_involution_matches_dense_builder_on_witnesses(a2, corruption, signs, error):
+    L = a2.with_corrupted_constant(*corruption) if corruption else a2
+    dense = _involution_outcome(_dense_build_involution, L, signs)
+    sparse = _involution_outcome(build_involution, L, signs)
+    if error is None:
+        assert sparse.signs == dense[0]
+        assert (sparse.fixed_subspace(), sparse.minus_subspace()) == dense[1:]
+    else:
+        assert sparse == dense and sparse[1] == error
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C2"])
+def test_involution_matches_dense_builder(label):
+    L = build_algebra(build_root_datum(label[0], int(label[1:])))
+    for signs in itertools.product((1, -1), repeat=L.l):
+        inv = build_involution(L, signs)
+        assert (inv.signs, inv.fixed_subspace(), inv.minus_subspace()) == _dense_build_involution(L, signs)
+
+
 def test_involution_eigenspaces_are_right_eigenvectors(b2):
     for signs in itertools.product((1, -1), repeat=b2.l):
         inv = build_involution(b2, signs)
+        sigma = _dense_sigma(b2, inv.signs)
         minus = inv.minus_subspace()
         assert minus.dim == b2.d
         for v in minus.basis_rows():
-            assert inv.matrix.matvec(v) == tuple(-x for x in v)
+            assert _matvec(sigma, v) == tuple(-x for x in v)
         for v in inv.fixed_subspace().basis_rows():
-            assert inv.matrix.matvec(v) == tuple(v)
+            assert _matvec(sigma, v) == tuple(v)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_decomposition_is_first_of_all_decompositions(label):
+    L = build_algebra(build_root_datum(label[0], int(label[1:])))
+    pos = L.rd.positive_roots
+    for a in range(L.l, L.n_pos):
+        # oracle: the first positive root alpha in root order with gamma - alpha positive
+        b = next(b for b, alpha in enumerate(pos) if tuple(x - y for x, y in zip(pos[a], alpha)) in pos)
+        first = (b, pos.index(tuple(x - y for x, y in zip(pos[a], pos[b]))))
+        assert L.decomposition(a) == L.all_decompositions(a)[0] == first
 
 
 @pytest.mark.parametrize("family", ["B", "C"])
@@ -219,8 +327,6 @@ def test_involution_minus_space_form(a2):
 
 
 def test_involution_rejects_bad_signs(a2):
-    from nullvar.algebra import StructureError
-
     with pytest.raises(InvolutionError):
         build_involution(a2, (2, 1))
     corrupted = a2.with_corrupted_constant(a2.pos_index(0), a2.pos_index(1), a2.pos_index(2), 1)

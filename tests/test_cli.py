@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -134,7 +135,11 @@ def test_equations_verb():
     out = run_cli("equations", "--type", "A2")
     data = json.loads(out.stdout)
     assert data["rank"] == 28
-    assert data["ambient_plucker_dim"] == 56
+    assert data["ambient_plucker_dim"] == data["cols"] == 56
+    assert data["rows"] == len(data["equations"]) == 28
+    # sparse rows: only nonzero coefficients are listed, at in-range columns
+    for row in data["equations"]:
+        assert row and all(0 <= c < 56 and Fraction(x) != 0 for c, x in row)
 
 
 def test_orbits_verb():

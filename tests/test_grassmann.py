@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nullvar.algebra import Subspace, build_involution, standard_borel
-from nullvar.exterior import MultiVector, degree_keys, delta, delta_star, lie_action_basis
+from nullvar.exterior import MultiVector, degree_keys, delta, delta_star, graded_matrix, lie_action_basis
 from nullvar.grassmann import (
     check_equivariance_matrices,
     equation_count,
@@ -64,13 +64,27 @@ def test_equation_set_matches_count(a2):
     eqs = equation_set(a2)
     assert eqs.rank == equation_count(a2)
     assert eqs.ambient_plucker_dim == 56
-    assert (eqs.matrix.rows, eqs.matrix.cols) == (28, 56)
+    assert len(eqs.equations) == 28
 
 
 def test_equation_set_shape_c2(c2):
     eqs = equation_set(c2)
-    assert (eqs.matrix.rows, eqs.matrix.cols) == (120, 210)
+    assert (len(eqs.equations), eqs.ambient_plucker_dim) == (120, 210)
     assert eqs.rank == 119
+
+
+@pytest.mark.parametrize("name", ["a2", "c2"])
+def test_equation_rows_match_dense_contraction(name, request):
+    L = request.getfixturevalue(name)
+    dense = graded_matrix(L, "delta_star", L.d)
+    eqs = equation_set(L)
+    assert (len(eqs.equations), eqs.ambient_plucker_dim) == (dense.rows, dense.cols)
+    for r, row in enumerate(eqs.equations):
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(x != 0 for _, x in row)
+        listed = dict(row)
+        assert [listed.get(c, 0) for c in range(dense.cols)] == list(dense.row(r))
 
 
 def test_scalar_invariance(a2):

@@ -9,7 +9,7 @@ from nullvar.linalg import (
     Matrix,
     SparseMatrix,
     det,
-    integer_row,
+    integer_terms,
     inverse,
     kernel_basis,
     matrix_from_json,
@@ -150,7 +150,7 @@ def _assert_matches_oracle(m: Matrix):
     assert (red, pivots) == _fraction_rref(m)
     assert all(type(x) is Fraction for x in red.entries)
     # the same rows, each scaled to integers, given sparse
-    rows = [integer_row({j: x for j, x in enumerate(m.row(i)) if x}) for i in range(m.rows)]
+    rows = [integer_terms({j: x for j, x in enumerate(m.row(i)) if x})[1] for i in range(m.rows)]
     sparse = SparseMatrix(m.cols, tuple(rows))
     assert sparse.rows == m.rows
     assert rref(sparse) == (red, pivots)
