@@ -2,22 +2,31 @@
 
 Multivectors are sparse maps from basis subsets (encoded as bitmasks over the
 g basis indices, ascending bit order) to integer numerators over one positive
-denominator, which is not reduced.  Every operator reads the numerators, sums
-``int``s against an integer table cached per algebra, and returns its image
-over the input's denominator times the table's; rationals appear only in the
-constructor and in the ``terms`` view.  The operators:
+denominator, which is not reduced.  Every operator is a table of integer
+terms, cached per algebra, and one call of the kernel ``_substitute``: for
+each basis wedge it puts the terms of each listed part (a subset of the
+factors, possibly empty) in place of that part, so the image is over the
+input's denominator times the table's; rationals appear only in the
+constructor and in the ``terms`` view.  The operators and their parts:
 
-  delta       wedge with the trilinear form seen inside the algebra (degree +3)
-  delta_star  contraction with the trilinear form (degree -3)
-  casimir     sum over a kappa-dual basis pair of composed Lie actions, applied
-              through a cached table of its action on one and two factors
+  wedge       u ^ v: the empty part of v, replaced by the terms of u
+  delta       wedge with the trilinear form seen inside the algebra (degree
+              +3): the empty part, replaced by the terms of w_sharp
+  delta_star  contraction with the trilinear form (degree -3): each nonzero
+              w triple, replaced by the empty key times the value of w
+  lie_action_basis  the derivation extending ad b_i: each b_j, replaced by
+              the terms of [b_i, b_j]
+  casimir     sum over a kappa-dual basis pair of composed Lie actions: each
+              factor and each pair of factors, replaced by its image
   zeta        delta . delta_star + delta_star . delta
 
-Contraction sign convention: removing factors at 0-indexed positions a < b < c
-carries (-1)^(a+b+c-3), so on degree 3 the contraction returns the plain value
-of the form.  Any consistent choice satisfies the structural identities; this
-one makes the contraction adjoint to the wedge under the kappa pairing up to
-one global sign per algebra, which verify routines measure rather than assume.
+One sign rule serves them all: the wedge of a key is (-1)^s part ^ rest, with
+s the number of pairs of a factor of part above a factor of rest, and
+put ^ rest is re-sorted the same way.  So the contraction removes the factors
+at 0-indexed positions a < b < c with the sign (-1)^(a+b+c-3), and on degree 3
+returns the plain value of the form.  Any consistent choice satisfies the structural identities; this one
+makes the contraction adjoint to the wedge under the kappa pairing up to one
+global sign per algebra, which verify routines measure rather than assume.
 
 ``verify_zeta_identity`` checks zeta = delta_star(w) (id - casimir / c_top)
 and the vanishing squares of delta and delta_star on every basis wedge of
@@ -27,13 +36,14 @@ once: the exact matrix identities, column by column.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra
-from .linalg import Matrix, SparseMatrix, frac, integer_terms, kernel_basis, rank
+from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank
 
 
 def binomial_dim(g: int, k: int) -> int:
@@ -156,99 +166,101 @@ def _sort_sign(indices: list[int]) -> int:
     return sign
 
 
-def _merge(key1: int, key2: int) -> tuple[int, int] | None:
-    """Wedge two disjoint subset keys: (sign, merged key), or None on overlap."""
-    if key1 & key2:
-        return None
-    inv = 0
-    k2 = key2
-    while k2:
-        j = (k2 & -k2).bit_length() - 1
-        inv += (key1 >> (j + 1)).bit_count()
-        k2 &= k2 - 1
-    return (-1 if inv & 1 else 1, key1 | key2)
+def _sign_mask(key: int) -> int:
+    """Mask m: the wedge of key with a disjoint key u has sign (-1)^((u & m).bit_count()).
+
+    Each bit of u below a bit of key is one transposition, so m is the xor of
+    the masks below each bit of key.
+    """
+    mask = 0
+    for i in _bits(key):
+        mask ^= (1 << i) - 1
+    return mask
+
+
+def _terms(part: int, ints: dict[int, int]) -> tuple:
+    """The terms ``(put, mask, n, -n)`` that put each key of ``ints`` in place of ``part``."""
+    mask = _sign_mask(part)
+    return tuple((put, mask ^ _sign_mask(put), n, -n) for put, n in ints.items())
+
+
+def _substitute(u: MultiVector, degree: int, table: tuple, den: int) -> MultiVector:
+    """Put the terms of ``table`` in place of factors of each basis wedge of ``u``: every operator's kernel.
+
+    ``table`` lists ``(part, terms)`` pairs with nonzero terms.  For each key
+    of ``u`` that contains ``part``, with ``rest = key ^ part``, each term
+    ``(put, mask, plus, minus)`` whose ``put`` misses ``rest`` adds ``n * plus``
+    to key ``rest | put``, or ``n * minus`` when ``(rest & mask).bit_count()``
+    is odd.  This is the one sign rule: with
+    ``mask = _sign_mask(part) ^ _sign_mask(put)``, the parity counts the
+    transpositions that move ``part`` to the front of the key and ``put`` from
+    the front into ascending order.  The image has ``degree`` and is over
+    ``u.den * den``.
+    """
+    out: dict[int, int] = {}
+    for key, n in u.ints.items():
+        for part, terms in table:
+            if key & part != part:
+                continue
+            rest = key ^ part
+            for put, mask, plus, minus in terms:
+                if rest & put:
+                    continue
+                new = rest | put
+                out[new] = out.get(new, 0) + n * (minus if (rest & mask).bit_count() & 1 else plus)
+    return MultiVector.over(u.L, degree, out, u.den * den)
+
+
+def _per_algebra(build):
+    """Cache ``build(L)`` in ``L._cache`` under the builder's name."""
+
+    @functools.wraps(build)
+    def cached(L: LieAlgebra):
+        value = L._cache.get(build.__name__)
+        if value is None:
+            value = L._cache[build.__name__] = build(L)
+        return value
+
+    return cached
 
 
 def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
     """Graded-commutative product; degrees add."""
     if u.L is not v.L:
         raise ValueError("different ambient algebras")
-    out: dict[int, int] = {}
-    for k1, n1 in u.ints.items():
-        for k2, n2 in v.ints.items():
-            merged = _merge(k1, k2)
-            if merged is None:
-                continue
-            sign, key = merged
-            out[key] = out.get(key, 0) + sign * n1 * n2
-    return MultiVector.over(u.L, u.degree + v.degree, out, u.den * v.den)
+    return _substitute(v, u.degree + v.degree, ((0, _terms(0, u.ints)),), u.den)
 
 
 def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
     """Wedge of coordinate vectors in order, summed in ``int``s over the product of the row denominators."""
-    acc, den = {0: 1}, 1
-    for row in rows:
-        row_den, row = integer_terms({j: c for j, c in enumerate(row) if c})
-        den *= row_den
-        out: dict[int, int] = {}
-        for key, n in acc.items():
-            for j, c in row.items():
-                if key >> j & 1:
-                    continue
-                # the new factor passes every factor of key above j
-                new = key | 1 << j
-                out[new] = out.get(new, 0) + (-n * c if (key >> j).bit_count() & 1 else n * c)
-        acc = out
-    return MultiVector.over(L, len(rows), acc, den)
+    acc = MultiVector.over(L, 0, {0: 1})
+    for row in reversed(rows):
+        # each row, the last first, is put in front of the product so far
+        row_den, row = integer_terms({1 << j: c for j, c in enumerate(row) if c})
+        acc = _substitute(acc, acc.degree + 1, ((0, _terms(0, row)),), row_den)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Lie action and Casimir
 
 
-def _ad_sparse(L: LieAlgebra) -> tuple[list, int]:
-    """``(ad, den)``: ``ad[i][j]`` holds ``(m, n)`` for each term (n / den) b_m of [b_i, b_j]."""
-    cached = L._cache.get("ad_sparse")
-    if cached is None:
-        den, ints = integer_terms(
-            {(i, j, m): c for i, row in enumerate(L.brackets) for j, cell in enumerate(row) for m, c in cell.items()}
-        )
-        ad = [[[] for _ in range(L.g)] for _ in range(L.g)]
-        for (i, j, m), n in ints.items():
-            ad[i][j].append((m, n))
-        cached = L._cache["ad_sparse"] = (ad, den)
-    return cached
-
-
-def _replace_key(key: int, old: int, new: int) -> tuple[int, int] | None:
-    """Key with bit old swapped for bit new, with the resorting sign."""
-    base = key & ~(1 << old)
-    if base >> new & 1:
-        return None
-    if old == new:
-        return 1, key
-    lo, hi = (old, new) if old < new else (new, old)
-    between = base & (((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1))
-    sign = -1 if between.bit_count() & 1 else 1
-    return sign, base | (1 << new)
+@_per_algebra
+def _lie_tables(L: LieAlgebra) -> tuple[list, int]:
+    """``(tables, den)``: ``tables[i]`` puts the terms of [b_i, b_j] in place of each b_j."""
+    den, ints = integer_terms(
+        {(i, j, m): c for i, row in enumerate(L.brackets) for j, cell in enumerate(row) for m, c in cell.items()}
+    )
+    cells = [[{} for _ in range(L.g)] for _ in range(L.g)]
+    for (i, j, m), n in ints.items():
+        cells[i][j][1 << m] = n
+    return [tuple((1 << j, _terms(1 << j, cell)) for j, cell in enumerate(row) if cell) for row in cells], den
 
 
 def lie_action_basis(L: LieAlgebra, i: int, u: MultiVector) -> MultiVector:
     """Derivation extension of ad b_i, summed in ``int``s over one denominator."""
-    ad, ad_den = _ad_sparse(L)
-    out: dict[int, int] = {}
-    for key, n in u.ints.items():
-        k = key
-        while k:
-            j = (k & -k).bit_length() - 1
-            k &= k - 1
-            for m, c in ad[i][j]:
-                rep = _replace_key(key, j, m)
-                if rep is None:
-                    continue
-                sign, new_key = rep
-                out[new_key] = out.get(new_key, 0) + sign * n * c
-    return MultiVector.over(L, u.degree, out, u.den * ad_den)
+    tables, den = _lie_tables(L)
+    return _substitute(u, u.degree, tables[i], den)
 
 
 def lie_action(L: LieAlgebra, a, u: MultiVector) -> MultiVector:
@@ -272,46 +284,25 @@ def _dual_basis_casimir(u: MultiVector) -> MultiVector:
     return acc
 
 
-def _sign_mask(key: int) -> int:
-    """Mask m: the wedge of key with a disjoint key u has sign (-1)^((u & m).bit_count()).
+@_per_algebra
+def _casimir_table(L: LieAlgebra) -> tuple[tuple, int]:
+    """``(table, den)``: the Casimir on one factor and on a pair of factors.
 
-    Each bit of u below a bit of key is one transposition, so m is the xor of
-    the masks below each bit of key.
-    """
-    mask = 0
-    for i in _bits(key):
-        mask ^= (1 << i) - 1
-    return mask
-
-
-def _casimir_table(L: LieAlgebra) -> tuple[dict, int]:
-    """The Casimir on one factor and on a pair of factors, as integer terms over one denominator.
-
-    Returns ``(table, den)``.  ``table[1 << j]`` holds the Casimir of b_j, and
-    ``table[(1 << j) | (1 << l)]`` (j < l) the part of the Casimir of
+    The part ``1 << j`` puts the Casimir of b_j in place of b_j, and the part
+    ``(1 << j) | (1 << l)`` (j < l) puts the part of the Casimir of
     b_j ^ b_l that moves both factors:
-    T_jl = C(b_j ^ b_l) - C(b_j) ^ b_l - b_j ^ C(b_l).  A term is
-    ``(key, mask, n, -n)`` with coefficient n / den; in a wedge of the replaced
-    factors with ``rest``, the term's key takes their place with the sign
-    given by the parity of ``(rest & mask).bit_count()``.  Both parts come
-    from the dual-basis sum on degrees 1 and 2, built once per algebra.
+    T_jl = C(b_j ^ b_l) - C(b_j) ^ b_l - b_j ^ C(b_l).  Parts with no terms
+    are left out.  Both come from the dual-basis sum on degrees 1 and 2.
     """
-    cached = L._cache.get("casimir_table")
-    if cached is not None:
-        return cached
     basis = [MultiVector.over(L, 1, {1 << j: 1}) for j in range(L.g)]
     parts = {1 << j: _dual_basis_casimir(b) for j, b in enumerate(basis)}
     for j, l in itertools.combinations(range(L.g), 2):
         both = _dual_basis_casimir(wedge(basis[j], basis[l]))
         parts[(1 << j) | (1 << l)] = both.sub(wedge(parts[1 << j], basis[l])).sub(wedge(basis[j], parts[1 << l]))
-    parts = {replaced: mv.reduced() for replaced, mv in parts.items()}
+    parts = {part: mv.reduced() for part, mv in parts.items() if mv.ints}
     den = lcm(1, *[mv.den for mv in parts.values()])
-    table = {}
-    for replaced, mv in parts.items():
-        f, mask = den // mv.den, _sign_mask(replaced)
-        table[replaced] = tuple((key, mask ^ _sign_mask(key), f * n, -f * n) for key, n in mv.ints.items())
-    cached = L._cache["casimir_table"] = (table, den)
-    return cached
+    scaled = {part: {put: den // mv.den * n for put, n in mv.ints.items()} for part, mv in parts.items()}
+    return tuple((part, _terms(part, ints)) for part, ints in scaled.items()), den
 
 
 def casimir(u: MultiVector) -> MultiVector:
@@ -319,67 +310,43 @@ def casimir(u: MultiVector) -> MultiVector:
 
     Composing two derivations acts on each factor of a wedge and on each pair
     of factors, so each factor and each pair is replaced by its table entry.
-    The image is summed in ``int``s over the denominator of ``u`` times the
-    table's.
     """
-    L = u.L
-    table, table_den = _casimir_table(L)
-    out: dict[int, int] = {}
-    for key, n in u.ints.items():
-        bits = [1 << i for i in _bits(key)]
-        for a, bj in enumerate(bits):
-            for replaced in (bj, *[bj | bl for bl in bits[a + 1 :]]):
-                rest = key ^ replaced
-                for put, mask, plus, minus in table[replaced]:
-                    if rest & put:
-                        continue
-                    new = rest | put
-                    out[new] = out.get(new, 0) + n * (minus if (rest & mask).bit_count() & 1 else plus)
-    return MultiVector.over(L, u.degree, out, u.den * table_den)
+    table, den = _casimir_table(u.L)
+    return _substitute(u, u.degree, table, den)
 
 
 # ---------------------------------------------------------------------------
 # the trilinear form inside the algebra, wedge and contraction operators
 
 
+@_per_algebra
 def w_sharp(L: LieAlgebra) -> MultiVector:
     """The trilinear form carried into degree 3 through the kappa identification."""
-    cached = L._cache.get("w_sharp")
-    if cached is None:
-        acc = MultiVector.zero(L, 3)
-        duals = [MultiVector.from_vector(L, L.dual_basis_vector(i)) for i in range(L.g)]
-        for (i, j, k), val in L.w_table.items():
-            term = wedge(wedge(duals[i], duals[j]), duals[k]).scale(val)
-            acc = acc.add(term)
-        cached = L._cache["w_sharp"] = acc.reduced()
-    return cached
+    acc = MultiVector.zero(L, 3)
+    duals = [MultiVector.from_vector(L, L.dual_basis_vector(i)) for i in range(L.g)]
+    for (i, j, k), val in L.w_table.items():
+        acc = acc.add(wedge(wedge(duals[i], duals[j]), duals[k]).scale(val))
+    return acc.reduced()
 
 
-def _w_sharp_terms(L: LieAlgebra) -> tuple[tuple, int]:
-    """``(terms, den)``: w_sharp's terms as (key, mask, n, -n) over den, cached per algebra.
-
-    For a key u disjoint from key, ``(u & mask).bit_count()`` is odd exactly
-    when the wedge of key with u carries the sign -1.
-    """
-    cached = L._cache.get("w_sharp_terms")
-    if cached is None:
-        ws = w_sharp(L)
-        terms = tuple((key, _sign_mask(key), n, -n) for key, n in ws.ints.items())
-        cached = L._cache["w_sharp_terms"] = (terms, ws.den)
-    return cached
+@_per_algebra
+def _delta_table(L: LieAlgebra) -> tuple[tuple, int]:
+    """``(table, den)``: the terms of w_sharp, put in front of a wedge."""
+    ws = w_sharp(L)
+    return ((0, _terms(0, ws.ints)),), ws.den
 
 
 def delta(u: MultiVector) -> MultiVector:
     """Wedge with the degree-3 form; degree +3.  Equal to ``wedge(w_sharp(L), u)``."""
-    terms, w_den = _w_sharp_terms(u.L)
-    out: dict[int, int] = {}
-    for key, n in u.ints.items():
-        for wkey, mask, plus, minus in terms:
-            if key & wkey:
-                continue
-            new_key = key | wkey
-            out[new_key] = out.get(new_key, 0) + n * (minus if (key & mask).bit_count() & 1 else plus)
-    return MultiVector.over(u.L, u.degree + 3, out, u.den * w_den)
+    table, den = _delta_table(u.L)
+    return _substitute(u, u.degree + 3, table, den)
+
+
+@_per_algebra
+def _delta_star_table(L: LieAlgebra) -> tuple[tuple, int]:
+    """``(table, den)``: each nonzero w triple, taken out of a wedge with the value of w."""
+    den, ints = integer_terms({sum(1 << i for i in triple): c for triple, c in L.w_table.items()})
+    return tuple((part, _terms(part, {0: n})) for part, n in ints.items()), den
 
 
 def delta_star(u: MultiVector) -> MultiVector:
@@ -387,40 +354,15 @@ def delta_star(u: MultiVector) -> MultiVector:
 
     On a decomposable wedge this sums, over ascending positions a < b < c,
     (-1)^(a+b+c-3) w(v_a, v_b, v_c) times the wedge with those factors removed.
-    The sum runs in ``int``s against the w table over its common denominator.
     """
-    L = u.L
-    cached = L._cache.get("w_integer")
-    if cached is None:
-        cached = L._cache["w_integer"] = integer_terms(L.w_table)
-    w_den, table = cached
-    out: dict[int, int] = {}
-    for key, coeff in u.ints.items():
-        idx = _bits(key)
-        n = len(idx)
-        for a in range(n - 2):
-            ia = idx[a]
-            for b in range(a + 1, n - 1):
-                ib = idx[b]
-                for c in range(b + 1, n):
-                    val = table.get((ia, ib, idx[c]))
-                    if not val:
-                        continue
-                    new_key = key & ~(1 << ia) & ~(1 << ib) & ~(1 << idx[c])
-                    # (-1)^(a+b+c-3): odd position sum gives +1
-                    val = coeff * val if (a + b + c) & 1 else -coeff * val
-                    out[new_key] = out.get(new_key, 0) + val
-    return MultiVector.over(L, u.degree - 3, out, u.den * w_den)
+    table, den = _delta_star_table(u.L)
+    return _substitute(u, u.degree - 3, table, den)
 
 
+@_per_algebra
 def delta_star_scalar(L: LieAlgebra) -> Fraction:
     """The scalar delta_star(w), computed from the algebra, never hard-coded."""
-    cached = L._cache.get("delta_star_scalar")
-    if cached is None:
-        v = delta_star(w_sharp(L))
-        cached = v.scalar_value()
-        L._cache["delta_star_scalar"] = cached
-    return cached
+    return delta_star(w_sharp(L)).scalar_value()
 
 
 def zeta(u: MultiVector) -> MultiVector:
@@ -548,9 +490,9 @@ def blocked_eigenspace_dim(L: LieAlgebra, name: str, k: int, scalar) -> int:
 
     total = 0
     for keys in weight_blocks(L, k).values():
-        # the rows are images, so this is the left kernel of the square block
-        # of (op - scalar), which has the dimension of the eigenspace
-        total += kernel_basis(_block_matrix(L, shifted, k, keys, keys)).rows
+        # the rows are images, so the eigenspace has the dimension of the left
+        # kernel of the square block of (op - scalar): its size minus its rank
+        total += len(keys) - rank(_block_matrix(L, shifted, k, keys, keys))
     return total
 
 

@@ -96,11 +96,6 @@ def equation_count(L: LieAlgebra) -> int:
     return blocked_rank(L, "delta", L.d - 3)
 
 
-def residual_dimension(L: LieAlgebra) -> int:
-    """Dimension of the linear span left after imposing the equations."""
-    return binomial_dim(L.g, L.d) - equation_count(L)
-
-
 # ---------------------------------------------------------------------------
 # the kappa pairing on exterior powers and the transpose relation
 

@@ -7,7 +7,8 @@ mostly zeros.  The reduced row echelon form is the canonical representative
 used for subspace equality throughout the package.  ``rref`` eliminates on
 sparse Python ``int`` rows (a dense row is first scaled by the lcm of its
 denominators) and builds ``Fraction`` entries only for its canonical output;
-``rank``, ``kernel_basis`` and ``inverse`` go through it.
+``kernel_basis`` and ``inverse`` go through it.  ``rank`` counts the pivots of
+the same elimination and skips the canonical form.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
                 row[j] //= h
 
 
-def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Unique reduced row echelon form of ``m`` together with its pivot columns.
+def _echelon(m: Matrix | SparseMatrix) -> dict[int, dict[int, int]]:
+    """The reduced integer rows of the row space of ``m``, keyed by pivot column.
 
     Gauss-Jordan elimination on sparse integer rows (a dense ``m`` is scaled
     row by row to integers first), one row at a time.  The rows kept so far
@@ -166,14 +167,12 @@ def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
     taken by descending first column, so a new pivot mostly lies left of the
     kept rows and seldom needs clearing from them.  A row is only ever
     replaced by a nonzero multiple of itself minus a multiple of a pivot row,
-    so the row space and the pivots are those of ``m``.  Dividing each kept
-    row by its pivot gives the canonical dense ``Fraction`` form.
+    so the row space and the pivots are those of ``m``.
     """
-    nrows, ncols = m.rows, m.cols
     if isinstance(m, SparseMatrix):
         work = [dict(row) for row in m.entries]  # elimination edits rows in place
     else:
-        work = [integer_terms({j: x for j, x in enumerate(m.row(i)) if x})[1] for i in range(nrows)]
+        work = [integer_terms({j: x for j, x in enumerate(m.row(i)) if x})[1] for i in range(m.rows)]
     basis: dict[int, dict[int, int]] = {}
     for row in sorted((row for row in work if row), key=min, reverse=True):
         for c in [c for c in row if c in basis]:
@@ -185,20 +184,31 @@ def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
             if c in kept:
                 _reduce(kept, row, c)
         basis[c] = row
+    return basis
+
+
+def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Unique reduced row echelon form of ``m`` together with its pivot columns.
+
+    Dividing each row of ``_echelon`` by its pivot gives the canonical dense
+    ``Fraction`` form.
+    """
+    basis = _echelon(m)
     pivots = tuple(sorted(basis))
-    flat = [Fraction(0)] * (nrows * ncols)
+    ncols = m.cols
+    flat = [Fraction(0)] * (m.rows * ncols)
     for i, c in enumerate(pivots):
         row = basis[c]
         p = row[c]
         base = i * ncols
         for j, x in row.items():
             flat[base + j] = Fraction(x, p)
-    return Matrix(nrows, ncols, tuple(flat)), pivots
+    return Matrix(m.rows, ncols, tuple(flat)), pivots
 
 
 def rank(m: Matrix | SparseMatrix) -> int:
-    """Rank over the rationals."""
-    return len(rref(m)[1])
+    """Rank over the rationals: the pivot count of ``_echelon``, without the canonical form."""
+    return len(_echelon(m))
 
 
 def kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
@@ -273,9 +283,17 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> Matrix:
-    rows = int(data["rows"])
-    cols = int(data["cols"])
-    entries = data["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    """The matrix of ``matrix_to_json``; ValueError on any other shape or entry type."""
+    if not isinstance(data, dict):
+        raise ValueError("a matrix is a JSON object")
+    rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(entries, list)):
+        raise ValueError("rows and cols must be integers and entries a list of rows")
+    if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError("entry grid does not match declared shape")
-    return Matrix(rows, cols, tuple(Fraction(x) for row in entries for x in row))
+    if any(isinstance(x, bool) or not isinstance(x, (int, str)) for row in entries for x in row):
+        raise ValueError("matrix entries must be integers or rational strings")
+    try:
+        return Matrix(rows, cols, tuple(Fraction(x) for row in entries for x in row))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"matrix entry {exc}") from None

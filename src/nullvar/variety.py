@@ -283,23 +283,6 @@ class CubicSystem:
     def n_vars(self) -> int:
         return self.base.dim * self.complement.dim
 
-    def evaluate(self, X) -> tuple[Fraction, ...]:
-        """Values of every polynomial at the rectangular parameter grid X."""
-        d, m = self.base.dim, self.complement.dim
-        grid = [[frac(X[i][j]) for j in range(m)] for i in range(d)]
-        out = []
-        for poly in self.polynomials:
-            acc = Fraction(0)
-            for mono, coeff in poly.items():
-                val = coeff
-                for (i, j) in mono:
-                    val *= grid[i][j]
-                    if not val:
-                        break
-                acc += val
-            out.append(acc)
-        return tuple(out)
-
     def jacobian_at_zero(self) -> Matrix:
         """Matrix of the degree-one coefficients; rows follow the triple order."""
         d, m = self.base.dim, self.complement.dim

@@ -21,6 +21,7 @@ from nullvar.algebra import (
 )
 from nullvar.exterior import (
     MultiVector,
+    binomial_dim,
     blocked_rank,
     borel_top_wedge,
     casimir,
@@ -30,11 +31,7 @@ from nullvar.exterior import (
     verify_zeta_identity,
     w_sharp,
 )
-from nullvar.grassmann import (
-    equation_count,
-    membership_equivalence_suite,
-    residual_dimension,
-)
+from nullvar.grassmann import equation_count, membership_equivalence_suite
 from nullvar.linalg import kernel_basis
 from nullvar.repcheck import claims_for, hook_content_dim, verify_dimension_claim
 from nullvar.roots import casimir_eigenvalue, dim_gamma_two_rho, weyl_dim
@@ -144,8 +141,8 @@ def test_criterion_08_linear_equations(a1, a2, c2):
         rep = membership_equivalence_suite(L, 200, 42)
         ok = ok and rep.ok and rep.disagreements == 0
     ok = ok and equation_count(a2) == 28
-    ok = ok and residual_dimension(a2) == 28
-    ok = ok and residual_dimension(a2) == 1 + dim_gamma_two_rho(a2.rd)
+    residual = binomial_dim(a2.g, a2.d) - equation_count(a2)
+    ok = ok and residual == 28 == 1 + dim_gamma_two_rho(a2.rd)
     _report(8, "200 seeded membership samples agree per algebra; 28 equations with residual 1+27 (A2)", ok)
 
 

@@ -123,6 +123,19 @@ def test_membership_verb(tmp_path, a2):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [[1, 2], {"rows": 1, "cols": 8, "entries": 5}, {"rows": 1, "cols": 8, "entries": [[1, 0, 0, 0, 0, 0, 0, None]]}],
+    ids=["top-level-list", "entries-not-a-list", "null-entry"],
+)
+def test_membership_verb_rejects_malformed_subspace(basis, tmp_path):
+    basis_path = tmp_path / "bad.json"
+    basis_path.write_text(json.dumps(basis))
+    out = run_cli("membership", "--type", "A2", "--basis", str(basis_path))
+    assert out.returncode == 2
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_degenerate_verb(a2):
     out = run_cli("degenerate", "--type", "A2", "--t", "1,1", "--weight", "2,1")
     assert out.returncode == 0

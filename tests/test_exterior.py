@@ -9,6 +9,7 @@ import pytest
 from nullvar.algebra import build_algebra
 from nullvar.exterior import (
     MultiVector,
+    _block_matrix,
     blocked_eigenspace_dim,
     blocked_rank,
     borel_top_wedge,
@@ -166,14 +167,25 @@ def test_casimir_table_on_multivectors(a2, c2):
         assert casimir(vectors[0].scale(Fraction(-2, 3))) == casimir(vectors[0]).scale(Fraction(-2, 3))
 
 
+def _flip_first_term(table, part=None):
+    """``table`` with the sign of the first term of ``part`` (of its first part if None) flipped."""
+    part = table[0][0] if part is None else part
+    assert part in dict(table)
+    out = []
+    for p, terms in table:
+        if p == part:
+            (put, mask, plus, minus), *rest = terms
+            terms = ((put, mask, minus, plus), *rest)
+        out.append((p, terms))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("replaced", [[1], [1, 4]])
 def test_casimir_oracle_sees_a_flipped_table_sign(replaced):
     L = build_algebra(build_root_datum("A", 2))  # private copy: its cache is corrupted below
     casimir(MultiVector.basis(L, [0]))
-    table, _ = L._cache["casimir_table"]
-    replaced = sum(1 << i for i in replaced)
-    (key, mask, plus, minus), *rest = table[replaced]
-    table[replaced] = ((key, mask, minus, plus), *rest)
+    table, den = L._cache["_casimir_table"]
+    L._cache["_casimir_table"] = (_flip_first_term(table, sum(1 << i for i in replaced)), den)
     assert _casimir_mismatches(L, _basis_wedges(L)) != []
 
 
@@ -234,6 +246,10 @@ def _integer_path_mismatches(L, vectors):
     ws = w_sharp(L)
     bad = [("delta", u) for u in vectors if delta(u) != _oracle_wedge(ws, u)]
     bad += [("delta_star", u) for u in vectors if delta_star(u) != _oracle_delta_star(u)]
+    bad += [("casimir", u) for u in vectors if casimir(u) != _oracle_casimir(L, u)]
+    for u, v in itertools.product(vectors, vectors[:: max(1, len(vectors) // 10)]):
+        if wedge(u, v) != _oracle_wedge(u, v):
+            bad.append(("wedge", u, v))
     for u, i in itertools.product(vectors, range(L.g)):
         if lie_action_basis(L, i, u) != _oracle_lie_action_basis(L, i, u):
             bad.append(("lie_action_basis", i, u))
@@ -260,7 +276,7 @@ def _seeded_multivectors(L, seed, count=30):
 
 
 def test_integer_paths_match_fraction_oracles(a2, c2):
-    for L in (a2, c2):
+    for L in (a2, c2, c2.with_corrupted_constant(2, 3, 1)):
         assert _integer_path_mismatches(L, _wedges_up_to_six(L) + _seeded_multivectors(L, 31)) == []
         for k in range(7):
             for combo in itertools.combinations(range(L.g), k):
@@ -284,27 +300,23 @@ def test_plucker_wedge_matches_fraction_oracle(a2, c2):
             assert wedge_rows(L, rows) == _oracle_wedge_rows(L, rows)
 
 
-@pytest.mark.parametrize("table", ["w_integer", "ad_sparse", "w_sharp_terms"])
+# each id names the integer table it corrupts: the w triples of the
+# contraction, the sparse ad table of the Lie action, the terms of w_sharp
+_TABLES = {"w_integer": "_delta_star_table", "ad_sparse": "_lie_tables", "w_sharp_terms": "_delta_table"}
+
+
+@pytest.mark.parametrize("table", list(_TABLES))
 def test_oracles_see_a_flipped_integer_table_sign(table):
     L = build_algebra(build_root_datum("A", 2))  # private copy: its cache is corrupted below
     u = MultiVector.basis(L, [0, 1, 2])
-    delta_star(u)  # builds the integer w table
-    lie_action_basis(L, 0, u)  # builds the integer ad table
-    delta(u)  # builds w_sharp's integer terms
-    if table == "w_sharp_terms":
-        ((key, mask, plus, minus), *rest), den = L._cache["w_sharp_terms"]
-        L._cache["w_sharp_terms"] = (((key, mask, minus, plus), *rest), den)
-        one = MultiVector.scalar(L, 1)
-        assert delta(one) != _oracle_wedge(w_sharp(L), one)
-    elif table == "w_integer":
-        _, ints = L._cache["w_integer"]
-        triple = next(iter(ints))
-        ints[triple] = -ints[triple]
+    delta_star(u), lie_action_basis(L, 0, u), delta(u)  # build the three tables
+    name = _TABLES[table]
+    tables, den = L._cache[name]
+    if name == "_lie_tables":
+        i = next(i for i, t in enumerate(tables) if t)
+        tables[i] = _flip_first_term(tables[i])
     else:
-        ad, _ = L._cache["ad_sparse"]
-        i, j = next((i, j) for i in range(L.g) for j in range(L.g) if ad[i][j])
-        (m, n), *rest = ad[i][j]
-        ad[i][j] = [(m, -n), *rest]
+        L._cache[name] = (_flip_first_term(tables), den)
     assert _integer_path_mismatches(L, _basis_wedges(L)) != []
 
 
@@ -381,6 +393,19 @@ def test_blocked_rank_matches_full_matrix(a2, c2):
                 [[x - c_top * (i == j) for j, x in enumerate(cmat.row(i))] for i in range(cmat.rows)]
             )
             assert blocked_eigenspace_dim(L, "casimir", k, c_top) == kernel_basis(shifted).rows > 0
+
+
+def test_eigenspace_dim_by_rank_matches_kernel_count(a2, c2):
+    for L in (a2, c2):
+        for scalar in (casimir_eigenvalue(L.rd, two_rho(L.rd)), 1):
+
+            def shifted(u):
+                return casimir(u).sub(u.scale(scalar))
+
+            for k in range(L.g + 1):
+                blocks = weight_blocks(L, k).values()
+                kernels = sum(kernel_basis(_block_matrix(L, shifted, k, keys, keys)).rows for keys in blocks)
+                assert blocked_eigenspace_dim(L, "casimir", k, scalar) == kernels
 
 
 def test_delta_is_wedge_with_w_sharp(a2, c2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nullvar.algebra import Subspace, build_involution, standard_borel
-from nullvar.exterior import MultiVector, degree_keys, delta, delta_star, graded_matrix, lie_action_basis
+from nullvar.exterior import MultiVector, binomial_dim, degree_keys, delta, delta_star, graded_matrix, lie_action_basis
 from nullvar.grassmann import (
     check_equivariance_matrices,
     equation_count,
@@ -14,7 +14,6 @@ from nullvar.grassmann import (
     membership_equivalence_suite,
     pairing_matrix,
     plucker,
-    residual_dimension,
     transpose_identity_sign,
 )
 from nullvar.seeds import Lcg
@@ -56,8 +55,7 @@ def test_equation_counts(a1, a2, c2):
     assert equation_count(a1) == 0
     assert equation_count(a2) == 28
     assert equation_count(c2) == 119
-    assert residual_dimension(a2) == 28  # 1 + 27
-    assert residual_dimension(a2) == 56 - 28
+    assert binomial_dim(a2.g, a2.d) - equation_count(a2) == 28  # 1 + 27
 
 
 def test_equation_set_matches_count(a2):

@@ -155,6 +155,8 @@ def _assert_matches_oracle(m: Matrix):
     assert sparse.rows == m.rows
     assert rref(sparse) == (red, pivots)
     assert kernel_basis(sparse) == kernel_basis(m)
+    # rank skips the canonical form but counts the same pivots
+    assert rank(m) == rank(sparse) == len(pivots)
 
 
 @pytest.mark.parametrize("name", ["a2", "c2"])
@@ -168,6 +170,7 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, request, monkeypatc
         dense = Matrix.from_rows([[row.get(j, 0) for j in range(m.cols)] for row in m.entries])
         _assert_matches_oracle(dense)
         assert rref(m) == rref(dense)
+        assert rank(m) == len(rref(m)[1])
         blocks.append(dense)
         return rank(m)
 
@@ -175,6 +178,8 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, request, monkeypatc
     for k in range(L.g + 1):
         exterior.blocked_rank(L, "delta", k)
     exterior.blocked_rank(L, "delta_star", L.d)
+    # the square blocks of casimir minus a scalar, ranked for eigenspace dimensions
+    exterior.blocked_eigenspace_dim(L, "casimir", L.d, 1)
     assert len(blocks) > L.g
     assert any(rank(m) < m.rows for m in blocks)  # dependent rows get eliminated too
 
