@@ -199,6 +199,26 @@ def test_report_is_byte_identical_to_golden(label, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        (("chart", "--type", "C2", "--t", "1,2"), "cli_chart_C2_t1_2.json"),
+        (("degenerate", "--type", "C2", "--t", "1,-2", "--weight", "2,1"), "cli_degenerate_C2_t1_-2_w2_1.json"),
+        (("orbits", "--type", "C2"), "cli_orbits_C2.json"),
+        (("membership", "--type", "C2", "--basis", str(DATA / "cli_chart_C2_t1_2.json")), "cli_membership_C2_chart.json"),
+    ],
+    ids=["chart", "degenerate", "orbits", "membership"],
+)
+def test_subspace_verbs_are_byte_identical_to_golden(args, golden):
+    # regenerate with: nullvar <args> > tests/data/<golden>
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode() == (DATA / golden).read_bytes()
+
+
 def test_diagonal_corruption_is_a_usage_error():
     # C_ii^k is shifted and shifted back, so the run would verify the sound algebra
     out = run_cli("verify", "--type", "A2", "--corrupt", "1,1,0")
