@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .exterior import MultiVector, casimir, delta, delta_star, lie_action, wedge, zeta
 from .linalg import Matrix, kernel_basis, rank, rref
-from .roots import RootDatum, build_root_datum, casimir_eigenvalue, dominance_check, weyl_dim
+from .roots import RootDatum, build_root_datum, casimir_eigenvalue, weyl_dim
 from .variety import chart, degenerate, is_nullspace, parabolic_closure
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "degenerate",
     "delta",
     "delta_star",
-    "dominance_check",
     "is_nullspace",
     "kernel_basis",
     "lie_action",

@@ -8,17 +8,31 @@ form is w(x, y, z) = kappa([x, y], z).
 Basis order: h_1..h_l (the simple coroots), then x_alpha for positive roots
 by height, then x_{-alpha} in the same order.  Each (x_alpha, x_{-alpha},
 [x_alpha, x_{-alpha}]) is an sl2-triple with alpha([x_alpha, x_{-alpha}]) = 2.
+
+A coordinate vector is sparse: a dict from basis index to its nonzero
+Fraction coordinate, so a zero coordinate is an absent key.  A ``Subspace``
+holds its canonical reduced echelon rows in the same form, straight from the
+integer elimination of ``linalg``; the dense form appears only in its JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .linalg import Matrix, frac, inverse, kernel_basis, rref
+from .linalg import (
+    Matrix,
+    SparseMatrix,
+    combine,
+    echelon_rows,
+    frac,
+    inverse,
+    kernel_basis,
+    matrix_from_json,
+    matrix_to_json,
+)
 from .roots import RootDatum
 
-Vector = tuple[Fraction, ...]
+Vector = dict[int, Fraction]  # basis index -> nonzero coordinate
 
 
 class StructureError(AssertionError):
@@ -54,7 +68,8 @@ class LieAlgebra:
         if len(self.labels) != self.g or len(self.weights) != self.g:
             raise ValueError("basis size mismatch")
         self.kappa = self._ad_trace_form()
-        self._kappa_inv: Matrix | None = None
+        self.kappa_rows = self.kappa.sparse_rows()
+        self._duals: tuple[Vector, ...] | None = None
         self._w_table: dict[tuple[int, int, int], Fraction] | None = None
         self._w_by_first: dict[int, list[tuple[int, int, Fraction]]] | None = None
         self._cache: dict = {}
@@ -78,24 +93,13 @@ class LieAlgebra:
         return i - self.n_pos
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.g))
+        return {i: Fraction(1)}
 
     # -- brackets and forms ---------------------------------------------------
 
-    def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] for coordinate vectors of length g."""
-        acc = [Fraction(0)] * self.g
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = self.brackets[i]
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                ab = frac(a) * frac(b)
-                for k, c in row[j].items():
-                    acc[k] += ab * c
-        return tuple(acc)
+    def bracket(self, x: Vector, y: Vector) -> Vector:
+        """[x, y], summed from the bracket table over the nonzero coordinates."""
+        return combine((a * b, self.brackets[i][j]) for i, a in x.items() for j, b in y.items())
 
     def _ad_trace_form(self) -> Matrix:
         g = self.g
@@ -114,15 +118,11 @@ class LieAlgebra:
                 entries[j * g + i] = acc
         return Matrix(g, g, tuple(entries))
 
-    @property
-    def kappa_inv(self) -> Matrix:
-        if self._kappa_inv is None:
-            self._kappa_inv = inverse(self.kappa)
-        return self._kappa_inv
-
     def dual_basis_vector(self, i: int) -> Vector:
-        """Vector b^i with kappa(b^i, b_j) = delta_ij."""
-        return self.kappa_inv.row(i)
+        """Vector b^i with kappa(b^i, b_j) = delta_ij: row i of the inverse form."""
+        if self._duals is None:
+            self._duals = inverse(self.kappa).sparse_rows()
+        return self._duals[i]
 
     @property
     def w_table(self) -> dict[tuple[int, int, int], Fraction]:
@@ -165,7 +165,7 @@ class LieAlgebra:
             return Fraction(0)
         return val if sign > 0 else -val
 
-    def w_eval(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
+    def w_eval(self, x: Vector, y: Vector, z: Vector) -> Fraction:
         """w(x, y, z) = kappa([x, y], z) for arbitrary coordinate vectors.
 
         Sums w(b_a, b_b, b_c) x_a y_b z_c over the nonzero table entries whose
@@ -177,13 +177,12 @@ class LieAlgebra:
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     by_first.setdefault(a, []).extend(((b, c, val), (c, b, -val)))
             self._w_by_first = by_first
-        xs, ys, zs = _support(x), _support(y), _support(z)
         acc = Fraction(0)
-        for a, xa in xs.items():
+        for a, xa in x.items():
             for b, c, val in self._w_by_first.get(a, ()):
-                yb = ys.get(b)
+                yb = y.get(b)
                 if yb is not None:
-                    zc = zs.get(c)
+                    zc = z.get(c)
                     if zc is not None:
                         acc += val * xa * yb * zc
         return acc
@@ -239,11 +238,6 @@ class LieAlgebra:
         bump(i, j, amount)
         bump(j, i, -amount)
         return LieAlgebra(self.rd, self.labels, self.weights, brackets)
-
-
-def _support(v: Sequence) -> dict[int, Fraction]:
-    """Nonzero coordinates of a vector, coerced to Fraction once each."""
-    return {i: c for i, a in enumerate(v) if a and (c := frac(a))}
 
 
 def _standard_weights(rd: RootDatum):
@@ -472,81 +466,67 @@ def check_kappa_root_form(L: LieAlgebra) -> list[tuple]:
 
 
 class Subspace:
-    """Subspace of the algebra, held as a canonical reduced echelon basis."""
+    """Subspace of the algebra, held as its canonical reduced echelon rows.
+
+    ``rows`` are sparse vectors, each 1 at its pivot and 0 at every other
+    pivot, in pivot order; equal subspaces have equal rows.
+    """
 
     def __init__(self, L: LieAlgebra, rows):
-        if isinstance(rows, Matrix):
-            mat = rows
-        else:
-            rows = [list(r) for r in rows]
-            mat = Matrix.from_rows(rows) if rows else Matrix(0, L.g, ())
-        if mat.cols != L.g:
+        rows = list(rows)
+        if any(not 0 <= j < L.g for row in rows for j in row):
             raise ValueError("ambient dimension mismatch")
-        red, pivots = rref(mat)
-        keep = [list(red.row(i)) for i in range(len(pivots))]
         self.L = L
-        self.matrix = Matrix.from_rows(keep) if keep else Matrix(0, L.g, ())
-        self.pivots = pivots
-        self.dim = len(pivots)
+        self.rows, self.pivots = echelon_rows(SparseMatrix.scaled(L.g, rows))
+        self.dim = len(self.pivots)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.L is other.L
-            and self.matrix == other.matrix
-        )
+        return isinstance(other, Subspace) and self.L is other.L and self.rows == other.rows
 
     def __hash__(self):
-        return hash((id(self.L), self.matrix.entries))
+        return hash((id(self.L), tuple(frozenset(row.items()) for row in self.rows)))
 
-    def basis_rows(self) -> list[Vector]:
-        return [self.matrix.row(i) for i in range(self.dim)]
-
-    def contains(self, vector) -> bool:
+    def contains(self, vector: Vector) -> bool:
         """Reduce ``vector`` by each echelon row at its pivot; it lies in S iff nothing is left."""
-        v = [frac(x) for x in vector]
-        if len(v) != self.L.g:
+        if any(not 0 <= j < self.L.g for j in vector):
             raise ValueError("ambient dimension mismatch")
-        for row, p in zip(self.basis_rows(), self.pivots):
-            c = v[p]
+        v = vector
+        for row, p in zip(self.rows, self.pivots):
+            c = v.get(p)
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return not any(v)
+                v = combine(((1, v), (-c, row)))
+        return not v
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.L, self.matrix.vstack(other.matrix))
+        return Subspace(self.L, self.rows + other.rows)
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.L, Matrix(0, self.L.g, ()))
-        stacked = Matrix.from_rows(
-            [list(r) for r in self.basis_rows()] + [[-x for x in r] for r in other.basis_rows()]
+        """Combinations of the rows of S that are also combinations of the rows of T.
+
+        The coefficients (c, c') with sum c_r s_r + sum c'_r t_r = 0 form the
+        kernel of the matrix whose columns are the rows s_r and t_r, and each
+        gives the common vector sum c_r s_r.
+        """
+        columns = [{} for _ in range(self.L.g)]
+        for r, row in enumerate(self.rows + other.rows):
+            for j, x in row.items():
+                columns[j][r] = x
+        kernel = kernel_basis(SparseMatrix.scaled(self.dim + other.dim, columns))
+        return Subspace(
+            self.L, [combine((c, self.rows[r]) for r, c in coeffs.items() if r < self.dim) for coeffs in kernel]
         )
-        ker = kernel_basis(stacked.transpose())
-        rows = []
-        for i in range(ker.rows):
-            coeffs = ker.row(i)[: self.dim]
-            vec = [Fraction(0)] * self.L.g
-            for c, row in zip(coeffs, self.basis_rows()):
-                if c:
-                    for j, x in enumerate(row):
-                        vec[j] += c * x
-            rows.append(vec)
-        return Subspace(self.L, rows)
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
-        data = matrix_to_json(self.matrix)
-        data["dim"] = self.dim
-        return data
+        g = self.L.g
+        dense = Matrix(self.dim, g, tuple(row.get(j, Fraction(0)) for row in self.rows for j in range(g)))
+        return matrix_to_json(dense) | {"dim": self.dim}
 
     @staticmethod
     def from_json(L: LieAlgebra, data: dict) -> "Subspace":
-        from .linalg import matrix_from_json
-
         mat = matrix_from_json(data)
-        sub = Subspace(L, mat)
+        if mat.cols != L.g:
+            raise ValueError("ambient dimension mismatch")
+        sub = Subspace(L, mat.sparse_rows())
         if "dim" in data and sub.dim != data["dim"]:
             raise ValueError("declared dimension does not match basis rank")
         return sub
@@ -559,7 +539,7 @@ def standard_borel(L: LieAlgebra) -> Subspace:
 
 
 def full_algebra(L: LieAlgebra) -> Subspace:
-    return Subspace(L, Matrix.identity(L.g))
+    return Subspace(L, [L.basis_vector(i) for i in range(L.g)])
 
 
 def root_pair_plane(L: LieAlgebra, a: int) -> Subspace:
@@ -567,10 +547,12 @@ def root_pair_plane(L: LieAlgebra, a: int) -> Subspace:
 
 
 def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
-    """Kappa-orthogonal complement; dim S + dim complement = g."""
-    if S.dim == 0:
-        return full_algebra(L)
-    return Subspace(L, kernel_basis(S.matrix @ L.kappa))
+    """Kappa-orthogonal complement: the kernel of the rows of S times kappa.
+
+    dim S + dim complement = g when kappa is nondegenerate.
+    """
+    rows = [combine((x, L.kappa_rows[j]) for j, x in row.items()) for row in S.rows]
+    return Subspace(L, kernel_basis(SparseMatrix.scaled(L.g, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +573,7 @@ class Involution:
     def _root_pairs(self, sign) -> list[Vector]:
         """x_alpha + sign * t_alpha x_{-alpha} for each positive root alpha."""
         L = self.L
-        return [
-            tuple(p + sign * t * n for p, n in zip(L.basis_vector(L.pos_index(a)), L.basis_vector(L.neg_index(a))))
-            for a, t in enumerate(self.signs)
-        ]
+        return [{L.pos_index(a): Fraction(1), L.neg_index(a): sign * t} for a, t in enumerate(self.signs)]
 
     def fixed_subspace(self) -> Subspace:
         """sigma v = v: spanned by the x_alpha + t_alpha x_{-alpha}."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, Vector
 from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank
 
 
@@ -86,8 +86,8 @@ class MultiVector:
         return MultiVector(L, 0, {0: value})
 
     @staticmethod
-    def from_vector(L: LieAlgebra, coords) -> "MultiVector":
-        return MultiVector(L, 1, {1 << i: c for i, c in enumerate(coords)})
+    def from_vector(L: LieAlgebra, coords: Vector) -> "MultiVector":
+        return MultiVector(L, 1, {1 << i: c for i, c in coords.items()})
 
     @staticmethod
     def basis(L: LieAlgebra, indices) -> "MultiVector":
@@ -232,11 +232,11 @@ def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
 
 
 def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
-    """Wedge of coordinate vectors in order, summed in ``int``s over the product of the row denominators."""
+    """Wedge of sparse vectors in order, summed in ``int``s over the product of the row denominators."""
     acc = MultiVector.over(L, 0, {0: 1})
     for row in reversed(rows):
         # each row, the last first, is put in front of the product so far
-        row_den, row = integer_terms({1 << j: c for j, c in enumerate(row) if c})
+        row_den, row = integer_terms({1 << j: c for j, c in row.items()})
         acc = _substitute(acc, acc.degree + 1, ((0, _terms(0, row)),), row_den)
     return acc
 
@@ -263,12 +263,11 @@ def lie_action_basis(L: LieAlgebra, i: int, u: MultiVector) -> MultiVector:
     return _substitute(u, u.degree, tables[i], den)
 
 
-def lie_action(L: LieAlgebra, a, u: MultiVector) -> MultiVector:
-    """Derivation extension of ad a for an arbitrary coordinate vector a."""
+def lie_action(L: LieAlgebra, a: Vector, u: MultiVector) -> MultiVector:
+    """Derivation extension of ad a for an arbitrary sparse vector a."""
     acc = MultiVector.zero(L, u.degree)
-    for i, c in enumerate(a):
-        if c:
-            acc = acc.add(lie_action_basis(L, i, u).scale(c))
+    for i, c in a.items():
+        acc = acc.add(lie_action_basis(L, i, u).scale(c))
     return acc
 
 

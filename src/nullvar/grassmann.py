@@ -36,7 +36,7 @@ def plucker(L: LieAlgebra, S: Subspace) -> MultiVector:
     """Wedge of the canonical basis rows of a d-dimensional subspace."""
     if S.dim != L.d:
         raise ValueError(f"Plucker vectors require dimension {L.d}, got {S.dim}")
-    v = wedge_rows(L, S.basis_rows())
+    v = wedge_rows(L, S.rows)
     if v.is_zero():
         raise AssertionError("independent rows wedge to zero")
     return v

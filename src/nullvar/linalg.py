@@ -1,14 +1,20 @@
-"""Exact rational linear algebra: dense matrices, reduced echelon form, rank, kernels.
+"""Exact rational linear algebra: sparse rows, reduced echelon form, rank, kernels.
 
-Every value is exact; no rounding ever occurs.  Dense ``Matrix`` entries are
-``fractions.Fraction``; a ``SparseMatrix`` holds integer rows that keep only
-their nonzero entries, as the weight blocks of the exterior operators are
-mostly zeros.  The reduced row echelon form is the canonical representative
-used for subspace equality throughout the package.  ``rref`` eliminates on
-sparse Python ``int`` rows (a dense row is first scaled by the lcm of its
-denominators) and builds ``Fraction`` entries only for its canonical output;
-``kernel_basis`` and ``inverse`` go through it.  ``rank`` counts the pivots of
-the same elimination and skips the canonical form.
+Every value is exact; no rounding ever occurs.  A vector is a sparse row: a
+dict from each coordinate index to its nonzero ``fractions.Fraction``.  A
+``SparseMatrix`` holds integer rows that keep only their nonzero entries, as
+subspace bases and the weight blocks of the exterior operators are mostly
+zeros.  Dense ``Matrix`` entries serve the Killing form and its inverse,
+the operator and pairing matrices of the transpose relation, the Jacobian of
+the cubic local equations and the JSON encoding.
+
+The reduced row echelon form is the canonical representative used for
+subspace equality throughout the package.  ``_echelon`` eliminates on sparse
+Python ``int`` rows (a dense row is first scaled by the lcm of its
+denominators).  ``echelon_rows`` divides its rows by their pivots into
+canonical sparse rows and ``rref`` lays those out densely for ``inverse``;
+``kernel_basis`` reads the kernel off the same rows, and ``rank`` only counts
+their pivots.
 """
 
 from __future__ import annotations
@@ -54,11 +60,6 @@ class Matrix:
         return Matrix(nrows, ncols, tuple(flat))
 
     @staticmethod
-    def identity(n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return Matrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
 
@@ -68,6 +69,10 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Each row as a dict from column to its nonzero entry."""
+        return tuple({j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows))
 
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -101,18 +106,14 @@ class Matrix:
         c = frac(c)
         return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
 
 @dataclass(frozen=True)
 class SparseMatrix:
     """Integer matrix held as sparse rows: row i maps each column to its nonzero entry.
 
-    The weight-block operators build these from their images; ``rref``,
-    ``rank`` and ``kernel_basis`` eliminate on them without a dense copy.
+    The weight-block operators build these from their images, and subspaces
+    from their spanning rows; ``echelon_rows``, ``rank`` and ``kernel_basis``
+    eliminate on them without a dense copy.
     """
 
     cols: int
@@ -121,6 +122,20 @@ class SparseMatrix:
     @property
     def rows(self) -> int:
         return len(self.entries)
+
+    @staticmethod
+    def scaled(cols: int, rows) -> "SparseMatrix":
+        """Each sparse rational row times the lcm of its denominators: same row space and kernel."""
+        return SparseMatrix(cols, tuple(integer_terms(row)[1] for row in rows))
+
+
+def combine(terms) -> dict:
+    """The sum of c * v over the (c, v) pairs, v sparse rows over any keys, without zero entries."""
+    acc: dict = {}
+    for c, v in terms:
+        for key, x in v.items():
+            acc[key] = acc.get(key, 0) + c * x
+    return {key: x for key, x in acc.items() if x}
 
 
 def integer_terms(terms: dict) -> tuple[int, dict]:
@@ -169,10 +184,9 @@ def _echelon(m: Matrix | SparseMatrix) -> dict[int, dict[int, int]]:
     replaced by a nonzero multiple of itself minus a multiple of a pivot row,
     so the row space and the pivots are those of ``m``.
     """
-    if isinstance(m, SparseMatrix):
-        work = [dict(row) for row in m.entries]  # elimination edits rows in place
-    else:
-        work = [integer_terms({j: x for j, x in enumerate(m.row(i)) if x})[1] for i in range(m.rows)]
+    if isinstance(m, Matrix):
+        m = SparseMatrix.scaled(m.cols, m.sparse_rows())
+    work = [dict(row) for row in m.entries]  # elimination edits rows in place
     basis: dict[int, dict[int, int]] = {}
     for row in sorted((row for row in work if row), key=min, reverse=True):
         for c in [c for c in row if c in basis]:
@@ -187,22 +201,24 @@ def _echelon(m: Matrix | SparseMatrix) -> dict[int, dict[int, int]]:
     return basis
 
 
-def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Unique reduced row echelon form of ``m`` together with its pivot columns.
+def echelon_rows(m: Matrix | SparseMatrix) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
+    """The unique reduced row echelon form of ``m`` as sparse rows, with its pivot columns.
 
-    Dividing each row of ``_echelon`` by its pivot gives the canonical dense
-    ``Fraction`` form.
+    Each row of ``_echelon`` is divided by its pivot, so it is 1 there.
     """
     basis = _echelon(m)
     pivots = tuple(sorted(basis))
+    return tuple({j: Fraction(x, basis[c][c]) for j, x in basis[c].items()} for c in pivots), pivots
+
+
+def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Unique reduced row echelon form of ``m`` as a dense matrix, with its pivot columns."""
+    rows, pivots = echelon_rows(m)
     ncols = m.cols
     flat = [Fraction(0)] * (m.rows * ncols)
-    for i, c in enumerate(pivots):
-        row = basis[c]
-        p = row[c]
-        base = i * ncols
+    for i, row in enumerate(rows):
         for j, x in row.items():
-            flat[base + j] = Fraction(x, p)
+            flat[i * ncols + j] = x
     return Matrix(m.rows, ncols, tuple(flat)), pivots
 
 
@@ -211,25 +227,20 @@ def rank(m: Matrix | SparseMatrix) -> int:
     return len(_echelon(m))
 
 
-def kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
-    """Canonical basis of the right kernel, one vector per row, in reduced echelon form.
+def kernel_basis(m: Matrix | SparseMatrix) -> tuple[dict[int, Fraction], ...]:
+    """Basis of the right kernel as sparse rows, one per non-pivot column f of ``m``.
 
-    The row count is cols(m) - rank(m); equal kernels compare equal as matrices.
+    Row f is e_f minus, at each pivot, the entry at f of the reduced row of
+    that pivot, so there are cols(m) - rank(m) rows.  The reduced rows depend
+    only on the row space of ``m``, which the kernel determines, so equal
+    kernels give equal bases.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
-        rows.append(v)
-    if not rows:
-        return Matrix(0, m.cols, ())
-    canon, _ = rref(Matrix.from_rows(rows))
-    return canon
+    basis = _echelon(m)
+    return tuple(
+        {f: Fraction(1)} | {c: Fraction(-row[f], row[c]) for c, row in basis.items() if f in row}
+        for f in range(m.cols)
+        if f not in basis
+    )
 
 
 def inverse(m: Matrix) -> Matrix:

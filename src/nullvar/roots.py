@@ -308,15 +308,6 @@ def casimir_eigenvalue(rd: RootDatum, weight) -> Fraction:
     return rd.inner(lam, tuple(a + b for a, b in zip(lam, two_rho)))
 
 
-def dominance_check(rd: RootDatum, lam, mu) -> bool:
-    """True iff mu - lam is a non-negative integer combination of simple roots."""
-    diff_root = tuple(
-        b - a
-        for a, b in zip(rd.weight_to_root(lam), rd.weight_to_root(mu))
-    )
-    return all(c.denominator == 1 and c >= 0 for c in diff_root)
-
-
 def two_rho(rd: RootDatum) -> tuple[int, ...]:
     return (2,) * rd.rank
 

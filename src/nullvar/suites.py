@@ -418,8 +418,7 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     )
 
     def degeneration_check():
-        t = tuple(Fraction(rng.randint_nonzero(-3, 3)) for _ in range(L.l))
-        V = chart(L, t)
+        V = chart(L, random_chart_parameters(L, rng, nonzero=True))
         weight = tuple(range(L.l + 1, 1, -1))  # strictly positive, regular
         limit = degenerate(L, V, weight)
         if limit != standard_borel(L):

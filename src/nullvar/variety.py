@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, StructureError, Subspace
-from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank, rref
+from .algebra import LieAlgebra, StructureError, Subspace, Vector
+from .linalg import Matrix, SparseMatrix, combine, echelon_rows, frac, rank
 
 
 class NotInVarietyError(ValueError):
@@ -29,55 +29,41 @@ class NotInVarietyError(ValueError):
 
 def is_nullspace(L: LieAlgebra, S: Subspace) -> bool:
     """True iff w vanishes on all triples of basis rows of S."""
-    rows = S.basis_rows()
-    for i1, i2, i3 in itertools.combinations(range(len(rows)), 3):
-        if L.w_eval(rows[i1], rows[i2], rows[i3]) != 0:
-            return False
-    return True
+    return not any(L.w_eval(*triple) for triple in itertools.combinations(S.rows, 3))
 
 
 @dataclass(frozen=True)
 class ChartPoint:
     """Chart parameters plus the derived line in each root plane.
 
-    lines[a] is the coordinate vector spanning the line over the a-th positive
+    lines[a] is the sparse vector spanning the line over the a-th positive
     root; for simple roots it is x_alpha + t_alpha x_{-alpha}.
     """
 
     L: LieAlgebra
     t: tuple[Fraction, ...]
-    lines: tuple[tuple[Fraction, ...], ...]
+    lines: tuple[Vector, ...]
 
     def subspace(self) -> Subspace:
-        rows = [self.L.basis_vector(i) for i in range(self.L.l)]
-        rows += [list(line) for line in self.lines]
-        return Subspace(self.L, rows)
+        return Subspace(self.L, [self.L.basis_vector(i) for i in range(self.L.l)] + list(self.lines))
 
 
-def _line_vector(L: LieAlgebra, a: int, t) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * L.g
-    v[L.pos_index(a)] = Fraction(1)
-    v[L.neg_index(a)] = frac(t)
-    return tuple(v)
+def _line_vector(L: LieAlgebra, a: int, t: Fraction) -> Vector:
+    """x_alpha + t x_{-alpha} for the a-th positive root alpha."""
+    return {L.pos_index(a): Fraction(1), L.neg_index(a): t} if t else {L.pos_index(a): Fraction(1)}
 
 
-def _kernel_line(L: LieAlgebra, v_alpha, v_beta, a: int) -> tuple[Fraction, ...]:
+def _kernel_line(L: LieAlgebra, v_alpha: Vector, v_beta: Vector, a: int) -> Vector:
     """Line in the plane of the a-th positive root killed by w(v_alpha, v_beta, .)."""
-    xp = L.basis_vector(L.pos_index(a))
-    xn = L.basis_vector(L.neg_index(a))
-    fp = L.w_eval(v_alpha, v_beta, xp)
-    fn = L.w_eval(v_alpha, v_beta, xn)
+    fp = L.w_eval(v_alpha, v_beta, L.basis_vector(L.pos_index(a)))
+    fn = L.w_eval(v_alpha, v_beta, L.basis_vector(L.neg_index(a)))
     if fp == 0 and fn == 0:
         raise StructureError(
             f"restricted form vanishes on the plane of root {L.rd.positive_roots[a]}"
         )
-    v = [Fraction(0)] * L.g
-    if fn != 0:
-        v[L.pos_index(a)] = Fraction(1)
-        v[L.neg_index(a)] = -fp / fn
-    else:
-        v[L.neg_index(a)] = Fraction(1)
-    return tuple(v)
+    if fn == 0:
+        return L.basis_vector(L.neg_index(a))
+    return _line_vector(L, a, -fp / fn)
 
 
 def chart_point(L: LieAlgebra, t) -> ChartPoint:
@@ -85,7 +71,7 @@ def chart_point(L: LieAlgebra, t) -> ChartPoint:
     t = tuple(frac(x) for x in t)
     if len(t) != L.l:
         raise ValueError("need one parameter per simple root")
-    lines: list[tuple[Fraction, ...]] = []
+    lines: list[Vector] = []
     for a in range(L.n_pos):
         if a < L.l:
             lines.append(_line_vector(L, a, t[a]))
@@ -126,20 +112,9 @@ def chart_consistency(L: LieAlgebra, t) -> ChartConsistencyReport:
 
 def parabolic_closure(L: LieAlgebra, V: Subspace) -> Subspace:
     """V + [V, V]; raises NotInVarietyError if the result is not a subalgebra."""
-    rows = V.basis_rows()
-    bracket_rows = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            br = L.bracket(rows[i], rows[j])
-            if any(br):
-                bracket_rows.append(br)
-    p = Subspace(L, list(rows) + bracket_rows)
-    # closure under bracket
-    prows = p.basis_rows()
-    for i in range(len(prows)):
-        for j in range(i + 1, len(prows)):
-            if not p.contains(L.bracket(prows[i], prows[j])):
-                raise NotInVarietyError("V + [V,V] is not closed under the bracket")
+    p = Subspace(L, V.rows + tuple(L.bracket(x, y) for x, y in itertools.combinations(V.rows, 2)))
+    if not all(p.contains(L.bracket(x, y)) for x, y in itertools.combinations(p.rows, 2)):
+        raise NotInVarietyError("V + [V,V] is not closed under the bracket")
     return p
 
 
@@ -206,16 +181,13 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
     # and their top-grade parts stay independent: each is nonzero at its own
     # pivot and zero at every other
     order = sorted(range(L.g), key=lambda i: -grades[i])
-    red, pivots = rref(Matrix(V.dim, L.g, tuple(row[i] for row in V.basis_rows() for i in order)))
-    rows = []
-    for r, p in enumerate(pivots):
+    column = {i: c for c, i in enumerate(order)}
+    red, pivots = echelon_rows(SparseMatrix.scaled(L.g, [{column[i]: x for i, x in row.items()} for row in V.rows]))
+    limit = []
+    for row, p in zip(red, pivots):
         top = grades[order[p]]
-        form = [Fraction(0)] * L.g
-        for c, i in enumerate(order):
-            if grades[i] == top:
-                form[i] = red[r, c]
-        rows.append(form)
-    return Subspace(L, rows)
+        limit.append({order[c]: x for c, x in row.items() if grades[order[c]] == top})
+    return Subspace(L, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +199,9 @@ def _slot(L: LieAlgebra, i: int, j: int, k: int) -> dict[tuple[int, int], Fracti
     return {(i, m): c for m, c in L.brackets[j][k].items()}
 
 
-def _combine(terms) -> dict[tuple[int, int], Fraction]:
-    """Sum of scale * tensor over (scale, tensor) pairs, without zero entries."""
-    acc: dict[tuple[int, int], Fraction] = {}
-    for scale, tensor in terms:
-        for key, c in tensor.items():
-            acc[key] = acc.get(key, 0) + scale * c
-    return {key: c for key, c in acc.items() if c}
-
-
 def _d(L: LieAlgebra, i: int, j: int, k: int) -> dict[tuple[int, int], Fraction]:
     """D(b_i ^ b_j ^ b_k) = b_i (x) [b_j,b_k] + b_j (x) [b_k,b_i] + b_k (x) [b_i,b_j]."""
-    return _combine((1, _slot(L, a, b, c)) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    return combine((1, _slot(L, a, b, c)) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
 
 
 def d_operator_corank(L: LieAlgebra) -> int:
@@ -254,8 +217,8 @@ def d_operator_corank(L: LieAlgebra) -> int:
             if m not in nil_col:
                 raise StructureError("bracket of Borel elements left the nilradical")
             row[borel_pos[a] * L.n_pos + nil_col[m]] = c
-        rows.append(integer_terms(row)[1])
-    corank = target_dim - rank(SparseMatrix(target_dim, tuple(rows)))
+        rows.append(row)
+    corank = target_dim - rank(SparseMatrix.scaled(target_dim, rows))
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
     return corank
@@ -304,8 +267,8 @@ def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> Cubi
         raise ValueError("base and complement do not decompose the algebra")
     if base.dim != L.d:
         raise ValueError(f"base must have dimension {L.d}")
-    xs = base.basis_rows()
-    ys = complement.basis_rows()
+    xs = base.rows
+    ys = complement.rows
     d, m = len(xs), len(ys)
     polynomials = []
     for (i1, i2, i3) in itertools.combinations(range(d), 3):
@@ -379,26 +342,26 @@ def check_d_relations(L: LieAlgebra) -> bool:
     for a in range(L.n_pos):
         xa = L.pos_index(a)
         for i, j in itertools.product(range(L.l), repeat=2):
-            if _combine([(alpha(a, j), {(i, xa): 1}), (-alpha(a, i), {(j, xa): 1}), (-1, _d(L, i, j, xa))]):
+            if combine([(alpha(a, j), {(i, xa): 1}), (-alpha(a, i), {(j, xa): 1}), (-1, _d(L, i, j, xa))]):
                 return False
     pos_set = {r: i for i, r in enumerate(L.rd.positive_roots)}
     for a, b in itertools.permutations(range(L.n_pos), 2):
         xa, xb = L.pos_index(a), L.pos_index(b)
         gaps = [  # lhs - rhs of the second identity at h_p
-            _combine([(alpha(a, p), {(xa, xb): 1}), (-alpha(b, p), {(xb, xa): 1}),
-                      (-1, _d(L, p, xa, xb)), (1, _slot(L, p, xa, xb))])
+            combine([(alpha(a, p), {(xa, xb): 1}), (-alpha(b, p), {(xb, xa): 1}),
+                     (-1, _d(L, p, xa, xb)), (1, _slot(L, p, xa, xb))])
             for p in range(L.l)
         ]
         sums = [alpha(a, p) + alpha(b, p) for p in range(L.l)]
         for i, j in itertools.combinations(range(L.l), 2):
-            if _combine([(sums[j], gaps[i]), (-sums[i], gaps[j])]):
+            if combine([(sums[j], gaps[i]), (-sums[i], gaps[j])]):
                 return False
         c = pos_set.get(tuple(x + y for x, y in zip(L.rd.positive_roots[a], L.rd.positive_roots[b])))
         if c is not None:
             xc = L.pos_index(c)
             n_ab = L.brackets[xa][xb].get(xc, Fraction(0))
-            if _combine([(n_ab, {(xc, xc): 1}), (-1, _d(L, xc, xa, xb)),
-                         (1, _slot(L, xa, xb, xc)), (-1, _slot(L, xb, xa, xc))]):
+            if combine([(n_ab, {(xc, xc): 1}), (-1, _d(L, xc, xa, xb)),
+                        (1, _slot(L, xa, xb, xc)), (-1, _slot(L, xb, xa, xc))]):
                 return False
     return True
 
@@ -411,7 +374,8 @@ def random_chart_parameters(L: LieAlgebra, rng, nonzero: bool = False):
 def random_subspace(L: LieAlgebra, rng, dim: int) -> Subspace:
     """Random subspace of exact dimension ``dim`` with entries in -3..3."""
     while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(L.g)] for _ in range(dim)]
+        # every coordinate is drawn, in row order; the zeros are left out
+        rows = [{j: Fraction(x) for j in range(L.g) if (x := rng.randint(-3, 3))} for _ in range(dim)]
         S = Subspace(L, rows)
         if S.dim == dim:
             return S

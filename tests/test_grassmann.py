@@ -16,6 +16,7 @@ from nullvar.grassmann import (
     plucker,
     transpose_identity_sign,
 )
+from nullvar.linalg import combine
 from nullvar.seeds import Lcg
 from nullvar.variety import chart, is_nullspace, random_subspace
 
@@ -90,10 +91,8 @@ def test_scalar_invariance(a2):
     P = plucker(a2, V)
     assert linear_membership(a2, P) == linear_membership(a2, P.scale(Fraction(-7, 3)))
     # a different spanning basis of the same subspace rescales the vector only
-    rows = V.basis_rows()
-    mixed = [tuple(2 * x for x in rows[0])] + [
-        tuple(a + b for a, b in zip(rows[1], rows[2]))
-    ] + list(rows[2:])
+    rows = V.rows
+    mixed = [combine([(2, rows[0])]), combine([(1, rows[1]), (1, rows[2])])] + list(rows[2:])
     W = Subspace(a2, mixed)
     assert W == V
     assert linear_membership(a2, plucker(a2, W)) == linear_membership(a2, P)
