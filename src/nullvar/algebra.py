@@ -2,8 +2,13 @@
 
 Structure constants are computed from the positive roots and their inner
 products (see ``build_algebra``); they are integers, held as Fractions.  The
-Killing form is the ad-trace form recomputed from them, and the trilinear
-form is w(x, y, z) = kappa([x, y], z).
+Killing form ``kappa`` is the ad-trace form recomputed from them, held as
+sparse symmetric rows, and the trilinear form is w(x, y, z) = kappa([x, y], z).
+Everything derived from the two (the inverse form, the table of w) is built
+on first use and cached per algebra by ``per_algebra``, which the exterior
+operators and the suites use too.  The structure checks are written with
+``bracket``, the one pairing ``kappa_pair`` and ``w_eval``, so they test the
+code paths that every other suite reads.
 
 Basis order: h_1..h_l (the simple coroots), then x_alpha for positive roots
 by height, then x_{-alpha} in the same order.  Each (x_alpha, x_{-alpha},
@@ -17,6 +22,8 @@ integer elimination of ``linalg``; the dense form appears only in its JSON.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
 from .linalg import (
@@ -47,12 +54,32 @@ class InvolutionError(ValueError):
 # the algebra proper
 
 
+def per_algebra(build):
+    """Cache ``build(L, *args)`` in ``L._cache``, built on the first call.
+
+    The key is the builder's name, with the arguments after it when there are
+    any, so a table built from ``L`` alone is ``L._cache[name]``.  Methods of
+    ``LieAlgebra`` take it too, with ``self`` as ``L``.
+    """
+    name = build.__name__
+
+    @functools.wraps(build)
+    def cached(L, *args):
+        key = (name, *args) if args else name
+        if key not in L._cache:
+            L._cache[key] = build(L, *args)
+        return L._cache[key]
+
+    return cached
+
+
 class LieAlgebra:
     """Basis-indexed structure constants with derived Killing and trilinear forms.
 
     Attributes are read-only by convention.  Derived data (kappa, its inverse,
     the table of w on basis triples) is recomputed from the bracket table, so
     a corrupted table yields an algebra whose verification suites fail.
+    ``kappa[i]`` maps each j to the nonzero kappa(b_i, b_j).
     """
 
     def __init__(self, rd: RootDatum, labels, weights, brackets):
@@ -68,10 +95,6 @@ class LieAlgebra:
         if len(self.labels) != self.g or len(self.weights) != self.g:
             raise ValueError("basis size mismatch")
         self.kappa = self._ad_trace_form()
-        self.kappa_rows = self.kappa.sparse_rows()
-        self._duals: tuple[Vector, ...] | None = None
-        self._w_table: dict[tuple[int, int, int], Fraction] | None = None
-        self._w_by_first: dict[int, list[tuple[int, int, Fraction]]] | None = None
         self._cache: dict = {}
 
     # -- index layout -------------------------------------------------------
@@ -101,69 +124,53 @@ class LieAlgebra:
         """[x, y], summed from the bracket table over the nonzero coordinates."""
         return combine((a * b, self.brackets[i][j]) for i, a in x.items() for j, b in y.items())
 
-    def _ad_trace_form(self) -> Matrix:
+    def _ad_trace_form(self) -> tuple[Vector, ...]:
+        """kappa(b_i, b_j) = tr(ad b_i ad b_j), summed over the bracket table, as sparse rows."""
         g = self.g
-        entries = [Fraction(0)] * (g * g)
-        for i in range(g):
-            row_i = self.brackets[i]
-            for j in range(i, g):
-                row_j = self.brackets[j]
-                acc = Fraction(0)
-                for k in range(g):
-                    for m, c1 in row_i[k].items():
-                        c2 = row_j[m].get(k)
-                        if c2:
-                            acc += c1 * c2
-                entries[i * g + j] = acc
-                entries[j * g + i] = acc
-        return Matrix(g, g, tuple(entries))
+        rows: list[Vector] = [{} for _ in range(g)]
+        for i, j in itertools.combinations_with_replacement(range(g), 2):
+            row_i, row_j = self.brackets[i], self.brackets[j]
+            acc = Fraction(0)
+            for k in range(g):
+                for m, c in row_i[k].items():
+                    if k in row_j[m]:
+                        acc += c * row_j[m][k]
+            if acc:
+                rows[i][j] = rows[j][i] = acc
+        return tuple(rows)
+
+    def kappa_pair(self, x: Vector, y: Vector) -> Fraction:
+        """kappa(x, y), summed over the entries of the rows of kappa at x that meet y."""
+        return sum((a * c * y[j] for i, a in x.items() for j, c in self.kappa[i].items() if j in y), Fraction(0))
+
+    @per_algebra
+    def _dual_rows(self) -> tuple[Vector, ...]:
+        """The rows of the inverse of kappa, inverted densely through ``linalg.inverse``."""
+        g = self.g
+        return inverse(Matrix.from_rows([[row.get(j, 0) for j in range(g)] for row in self.kappa])).sparse_rows()
 
     def dual_basis_vector(self, i: int) -> Vector:
         """Vector b^i with kappa(b^i, b_j) = delta_ij: row i of the inverse form."""
-        if self._duals is None:
-            self._duals = inverse(self.kappa).sparse_rows()
-        return self._duals[i]
+        return self._dual_rows()[i]
 
     @property
+    @per_algebra
     def w_table(self) -> dict[tuple[int, int, int], Fraction]:
-        """Nonzero values w(b_i, b_j, b_k) on ascending basis triples."""
-        if self._w_table is None:
-            table = {}
-            g = self.g
-            for i in range(g):
-                row = self.brackets[i]
-                for j in range(i + 1, g):
-                    bij = row[j]
-                    if not bij:
-                        continue
-                    for k in range(j + 1, g):
-                        acc = Fraction(0)
-                        base_k = k
-                        for m, c in bij.items():
-                            val = self.kappa.entries[m * g + base_k]
-                            if val:
-                                acc += c * val
-                        if acc:
-                            table[(i, j, k)] = acc
-            self._w_table = table
-        return self._w_table
+        """Nonzero values w(b_i, b_j, b_k) = kappa([b_i, b_j], b_k) on ascending basis triples."""
+        table = {}
+        for i, j, k in itertools.combinations(range(self.g), 3):
+            if val := self.kappa_pair(self.brackets[i][j], self.basis_vector(k)):
+                table[i, j, k] = val
+        return table
 
-    def w_basis(self, i: int, j: int, k: int) -> Fraction:
-        """w on a basis triple in any index order."""
-        if i == j or j == k or i == k:
-            return Fraction(0)
-        sign = 1
-        a, b, c = i, j, k
-        if a > b:
-            a, b, sign = b, a, -sign
-        if b > c:
-            b, c, sign = c, b, -sign
-        if a > b:
-            a, b, sign = b, a, -sign
-        val = self.w_table.get((a, b, c))
-        if not val:
-            return Fraction(0)
-        return val if sign > 0 else -val
+    @per_algebra
+    def _w_by_first(self) -> dict[int, list[tuple[int, int, Fraction]]]:
+        """``(b, c, w(b_a, b_b, b_c))`` for each first index a: the table extended by alternation."""
+        by_first: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for (i, j, k), val in self.w_table.items():
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                by_first.setdefault(a, []).extend(((b, c, val), (c, b, -val)))
+        return by_first
 
     def w_eval(self, x: Vector, y: Vector, z: Vector) -> Fraction:
         """w(x, y, z) = kappa([x, y], z) for arbitrary coordinate vectors.
@@ -171,15 +178,10 @@ class LieAlgebra:
         Sums w(b_a, b_b, b_c) x_a y_b z_c over the nonzero table entries whose
         three coordinates are all nonzero, so sparse arguments cost little.
         """
-        if self._w_by_first is None:
-            by_first: dict[int, list[tuple[int, int, Fraction]]] = {}
-            for (i, j, k), val in self.w_table.items():
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    by_first.setdefault(a, []).extend(((b, c, val), (c, b, -val)))
-            self._w_by_first = by_first
+        by_first = self._w_by_first()
         acc = Fraction(0)
         for a, xa in x.items():
-            for b, c, val in self._w_by_first.get(a, ()):
+            for b, c, val in by_first.get(a, ()):
                 yb = y.get(b)
                 if yb is not None:
                     zc = z.get(c)
@@ -362,82 +364,52 @@ def check_antisymmetry(L: LieAlgebra) -> list[tuple]:
     return bad
 
 
+def _basis_brackets(L: LieAlgebra) -> tuple[list[Vector], list[list[Vector]]]:
+    """The basis vectors b_i and the brackets [b_i, b_j], as sparse vectors."""
+    e = [L.basis_vector(i) for i in range(L.g)]
+    return e, [[L.bracket(x, y) for y in e] for x in e]
+
+
 def check_jacobi(L: LieAlgebra) -> list[tuple]:
-    """Triples (i, j, k) violating [[i,j],k] + [[j,k],i] + [[k,i],j] = 0."""
-    bad = []
-    g = L.g
-    for i in range(g):
-        for j in range(i + 1, g):
-            bij = L.brackets[i][j]
-            for k in range(j + 1, g):
-                acc: dict[int, Fraction] = {}
-                for m, c in bij.items():
-                    for t, c2 in L.brackets[m][k].items():
-                        acc[t] = acc.get(t, Fraction(0)) + c * c2
-                for m, c in L.brackets[j][k].items():
-                    for t, c2 in L.brackets[m][i].items():
-                        acc[t] = acc.get(t, Fraction(0)) + c * c2
-                for m, c in L.brackets[k][i].items():
-                    for t, c2 in L.brackets[m][j].items():
-                        acc[t] = acc.get(t, Fraction(0)) + c * c2
-                if any(acc.values()):
-                    bad.append((i, j, k))
-    return bad
+    """Ascending basis triples violating [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] = 0."""
+    e, br = _basis_brackets(L)
+    return [
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(L.g), 3)
+        if combine((1, L.bracket(br[a][b], e[c])) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    ]
 
 
 def check_kappa_invariance(L: LieAlgebra) -> list[tuple]:
-    """Triples violating kappa([x,y],z) = -kappa(y,[x,z]) on the basis."""
-    bad = []
-    g = L.g
-    kap = L.kappa
-    for i in range(g):
-        for j in range(g):
-            bij = L.brackets[i][j]
-            for k in range(g):
-                lhs = Fraction(0)
-                for m, c in bij.items():
-                    lhs += c * kap.entries[m * g + k]
-                rhs = Fraction(0)
-                for m, c in L.brackets[i][k].items():
-                    rhs += kap.entries[j * g + m] * c
-                if lhs + rhs != 0:
-                    bad.append((i, j, k))
-    return bad
+    """Basis triples violating kappa([b_i,b_j],b_k) = -kappa(b_j,[b_i,b_k])."""
+    e, br = _basis_brackets(L)
+    return [
+        (i, j, k)
+        for i, j, k in itertools.product(range(L.g), repeat=3)
+        if L.kappa_pair(br[i][j], e[k]) + L.kappa_pair(e[j], br[i][k])
+    ]
 
 
 def check_w_antisymmetry(L: LieAlgebra) -> list[tuple]:
-    """Ordered basis triples where kappa([b_i,b_j],b_k) deviates from the alternating table."""
-    bad = []
-    g = L.g
-    kap = L.kappa
-    for i in range(g):
-        for j in range(g):
-            bij = L.brackets[i][j]
-            for k in range(g):
-                direct = Fraction(0)
-                for m, c in bij.items():
-                    direct += c * kap.entries[m * g + k]
-                if direct != L.w_basis(i, j, k):
-                    bad.append((i, j, k))
-    return bad
+    """Ordered basis triples where kappa([b_i,b_j],b_k) differs from ``w_eval``, the alternating table."""
+    e, br = _basis_brackets(L)
+    return [
+        (i, j, k)
+        for i, j, k in itertools.product(range(L.g), repeat=3)
+        if L.kappa_pair(br[i][j], e[k]) != L.w_eval(e[i], e[j], e[k])
+    ]
 
 
 def check_root_space_pairing(L: LieAlgebra) -> list[tuple]:
-    """Failures of kappa(h, x_a) = 0 and kappa(x_a, x_b) = 0 unless b = -a."""
+    """Failures of kappa(h, x_a) = 0 and kappa(x_a, x_b) = 0 unless b = -a, and of kappa(x_a, x_-a) != 0."""
     bad = []
-    for i in range(L.g):
-        for j in range(i, L.g):
-            val = L.kappa[i, j]
-            wi = L.weights[i]
-            wj = L.weights[j]
-            opposite = all(a + b == 0 for a, b in zip(wi, wj))
-            if opposite:
-                rooted = i >= L.l and j >= L.l
-                if rooted and val == 0:
-                    bad.append((i, j))  # root pairing must be nonzero
-                continue
-            if val != 0:
-                bad.append((i, j))
+    for i, j in itertools.combinations_with_replacement(range(L.g), 2):
+        nonzero = j in L.kappa[i]
+        if all(a + b == 0 for a, b in zip(L.weights[i], L.weights[j])):
+            if i >= L.l and not nonzero:
+                bad.append((i, j))  # root pairing must be nonzero
+        elif nonzero:
+            bad.append((i, j))
     return bad
 
 
@@ -458,7 +430,7 @@ def check_kappa_root_form(L: LieAlgebra) -> list[tuple]:
             return 2 / rd.inner(L.weights[i], L.weights[i])
         return Fraction(0)
 
-    return [(i, j) for i in range(L.g) for j in range(i, L.g) if L.kappa[i, j] != expected(i, j)]
+    return [(i, j) for i in range(L.g) for j in range(i, L.g) if L.kappa[i].get(j, 0) != expected(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +510,6 @@ def standard_borel(L: LieAlgebra) -> Subspace:
     return Subspace(L, rows)
 
 
-def full_algebra(L: LieAlgebra) -> Subspace:
-    return Subspace(L, [L.basis_vector(i) for i in range(L.g)])
-
-
 def root_pair_plane(L: LieAlgebra, a: int) -> Subspace:
     return Subspace(L, [L.basis_vector(L.pos_index(a)), L.basis_vector(L.neg_index(a))])
 
@@ -551,7 +519,7 @@ def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
 
     dim S + dim complement = g when kappa is nondegenerate.
     """
-    rows = [combine((x, L.kappa_rows[j]) for j, x in row.items()) for row in S.rows]
+    rows = [combine((x, L.kappa[j]) for j, x in row.items()) for row in S.rows]
     return Subspace(L, kernel_basis(SparseMatrix.scaled(L.g, rows)))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import Subspace, build_algebra
 from .grassmann import equation_set, linear_membership, plucker
-from .roots import UnsupportedTypeError, build_root_datum, dim_gamma_two_rho, parse_type_label
+from .roots import UnsupportedTypeError, algebra_dimension, build_root_datum, dim_gamma_two_rho, parse_type_label
 from .suites import SuiteConfig, run_suites
 from .variety import chart, degenerate, is_nullspace, orbit_label, parabolic_profile
 
@@ -37,13 +37,12 @@ def _max_g() -> int:
 
 
 def _load_datum(label: str):
-    rd = build_root_datum(*parse_type_label(label))
-    cap = _max_g()
-    if rd.g > cap:
-        raise UsageError(
-            f"type {label} has dimension {rd.g} above the cap {cap}; raise NULLVAR_MAX_G to allow it"
-        )
-    return rd
+    """The root datum of ``label``, built only once its dimension is known to be within the cap."""
+    family, rank = parse_type_label(label)
+    g, cap = algebra_dimension(family, rank), _max_g()
+    if g > cap:
+        raise UsageError(f"type {label} has dimension {g} above the cap {cap}; raise NULLVAR_MAX_G to allow it")
+    return build_root_datum(family, rank)
 
 
 def _parse_fractions(raw: str, expected: int, what: str):

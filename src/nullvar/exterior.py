@@ -36,13 +36,12 @@ once: the exact matrix identities, column by column.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .algebra import LieAlgebra, Vector
+from .algebra import LieAlgebra, Vector, per_algebra
 from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank
 
 
@@ -211,19 +210,6 @@ def _substitute(u: MultiVector, degree: int, table: tuple, den: int) -> MultiVec
     return MultiVector.over(u.L, degree, out, u.den * den)
 
 
-def _per_algebra(build):
-    """Cache ``build(L)`` in ``L._cache`` under the builder's name."""
-
-    @functools.wraps(build)
-    def cached(L: LieAlgebra):
-        value = L._cache.get(build.__name__)
-        if value is None:
-            value = L._cache[build.__name__] = build(L)
-        return value
-
-    return cached
-
-
 def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
     """Graded-commutative product; degrees add."""
     if u.L is not v.L:
@@ -245,7 +231,7 @@ def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
 # Lie action and Casimir
 
 
-@_per_algebra
+@per_algebra
 def _lie_tables(L: LieAlgebra) -> tuple[list, int]:
     """``(tables, den)``: ``tables[i]`` puts the terms of [b_i, b_j] in place of each b_j."""
     den, ints = integer_terms(
@@ -283,7 +269,7 @@ def _dual_basis_casimir(u: MultiVector) -> MultiVector:
     return acc
 
 
-@_per_algebra
+@per_algebra
 def _casimir_table(L: LieAlgebra) -> tuple[tuple, int]:
     """``(table, den)``: the Casimir on one factor and on a pair of factors.
 
@@ -318,7 +304,7 @@ def casimir(u: MultiVector) -> MultiVector:
 # the trilinear form inside the algebra, wedge and contraction operators
 
 
-@_per_algebra
+@per_algebra
 def w_sharp(L: LieAlgebra) -> MultiVector:
     """The trilinear form carried into degree 3 through the kappa identification."""
     acc = MultiVector.zero(L, 3)
@@ -328,7 +314,7 @@ def w_sharp(L: LieAlgebra) -> MultiVector:
     return acc.reduced()
 
 
-@_per_algebra
+@per_algebra
 def _delta_table(L: LieAlgebra) -> tuple[tuple, int]:
     """``(table, den)``: the terms of w_sharp, put in front of a wedge."""
     ws = w_sharp(L)
@@ -341,7 +327,7 @@ def delta(u: MultiVector) -> MultiVector:
     return _substitute(u, u.degree + 3, table, den)
 
 
-@_per_algebra
+@per_algebra
 def _delta_star_table(L: LieAlgebra) -> tuple[tuple, int]:
     """``(table, den)``: each nonzero w triple, taken out of a wedge with the value of w."""
     den, ints = integer_terms({sum(1 << i for i in triple): c for triple, c in L.w_table.items()})
@@ -358,7 +344,7 @@ def delta_star(u: MultiVector) -> MultiVector:
     return _substitute(u, u.degree - 3, table, den)
 
 
-@_per_algebra
+@per_algebra
 def delta_star_scalar(L: LieAlgebra) -> Fraction:
     """The scalar delta_star(w), computed from the algebra, never hard-coded."""
     return delta_star(w_sharp(L)).scalar_value()
@@ -377,21 +363,17 @@ def zeta(u: MultiVector) -> MultiVector:
 # graded matrices and weight blocks
 
 
+@per_algebra
 def degree_keys(L: LieAlgebra, k: int) -> list[int]:
     """Canonical enumeration of degree-k subset keys (combinations order)."""
-    if k < 0 or k > L.g:
+    if k < 0:
         return []
-    cache = L._cache.setdefault("degree_keys", {})
-    if k not in cache:
-        cache[k] = list(map(sum, itertools.combinations([1 << i for i in range(L.g)], k)))
-    return cache[k]
+    return list(map(sum, itertools.combinations([1 << i for i in range(L.g)], k)))
 
 
+@per_algebra
 def key_index_map(L: LieAlgebra, k: int) -> dict[int, int]:
-    cache = L._cache.setdefault("key_index", {})
-    if k not in cache:
-        cache[k] = {key: i for i, key in enumerate(degree_keys(L, k))}
-    return cache[k]
+    return {key: i for i, key in enumerate(degree_keys(L, k))}
 
 
 _OPS = {
@@ -419,20 +401,18 @@ def graded_matrix(L: LieAlgebra, name: str, k: int) -> Matrix:
     return Matrix(rows, cols, tuple(entries))
 
 
+@per_algebra
 def weight_blocks(L: LieAlgebra, k: int) -> dict[tuple[int, ...], list[int]]:
     """Degree-k keys grouped by total weight (``L.weights`` summed); operators act blockwise."""
-    cache = L._cache.setdefault("weight_blocks", {})
-    if k not in cache:
-        # each weight packed into one int in balanced base B: a sum of at most
-        # g weights has digits of size below B/2, so the packed ints add as the
-        # weights do, and itertools sums them without a per-key Python loop
-        base = 2 * L.g * max(abs(c) for w in L.weights for c in w) + 1
-        packed = [sum(c * base**j for j, c in enumerate(w)) for w in L.weights]
-        groups: dict[int, list[int]] = {}
-        for key, total in zip(degree_keys(L, k), map(sum, itertools.combinations(packed, k))):
-            groups.setdefault(total, []).append(key)
-        cache[k] = {_unpack_weight(total, base, L.l): keys for total, keys in groups.items()}
-    return cache[k]
+    # each weight packed into one int in balanced base B: a sum of at most
+    # g weights has digits of size below B/2, so the packed ints add as the
+    # weights do, and itertools sums them without a per-key Python loop
+    base = 2 * L.g * max(abs(c) for w in L.weights for c in w) + 1
+    packed = [sum(c * base**j for j, c in enumerate(w)) for w in L.weights]
+    groups: dict[int, list[int]] = {}
+    for key, total in zip(degree_keys(L, k), map(sum, itertools.combinations(packed, k))):
+        groups.setdefault(total, []).append(key)
+    return {_unpack_weight(total, base, L.l): keys for total, keys in groups.items()}
 
 
 def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:

@@ -122,7 +122,7 @@ def pairing_matrix(L: LieAlgebra, k: int) -> Matrix:
             col_idx = index.get(other)
             if col_idx is None:
                 continue
-            gram = Matrix.from_rows([[L.kappa[i, j] for j in _bits(other)] for i in bits])
+            gram = Matrix.from_rows([[L.kappa[i].get(j, 0) for j in _bits(other)] for i in bits])
             entries[row_idx * n + col_idx] = det(gram)
     return Matrix(n, n, tuple(entries))
 

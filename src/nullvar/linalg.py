@@ -4,7 +4,7 @@ Every value is exact; no rounding ever occurs.  A vector is a sparse row: a
 dict from each coordinate index to its nonzero ``fractions.Fraction``.  A
 ``SparseMatrix`` holds integer rows that keep only their nonzero entries, as
 subspace bases and the weight blocks of the exterior operators are mostly
-zeros.  Dense ``Matrix`` entries serve the Killing form and its inverse,
+zeros.  Dense ``Matrix`` entries serve the inversion of the Killing form,
 the operator and pairing matrices of the transpose relation, the Jacobian of
 the cubic local equations and the JSON encoding.
 

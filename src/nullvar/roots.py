@@ -15,7 +15,8 @@ from .linalg import Matrix, frac, inverse
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G")
 
-# positive-root counts per family, used as a construction self-check
+# positive-root counts per family: the dimension before the roots are built,
+# and a construction self-check after
 _POSITIVE_COUNT = {
     "A": lambda l: l * (l + 1) // 2,
     "B": lambda l: l * l,
@@ -29,8 +30,22 @@ class UnsupportedTypeError(ValueError):
     """Requested family/rank outside the supported range."""
 
 
-def _min_rank(family: str) -> int:
-    return {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}[family]
+def _checked_family(family: str, rank: int) -> str:
+    """The upper-case family; UnsupportedTypeError outside A/B/C/D/G or below its minimum rank."""
+    family = family.upper()
+    if family not in SUPPORTED_FAMILIES:
+        raise UnsupportedTypeError(f"unsupported family {family!r}")
+    if rank < {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}[family] or (family == "G" and rank != 2):
+        raise UnsupportedTypeError(f"unsupported rank {rank} for family {family}")
+    return family
+
+
+def algebra_dimension(family: str, rank: int) -> int:
+    """g = rank + 2 #positive roots, from the family's count alone, without building the roots.
+
+    Raises UnsupportedTypeError exactly where ``build_root_datum`` does.
+    """
+    return rank + 2 * _POSITIVE_COUNT[_checked_family(family, rank)](rank)
 
 
 def _gram_matrix(family: str, l: int) -> list[list[Fraction]]:
@@ -186,11 +201,7 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
     Raises UnsupportedTypeError for families outside A/B/C/D/G or ranks below
     the family minimum (A: 1, B and C: 2, D: 3, G: exactly 2).
     """
-    family = family.upper()
-    if family not in SUPPORTED_FAMILIES:
-        raise UnsupportedTypeError(f"unsupported family {family!r}")
-    if rank < _min_rank(family) or (family == "G" and rank != 2):
-        raise UnsupportedTypeError(f"unsupported rank {rank} for family {family}")
+    family = _checked_family(family, rank)
     gram = _gram_matrix(family, rank)
     positives = _close_positive_roots(gram, rank)
     expected = _POSITIVE_COUNT[family](rank)

@@ -30,6 +30,7 @@ from .algebra import (
     check_root_space_pairing,
     check_w_antisymmetry,
     orthogonal_complement,
+    per_algebra,
     root_pair_plane,
     standard_borel,
 )
@@ -293,20 +294,30 @@ def exterior_records(L: LieAlgebra) -> list[Record]:
         "operator_invariance",
         "wedge and contraction commute with every basis Lie action",
         True,
-        lambda: check_equivariance_matrices(L, (delta, delta_star)),
+        lambda: _equivariant(L, delta) and _equivariant(L, delta_star),
     )
     return col.records
 
 
+@per_algebra
 def _equation_rank(L: LieAlgebra) -> int:
     """Rank of the contraction at degree d: the equations are its rows.
 
     The exterior and equations suites both expect it, so it is computed once
     per algebra.
     """
-    if "equation_rank" not in L._cache:
-        L._cache["equation_rank"] = blocked_rank(L, "delta_star", L.d)
-    return L._cache["equation_rank"]
+    return blocked_rank(L, "delta_star", L.d)
+
+
+@per_algebra
+def _equivariant(L: LieAlgebra, op) -> bool:
+    """Whether ``op`` commutes with every basis Lie action.
+
+    The exterior suite reads it for the wedge and the contraction and the
+    equations suite for the contraction, so each verdict is computed once per
+    algebra.
+    """
+    return check_equivariance_matrices(L, (op,))
 
 
 def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
@@ -494,7 +505,7 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
         "contraction_equivariance",
         "the contraction commutes with every basis Lie action at low degrees",
         True,
-        lambda: check_equivariance_matrices(L, (delta_star,)),
+        lambda: _equivariant(L, delta_star),
     )
     return col.records
 

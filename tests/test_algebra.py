@@ -18,7 +18,6 @@ from nullvar.algebra import (
     check_kappa_root_form,
     check_root_space_pairing,
     check_w_antisymmetry,
-    full_algebra,
     orthogonal_complement,
     standard_borel,
 )
@@ -38,13 +37,43 @@ def test_a1_structure(a1):
     # oracle: trace of (ad h)^2 = sum of alpha(h)^2 over both roots = 4 + 4
     ad_h = Matrix.from_rows([dense(a1, a1.bracket(h, a1.basis_vector(j))) for j in range(3)]).transpose()
     assert sum((ad_h @ ad_h)[i, i] for i in range(3)) == 8
-    assert a1.kappa[0, 0] == 8
+    assert a1.kappa_pair(h, h) == 8
 
 
 def test_a2_shape(a2):
     assert a2.g == 8 and a2.n_pos == 3
     for a in range(a2.n_pos):
-        assert a2.kappa[a2.pos_index(a), a2.neg_index(a)] != 0
+        assert a2.kappa_pair(a2.basis_vector(a2.pos_index(a)), a2.basis_vector(a2.neg_index(a))) != 0
+
+
+@pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2"])
+def test_sparse_kappa_is_the_dense_trace_form(fixture, request):
+    L = request.getfixturevalue(fixture)
+    dense_kappa = dense_oracles.kappa_matrix(L)
+    e = L.basis_vector
+    assert all(L.kappa_pair(e(i), e(j)) == dense_kappa[i, j] for i in range(L.g) for j in range(L.g))
+    assert all(0 not in row.values() for row in L.kappa)
+
+
+_CHECKS_AND_ORACLES = (
+    (check_jacobi, dense_oracles.check_jacobi),
+    (check_kappa_invariance, dense_oracles.check_kappa_invariance),
+    (check_w_antisymmetry, dense_oracles.check_w_antisymmetry),
+    (check_root_space_pairing, dense_oracles.check_root_space_pairing),
+    (check_kappa_root_form, dense_oracles.check_kappa_root_form),
+)
+
+
+def _check_mismatches(L) -> list[str]:
+    """Names of the structure checks whose list of bad triples or pairs differs from the triple-loop oracle's."""
+    return [check.__name__ for check, oracle in _CHECKS_AND_ORACLES if check(L) != oracle(L)]
+
+
+def test_structure_checks_match_loop_oracles_on_every_corruption_of_a2(a2):
+    corruptions = [(i, j, k) for i in range(a2.g) for j in range(i + 1, a2.g) for k in range(a2.g)]
+    assert len(corruptions) == 224
+    mismatched = [c for c in corruptions if _check_mismatches(a2.with_corrupted_constant(*c))]
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2"])
@@ -56,6 +85,7 @@ def test_exhaustive_structure_checks(fixture, request):
     assert check_w_antisymmetry(L) == []
     assert check_root_space_pairing(L) == []
     assert check_kappa_root_form(L) == []
+    assert _check_mismatches(L) == []
 
 
 def test_kappa_root_form_sees_a_rescaled_root_vector(a2):
@@ -113,19 +143,19 @@ def test_w_alternation_and_values(a1, a2):
     assert a1.w_eval(x, x, h) == 0
     assert a1.w_eval(x, y, h) == 8
     # simple alpha, beta with x_{-alpha-beta}: nonzero
-    val = a2.w_basis(a2.pos_index(0), a2.pos_index(1), a2.neg_index(2))
+    val = a2.w_eval(*(a2.basis_vector(i) for i in (a2.pos_index(0), a2.pos_index(1), a2.neg_index(2))))
     assert val != 0
 
 
-def _w_by_bracket(L, x, y, z):
-    """Independent w: expand [x, y] from the bracket table, then pair with z by kappa."""
+def _w_by_bracket(L, kappa, x, y, z):
+    """Independent w: expand [x, y] from the bracket table, then pair with z by the dense ``kappa``."""
     x, y, z = ([Fraction(a) for a in v] for v in (x, y, z))
     xy = [Fraction(0)] * L.g
     for i in range(L.g):
         for j in range(L.g):
             for k, c in L.brackets[i][j].items():
                 xy[k] += x[i] * y[j] * c
-    return sum(xy[k] * L.kappa[k, m] * z[m] for k in range(L.g) for m in range(L.g))
+    return sum(xy[k] * kappa[k, m] * z[m] for k in range(L.g) for m in range(L.g))
 
 
 @pytest.mark.parametrize("fixture", ["a2", "c2"])
@@ -146,10 +176,11 @@ def test_w_eval_matches_bracket_then_kappa(fixture, request):
     triples += [(pool[n % len(pool)], pool[(3 * n + 1) % len(pool)], pool[(7 * n + 2) % len(pool)]) for n in range(60)]
     triples += [(units[n % g], pool[n % len(pool)], pool[(n + 5) % len(pool)]) for n in range(40)]
     nonzero = 0
+    kappa = dense_oracles.kappa_matrix(L)
     for x, y, z in triples:
         got = L.w_eval(x, y, z)
         assert type(got) is Fraction
-        assert got == _w_by_bracket(L, *(dense(L, v) for v in (x, y, z))), (x, y, z)
+        assert got == _w_by_bracket(L, kappa, *(dense(L, v) for v in (x, y, z))), (x, y, z)
         nonzero += got != 0
     assert nonzero > len(triples) // 10  # the comparison is not vacuous
     w = pool[1]
@@ -312,7 +343,7 @@ def test_involution_is_orthogonal_decomposition(a2):
     assert fixed.add(minus).dim == a2.g
     for u in fixed.rows:
         for v in minus.rows:
-            assert sum(x * a2.kappa[i, j] * y for i, x in u.items() for j, y in v.items()) == 0
+            assert a2.kappa_pair(u, v) == 0
     assert minus == orthogonal_complement(a2, fixed)
 
 
@@ -334,7 +365,7 @@ def test_involution_rejects_bad_signs(a2):
 
 
 def test_orthogonal_complements(a2):
-    assert orthogonal_complement(a2, full_algebra(a2)).dim == 0
+    assert orthogonal_complement(a2, Subspace(a2, [a2.basis_vector(i) for i in range(a2.g)])).dim == 0
     h = Subspace(a2, [a2.basis_vector(i) for i in range(a2.l)])
     h_perp = orthogonal_complement(a2, h)
     assert h_perp.dim == 6

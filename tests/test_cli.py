@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nullvar import cli
 from nullvar.algebra import standard_borel
 
 
@@ -185,6 +186,18 @@ def test_max_g_cap():
     assert out.returncode == 0
     out = run_cli("info", "--type", "C2", env_extra={"NULLVAR_MAX_G": "bogus"})
     assert out.returncode == 2
+
+
+def test_cap_is_checked_before_the_root_system_is_built(monkeypatch, capsys):
+    # A40 has g = 1680; building its roots takes seconds, so the cap must refuse it first
+    def unbuildable(*args):
+        raise AssertionError("the root system of an over-cap type was built")
+
+    monkeypatch.setattr(cli, "build_root_datum", unbuildable)
+    monkeypatch.delenv("NULLVAR_MAX_G", raising=False)
+    for verb in ("info", "verify"):
+        assert cli.main([verb, "--type", "A40"]) == 2
+        assert "type A40 has dimension 1680 above the cap 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "C2"])

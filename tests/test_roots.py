@@ -6,6 +6,7 @@ import pytest
 
 from nullvar.roots import (
     UnsupportedTypeError,
+    algebra_dimension,
     build_root_datum,
     casimir_eigenvalue,
     dim_gamma_two_rho,
@@ -153,6 +154,18 @@ def test_unsupported_types():
         build_root_datum("B", 1)
     with pytest.raises(UnsupportedTypeError):
         parse_type_label("Q")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("b", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)])
+def test_algebra_dimension_is_the_built_dimension(family, rank):
+    assert algebra_dimension(family, rank) == build_root_datum(family, rank).g
+
+
+@pytest.mark.parametrize("family,rank", [("Z", 9), ("D", 2), ("B", 1), ("G", 3), ("A", 0)])
+def test_algebra_dimension_rejects_what_the_builder_rejects(family, rank):
+    for fn in (algebra_dimension, build_root_datum):
+        with pytest.raises(UnsupportedTypeError):
+            fn(family, rank)
 
 
 def test_root_datum_json():
