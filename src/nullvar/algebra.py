@@ -271,7 +271,7 @@ def build_algebra(rd: RootDatum) -> LieAlgebra:
     positive = set(pos)
     roots = list(pos) + [_neg(r) for r in pos]
     is_root = set(roots)
-    norm = {r: rd.pairing_gram(r, r) for r in roots}
+    norm = {r: rd.inner(r, r) for r in roots}
 
     def add(a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -320,7 +320,7 @@ def build_algebra(rd: RootDatum) -> LieAlgebra:
 
     for i, a_i in enumerate(simple):
         for r in roots:
-            if c := 2 * rd.pairing_gram(r, a_i) / norm[a_i]:
+            if c := 2 * rd.inner(r, a_i) / norm[a_i]:
                 put(i, index[r], {index[r]: c})
     for k, a in enumerate(roots):
         for b in roots[k + 1:]:

@@ -43,6 +43,7 @@ from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra, Vector, per_algebra
 from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank
+from .roots import casimir_eigenvalue, dim_gamma_two_rho, two_rho
 
 
 def binomial_dim(g: int, k: int) -> int:
@@ -512,10 +513,14 @@ class ExactSequenceReport:
 
 
 def gamma_multiplicity(L: LieAlgebra, k: int) -> int:
-    """Copies of the top-weight module in degree k: C(l, k - (g - d)) inside the window."""
+    """Dimension of the top-weight isotypic part in degree k.
+
+    C(l, k - (g - d)) copies of the module with highest weight twice the Weyl
+    vector inside the window g - d..d, none outside it.
+    """
     lo = L.g - L.d
     if lo <= k <= L.d:
-        return comb(L.l, k - lo)
+        return comb(L.l, k - lo) * dim_gamma_two_rho(L.rd)
     return 0
 
 
@@ -523,19 +528,16 @@ def verify_exact_sequences(L: LieAlgebra) -> ExactSequenceReport:
     """Rank-nullity bookkeeping of the delta complex, degree by degree.
 
     For each k: n_k = dim ker(delta_k), r_k = rank(delta_{k-3}),
-    m_k = C(l, k-(g-d)) * dim of the top-weight module inside the window.
+    m_k = gamma_multiplicity(L, k), the dimension of the top-weight part.
     Exactness of the reduced complex plus triviality of delta on the top-weight
     part is exactly n_k = r_k + m_k at every degree.
     """
-    from .roots import dim_gamma_two_rho
-
-    dim_top = dim_gamma_two_rho(L.rd)
     ranks = {k: blocked_rank(L, "delta", k) for k in range(0, L.g + 1)}
     records = []
     for k in range(0, L.g + 1):
         n_k = binomial_dim(L.g, k) - ranks[k]
         r_k = ranks.get(k - 3, 0) if k - 3 >= 0 else 0
-        m_k = gamma_multiplicity(L, k) * dim_top
+        m_k = gamma_multiplicity(L, k)
         records.append(
             DegreeRecord(
                 k=k,
@@ -559,8 +561,6 @@ def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
     verdict at degree k; the squares check stops at its first failure, and
     each degree's zeta check at its first failing wedge.
     """
-    from .roots import casimir_eigenvalue, two_rho
-
     scalar = delta_star_scalar(L)
     ratio = scalar / casimir_eigenvalue(L.rd, two_rho(L.rd))
     squares_ok = True

@@ -15,7 +15,7 @@ from math import comb
 
 from .algebra import LieAlgebra
 from .exterior import blocked_eigenspace_dim, gamma_multiplicity
-from .roots import RootDatum, casimir_eigenvalue, dim_gamma_two_rho, two_rho, weyl_dim
+from .roots import RootDatum, casimir_eigenvalue, two_rho, weyl_dim
 
 
 def hook_content_dim(partition, n: int) -> int:
@@ -142,11 +142,10 @@ def verify_gamma_window(L: LieAlgebra) -> WindowReport:
     dimension inside the degree window g-d..d and zero outside.
     """
     scalar = casimir_eigenvalue(L.rd, two_rho(L.rd))
-    dim_top = dim_gamma_two_rho(L.rd)
     records = []
     for k in range(0, L.g + 1):
         found = blocked_eigenspace_dim(L, "casimir", k, scalar)
-        expected = gamma_multiplicity(L, k) * dim_top
+        expected = gamma_multiplicity(L, k)
         records.append(WindowRecord(k=k, eigenspace_dim=found, expected=expected, ok=(found == expected)))
     symmetric = all(
         records[k].eigenspace_dim == records[L.g - k].eigenspace_dim for k in range(0, L.g + 1)

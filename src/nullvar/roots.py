@@ -1,9 +1,11 @@
 """Root systems of the classical families (plus G2), Weyl vector, dimension formula.
 
-Roots are integer vectors over the simple roots; inner products come from the
-rational Gram matrix of the simple roots.  The normalized form `inner` is
-scaled so the Casimir scalar of the adjoint representation is 1, matching the
-Killing form built downstream from structure constants.
+Roots are integer vectors over the simple roots.  ``RootDatum.gram`` is the
+Gram matrix of the simple roots scaled so that <theta, theta + 2 rho> = 1 for
+the highest root theta: the Casimir scalar of the adjoint representation is
+1, matching the Killing form built downstream from structure constants.
+``inner`` is the one inner product; every other use of it is a ratio, which
+the scale leaves unchanged.
 """
 
 from __future__ import annotations
@@ -88,11 +90,10 @@ class RootDatum:
 
     family: str
     rank: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[Fraction, ...], ...]  # simple roots, Killing-normalized
     positive_roots: tuple[tuple[int, ...], ...]  # root-basis coordinates, by height then lex
     cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = 2(a_i,a_j)/(a_j,a_j)
     fundamental_in_root: tuple[tuple[Fraction, ...], ...]  # omega_i in the root basis
-    norm: Fraction  # <x,y> = norm * gram pairing
 
     @property
     def l(self) -> int:
@@ -125,19 +126,9 @@ class RootDatum:
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def pairing_gram(self, u, v) -> Fraction:
-        acc = Fraction(0)
-        for i, a in enumerate(u):
-            if a:
-                row = self.gram[i]
-                for j, b in enumerate(v):
-                    if b:
-                        acc += frac(a) * row[j] * frac(b)
-        return acc
-
     def inner(self, u, v) -> Fraction:
         """Killing-normalized inner product on root-basis coordinates."""
-        return self.norm * self.pairing_gram(u, v)
+        return _pair(self.gram, u, v)
 
     def weight_to_root(self, weight) -> tuple[Fraction, ...]:
         """Coordinates over the simple roots of sum_i weight[i] * omega_i."""
@@ -160,12 +151,20 @@ class RootDatum:
         }
 
 
-def _close_positive_roots(gram: list[list[Fraction]], l: int) -> list[tuple[int, ...]]:
+def _pair(gram, u, v) -> Fraction:
+    """sum_ij u_i gram[i][j] v_j on root-basis coordinates."""
+    acc = Fraction(0)
+    for i, a in enumerate(u):
+        if a:
+            row = gram[i]
+            for j, b in enumerate(v):
+                if b:
+                    acc += frac(a) * row[j] * frac(b)
+    return acc
+
+
+def _close_positive_roots(gram, l: int) -> list[tuple[int, ...]]:
     """Generate all positive roots from the simple ones by root strings."""
-
-    def pair(u, v):
-        return sum(frac(a) * gram[i][j] * frac(b) for i, a in enumerate(u) for j, b in enumerate(v) if a and b)
-
     simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
     known = set(simples)
     by_height: dict[int, list[tuple[int, ...]]] = {1: list(simples)}
@@ -183,7 +182,7 @@ def _close_positive_roots(gram: list[list[Fraction]], l: int) -> list[tuple[int,
                 while cur in known:
                     p += 1
                     cur = tuple(b - a for b, a in zip(cur, alpha))
-                pairing = 2 * pair(beta, alpha) / pair(alpha, alpha)
+                pairing = 2 * _pair(gram, beta, alpha) / _pair(gram, alpha, alpha)
                 if p - pairing > 0:
                     known.add(gamma)
                     nxt.append(gamma)
@@ -202,11 +201,17 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
     the family minimum (A: 1, B and C: 2, D: 3, G: exactly 2).
     """
     family = _checked_family(family, rank)
-    gram = _gram_matrix(family, rank)
-    positives = _close_positive_roots(gram, rank)
+    raw = _gram_matrix(family, rank)
+    positives = _close_positive_roots(raw, rank)
     expected = _POSITIVE_COUNT[family](rank)
     if len(positives) != expected:
         raise AssertionError(f"{family}{rank}: expected {expected} positive roots, got {len(positives)}")
+
+    # scale so that <theta, theta + 2rho> = 1; 2rho is the sum of the positive roots
+    theta = positives[-1]
+    shifted = [t + sum(col) for t, col in zip(theta, zip(*positives))]
+    scale = 1 / _pair(raw, theta, shifted)
+    gram = tuple(tuple(scale * x for x in row) for row in raw)
 
     cartan_rows = []
     for i in range(rank):
@@ -219,60 +224,19 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
         cartan_rows.append(tuple(row))
 
     # omega_i = sum_k (M^{-1})[i][k] alpha_k where M[k][j] = cartan[k][j]
-    cartan_matrix = Matrix.from_rows([[Fraction(x) for x in row] for row in cartan_rows])
-    cartan_inv = inverse(cartan_matrix)
-    fundamental = tuple(tuple(cartan_inv.row(i)) for i in range(rank))
-
+    cartan_inv = inverse(Matrix.from_rows([[Fraction(x) for x in row] for row in cartan_rows]))
     rd = RootDatum(
         family=family,
         rank=rank,
-        gram=tuple(tuple(row) for row in gram),
+        gram=gram,
         positive_roots=tuple(positives),
         cartan=tuple(cartan_rows),
-        fundamental_in_root=fundamental,
-        norm=Fraction(1),
+        fundamental_in_root=tuple(tuple(cartan_inv.row(i)) for i in range(rank)),
     )
-    # fix the normalization so that <theta, theta + 2rho> = 1
-    theta = rd.highest_root
-    two_rho = tuple(2 * x for x in rd.rho_root)
-    target = rd.pairing_gram(theta, tuple(t + r for t, r in zip(theta, two_rho)))
-    rd = RootDatum(
-        family=rd.family,
-        rank=rd.rank,
-        gram=rd.gram,
-        positive_roots=rd.positive_roots,
-        cartan=rd.cartan,
-        fundamental_in_root=rd.fundamental_in_root,
-        norm=Fraction(1) / target,
-    )
-    _validate(rd)
-    return rd
-
-
-def _validate(rd: RootDatum) -> None:
-    assert rd.g == rd.rank + 2 * rd.n_positive
-    assert 2 * rd.d == rd.g + rd.rank
-    # every non-simple positive root is a sum of two positive roots
-    pos = set(rd.positive_roots)
-    for root in rd.positive_roots:
-        if sum(root) == 1:
-            continue
-        ok = any(
-            tuple(r - a for r, a in zip(root, alpha)) in pos
-            for alpha in rd.positive_roots
-            if alpha != root
-        )
-        if not ok:
-            raise AssertionError(f"positive root {root} admits no decomposition")
-    # Casimir on the adjoint representation is 1
-    theta = rd.highest_root
-    two_rho = tuple(2 * x for x in rd.rho_root)
-    val = rd.inner(theta, tuple(t + r for t, r in zip(theta, two_rho)))
-    if val != 1:
-        raise AssertionError(f"Killing normalization broken: <theta, theta+2rho> = {val}")
-    # rho on the fundamental-weight side is (1, ..., 1)
-    if rd.weight_to_root((1,) * rd.rank) != rd.rho_root:
+    # rho on the fundamental-weight side is (1, ..., 1): a check of the inverse
+    if rd.weight_to_root((1,) * rank) != rd.rho_root:
         raise AssertionError("rho is not the sum of the fundamental weights")
+    return rd
 
 
 def parse_type_label(label: str) -> tuple[str, int]:
@@ -292,7 +256,7 @@ def weyl_dim(rd: RootDatum, weight) -> int:
     """Dimension of the irreducible module with the given dominant weight.
 
     Product over positive roots of (weight+rho, alpha) / (rho, alpha); the
-    normalization scalar cancels.
+    scale of the inner product cancels.
     """
     if any(frac(a) < 0 for a in weight):
         raise ValueError("weight is not dominant")
@@ -302,8 +266,8 @@ def weyl_dim(rd: RootDatum, weight) -> int:
     num = Fraction(1)
     den = Fraction(1)
     for alpha in rd.positive_roots:
-        num *= rd.pairing_gram(lam_rho, alpha)
-        den *= rd.pairing_gram(rho, alpha)
+        num *= rd.inner(lam_rho, alpha)
+        den *= rd.inner(rho, alpha)
     value = num / den
     if value.denominator != 1 or value <= 0:
         raise AssertionError(f"Weyl dimension not a positive integer: {value}")

@@ -175,6 +175,13 @@ def _once(fn: Callable[[], Any]) -> Callable[[], Any]:
 # individual suites
 
 
+def _table_dimensions(L: LieAlgebra) -> tuple[int, int, int]:
+    """(g, l, d) read off the bracket table: l counts the basis vectors that commute with every b_i, i < l."""
+    g = len(L.brackets)
+    l = sum(1 for j in range(g) if not any(L.brackets[i][j] for i in range(L.l)))
+    return g, l, (g + l) // 2
+
+
 def structure_records(L: LieAlgebra) -> list[Record]:
     col = _Collector("structure")
     rd = L.rd
@@ -182,7 +189,7 @@ def structure_records(L: LieAlgebra) -> list[Record]:
         "dimension_bookkeeping",
         "g = l + 2 #positive roots and d = (g + l)/2",
         (rd.g, rd.l, rd.d),
-        lambda: (L.g, L.l, L.d),
+        lambda: _table_dimensions(L),
     )
     col.add(
         "dim_gamma_2rho",

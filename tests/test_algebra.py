@@ -1,5 +1,6 @@
 """Concrete algebras: brackets, Killing form, trilinear form, involutions, subspaces."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -53,6 +54,39 @@ def test_sparse_kappa_is_the_dense_trace_form(fixture, request):
     e = L.basis_vector
     assert all(L.kappa_pair(e(i), e(j)) == dense_kappa[i, j] for i in range(L.g) for j in range(L.g))
     assert all(0 not in row.values() for row in L.kappa)
+
+
+# sha256 of each type's bracket table and sparse kappa, as written by _table_digest
+TABLE_DIGESTS = {
+    "A1": "9717a29c9775d911fd727adcc302da1d6de27fcbbccc8b532e8315a76b17c5f7",
+    "A2": "b9db1ab8770203253566aba499ccc782111d83dd705426c00a4aeb8dc38d6703",
+    "A3": "ee2895658526c2f4c536c76755971868af9315e8b9bfa764318dbfc978f49bad",
+    "B2": "f84545d9d7449d374ae1642c602933a0f7d9d03c5301fcac5ddce4609e34231a",
+    "B3": "720f9e009a1f0807892f1ae2798caeacfa877cb835c664012a12a4d296b1fced",
+    "C2": "cff27b72ca6d22759f671331e5b7794c0340132aeb96b24784e450d4d2fa886b",
+    "C3": "0b9fae7fb0417194d37dd223f145ab00a69812b89971756e84f3351f52a094d7",
+    "D3": "ab88d655b060611fa78ea48bab8bc31f8dd318cf58604b33c7f67231399060c7",
+    "D4": "76e6c6ff85ee9b9c386f572b4c016bedc8bf28246f747304e6c8c3016ebae856",
+    "G2": "2f5bcad65fe9399689f748bcd28e6c36ef657eed14461419c4e0ac3e63169d81",
+}
+
+
+def _table_digest(L) -> str:
+    h = hashlib.sha256()
+    for i, row in enumerate(L.brackets):
+        for j, cell in enumerate(row):
+            for k, c in sorted(cell.items()):
+                h.update(f"b{i},{j},{k}:{c};".encode())
+    for i, row in enumerate(L.kappa):
+        for j, c in sorted(row.items()):
+            h.update(f"k{i},{j}:{c};".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_DIGESTS))
+def test_structure_constants_and_kappa_match_their_digest(label):
+    L = build_algebra(build_root_datum(label[0], int(label[1:])))
+    assert _table_digest(L) == TABLE_DIGESTS[label]
 
 
 _CHECKS_AND_ORACLES = (

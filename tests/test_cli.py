@@ -87,6 +87,19 @@ def test_corruption_breaks_structure_suite(tmp_path):
     assert "jacobi_identity" in failing
 
 
+def test_cartan_corruption_breaks_dimension_bookkeeping(tmp_path):
+    # [h_0, h_1] picks up b_2: h_0 and h_1 no longer commute with the Cartan part
+    report_path = tmp_path / "bad_cartan.json"
+    out = run_cli(
+        "verify", "--type", "A2", "--suite", "structure", "--corrupt", "0,1,2",
+        "--out", str(report_path),
+    )
+    assert out.returncode == 1
+    records = {r["name"]: r for r in json.loads(report_path.read_text())["records"]}
+    assert not records["dimension_bookkeeping"]["ok"]
+    assert records["dimension_bookkeeping"]["expected"] == [8, 2, 5]
+
+
 def test_reports_reproducible(tmp_path):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["verify", "--type", "A1", "--suite", "all", "--seed", "7", "--no-timestamp"]

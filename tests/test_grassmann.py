@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullvar import grassmann
 from nullvar.algebra import Subspace, build_involution, standard_borel
 from nullvar.exterior import MultiVector, binomial_dim, degree_keys, delta, delta_star, graded_matrix, lie_action_basis
 from nullvar.grassmann import (
@@ -118,6 +119,19 @@ def test_membership_equivalence_suites(a1, a2, c2):
     # a Borel inserted deliberately: both routes say yes
     assert is_nullspace(a2, standard_borel(a2))
     assert linear_membership(a2, plucker(a2, standard_borel(a2)))
+
+
+def test_membership_suite_computes_one_plucker_vector_per_sample(a2, monkeypatch):
+    calls = []
+
+    def counting(L, V, _plucker=grassmann.plucker):
+        calls.append(V)
+        return _plucker(L, V)
+
+    monkeypatch.setattr(grassmann, "plucker", counting)
+    rep = membership_equivalence_suite(a2, 12, 42)
+    assert rep.ok and rep.chart_agree_true == 4
+    assert len(calls) == 12
 
 
 def _equivariance_oracle(L, ops):

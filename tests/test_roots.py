@@ -21,7 +21,7 @@ def _adjoint_weight(rd):
     coeffs = []
     for j in range(rd.rank):
         alpha_j = tuple(1 if k == j else 0 for k in range(rd.rank))
-        val = 2 * rd.pairing_gram(rd.highest_root, alpha_j) / rd.pairing_gram(alpha_j, alpha_j)
+        val = 2 * rd.inner(rd.highest_root, alpha_j) / rd.inner(alpha_j, alpha_j)
         assert val.denominator == 1
         coeffs.append(int(val))
     return tuple(coeffs)
@@ -56,8 +56,11 @@ def test_positive_root_counts(family, rank, n_pos):
     assert rd.g == rd.rank + 2 * n_pos
 
 
+ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4), ("G", 2)]
+
+
 def test_killing_normalization_on_adjoint():
-    for family, rank in [("A", 1), ("A", 2), ("C", 2), ("B", 3), ("D", 3), ("G", 2)]:
+    for family, rank in ALL_TYPES:
         rd = build_root_datum(family, rank)
         theta = rd.highest_root
         shifted = tuple(t + 2 * r for t, r in zip(theta, rd.rho_root))
@@ -66,7 +69,7 @@ def test_killing_normalization_on_adjoint():
 
 
 def test_every_positive_root_decomposes():
-    for family, rank in [("A", 2), ("C", 2), ("B", 3), ("G", 2)]:
+    for family, rank in ALL_TYPES:
         rd = build_root_datum(family, rank)
         pos = set(rd.positive_roots)
         for root in rd.positive_roots:
