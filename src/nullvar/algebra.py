@@ -330,23 +330,11 @@ def build_algebra(rd: RootDatum) -> LieAlgebra:
             elif s in is_root:
                 put(index[a], index[b], {index[s]: n(a, b)})
 
-    L = LieAlgebra(rd, _standard_labels(rd), _standard_weights(rd), brackets)
-    _check_root_grading(L)
-    return L
+    return LieAlgebra(rd, _standard_labels(rd), _standard_weights(rd), brackets)
 
 
 def _neg(root) -> tuple[int, ...]:
     return tuple(-c for c in root)
-
-
-def _check_root_grading(L: LieAlgebra) -> None:
-    """[h_i, x] = alpha(h_i) x must hold for every root vector of the built basis."""
-    for i in range(L.l):
-        for j in range(L.l, L.g):
-            br = L.brackets[i][j]
-            extra = [k for k in br if k != j]
-            if extra:
-                raise StructureError(f"[h{i + 1}, {L.labels[j]}] leaves the root line")
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +442,6 @@ class Subspace:
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.L is other.L and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((id(self.L), tuple(frozenset(row.items()) for row in self.rows)))
 
     def contains(self, vector: Vector) -> bool:
         """Reduce ``vector`` by each echelon row at its pivot; it lies in S iff nothing is left."""
@@ -569,9 +554,7 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
         raise InvolutionError("need one sign in {+1,-1} per simple root")
     signs: list[Fraction | None] = [Fraction(s) for s in simple_signs] + [None] * (L.n_pos - L.l)
     for a in range(L.l, L.n_pos):
-        b, c = L.decomposition(a)
-        if signs[b] is None or signs[c] is None:
-            raise StructureError("positive roots are not in height order")
+        b, c = L.decomposition(a)  # two lower roots: the positive roots come by height
         n_pp = L.n_constant(L.pos_index(b), L.pos_index(c))
         n_mm = L.n_constant(L.neg_index(b), L.neg_index(c))
         signs[a] = signs[b] * signs[c] * n_mm / n_pp

@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run verification suites and write a report",
         description="Run the named verification suites and write a JSON report. The exterior suite checks "
-        "the zeta identity and the vanishing squares of the wedge and contraction operators on every basis "
-        "wedge of every degree.",
+        "the zeta identity on every basis wedge of every degree, and the vanishing squares and the invariance "
+        "of the wedge and contraction operators on the degrees that decide them.",
     )
     p_verify.add_argument("--type", required=True)
     p_verify.add_argument("--suite", default="all", choices=["all", "structure", "exterior", "nullspace", "equations", "repthy"])

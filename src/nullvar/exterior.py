@@ -28,10 +28,14 @@ returns the plain value of the form.  Any consistent choice satisfies the struct
 makes the contraction adjoint to the wedge under the kappa pairing up to one
 global sign per algebra, which verify routines measure rather than assume.
 
-``verify_zeta_identity`` checks zeta = delta_star(w) (id - casimir / c_top)
-and the vanishing squares of delta and delta_star on every basis wedge of
-every degree, in one pass that applies delta and delta_star to each wedge
-once: the exact matrix identities, column by column.
+Every operator is such a sum of substitutions for any structure constants,
+so each identity between operators is checked on the degrees that decide it.
+``verify_zeta_identity`` checks zeta = delta_star(w) (id - casimir / c_top) on
+every basis wedge of every degree, the exact matrix identity column by
+column, but the square of delta only on w_sharp and the square of delta_star
+only on degree 6.  Commuting with the Lie action is decided by
+``check_w_sharp_invariance`` for delta and on degree 3 for delta_star
+(``grassmann.check_equivariance_matrices``).
 """
 
 from __future__ import annotations
@@ -353,11 +357,8 @@ def delta_star_scalar(L: LieAlgebra) -> Fraction:
 
 def zeta(u: MultiVector) -> MultiVector:
     """delta(delta_star(u)) + delta_star(delta(u)); degree preserving."""
-    acc = MultiVector.zero(u.L, u.degree)
-    if u.degree >= 3:
-        acc = acc.add(delta(delta_star(u)))
-    down = delta_star(delta(u))
-    return acc.add(down)
+    # below degree 3 the contraction has no keys, so delta maps its empty image to zero
+    return delta(delta_star(u)).add(delta_star(delta(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +443,9 @@ def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> SparseMatrix:
     return SparseMatrix(len(tkeys), tuple(rows))
 
 
+@per_algebra
 def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
-    """Rank of the named weight-preserving operator at degree k, by weight blocks."""
+    """Rank of the named weight-preserving operator at degree k, by weight blocks; eliminated once per algebra."""
     fn, shift = _OPS[name]
     target = k + shift
     if binomial_dim(L.g, target) == 0 or binomial_dim(L.g, k) == 0:
@@ -536,7 +538,7 @@ def verify_exact_sequences(L: LieAlgebra) -> ExactSequenceReport:
     records = []
     for k in range(0, L.g + 1):
         n_k = binomial_dim(L.g, k) - ranks[k]
-        r_k = ranks.get(k - 3, 0) if k - 3 >= 0 else 0
+        r_k = ranks.get(k - 3, 0)
         m_k = gamma_multiplicity(L, k)
         records.append(
             DegreeRecord(
@@ -554,39 +556,40 @@ def verify_exact_sequences(L: LieAlgebra) -> ExactSequenceReport:
 def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
     """Check zeta = delta_star(w) (id - casimir / c_top) and that delta and delta_star square to zero.
 
-    Both are checked on every basis wedge of every degree, which is the exact
-    matrix identity column by column.  The images of each wedge under delta
-    and delta_star are computed once and serve both squares and both halves
-    of zeta.  Returns ``(squares_ok, zeta_ok)`` with ``zeta_ok[k]`` the
-    verdict at degree k; the squares check stops at its first failure, and
-    each degree's zeta check at its first failing wedge.
+    Returns ``(squares_ok, zeta_ok)`` with ``zeta_ok[k]`` the verdict at
+    degree k.  Zeta is checked on every basis wedge of every degree, which is
+    the exact matrix identity column by column; each degree stops at its
+    first failing wedge.  Each square is checked where it is decided, for any
+    structure constants.  The wedge is associative, so delta twice is the
+    wedge with w_sharp ^ w_sharp = delta(w_sharp), and it vanishes iff that
+    one multivector does.  Contracting twice takes out six factors at a time,
+    with the shuffle sign and a coefficient that depends only on those six,
+    so delta_star twice is the contraction by a six-form: it vanishes iff
+    that form does, that is iff it maps every degree-6 basis wedge to zero.
     """
+    squares_ok = delta(w_sharp(L)).is_zero() and all(
+        delta_star(delta_star(MultiVector.over(L, 6, {key: 1}))).is_zero() for key in degree_keys(L, 6)
+    )
     scalar = delta_star_scalar(L)
     ratio = scalar / casimir_eigenvalue(L.rd, two_rho(L.rd))
-    squares_ok = True
-    zeta_ok = []
-    for k in range(0, L.g + 1):
-        ok = True
-        for key in degree_keys(L, k):
-            if not (ok or squares_ok):
-                break
-            u = MultiVector.over(L, k, {key: 1})
-            up, down = delta(u), delta_star(u)
-            # delta twice lands above degree g unless k + 6 <= g, delta_star twice
-            # below degree 0 unless k >= 6; there the square is zero for want of keys
-            if squares_ok and (
-                k + 6 <= L.g and not delta(up).is_zero() or k >= 6 and not delta_star(down).is_zero()
-            ):
-                squares_ok = False
-            # zeta(u) + (scalar / c_top) casimir(u) = scalar u
-            if ok and delta(down).add(delta_star(up)).add(casimir(u).scale(ratio)) != u.scale(scalar):
-                ok = False
-        zeta_ok.append(ok)
+
+    def holds(key: int, k: int) -> bool:
+        # zeta(u) + (scalar / c_top) casimir(u) = scalar u
+        u = MultiVector.over(L, k, {key: 1})
+        return zeta(u).add(casimir(u).scale(ratio)) == u.scale(scalar)
+
+    zeta_ok = [all(holds(key, k) for key in degree_keys(L, k)) for k in range(L.g + 1)]
     return squares_ok, zeta_ok
 
 
+@per_algebra
 def check_w_sharp_invariance(L: LieAlgebra) -> bool:
-    """Lie derivative of the degree-3 form by every basis element vanishes."""
+    """Lie derivative of the degree-3 form by every basis element vanishes.
+
+    This decides whether delta commutes with every basis Lie action D_i: D_i
+    is a derivation for any structure constants, so [D_i, delta] is the wedge
+    with D_i(w_sharp), and on the scalar 1 it returns D_i(w_sharp) itself.
+    """
     ws = w_sharp(L)
     return all(lie_action_basis(L, i, ws).is_zero() for i in range(L.g))
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Subspace, orthogonal_complement
+from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
 from .exterior import (
     MultiVector,
     _bits,
@@ -90,9 +90,7 @@ def equation_set(L: LieAlgebra) -> LinearEquationSet:
 
 
 def equation_count(L: LieAlgebra) -> int:
-    """Independent linear equations: rank of the wedge map from degree d-3."""
-    if L.d - 3 < 0:
-        return 0
+    """Independent linear equations: rank of the wedge map from degree d-3, shared with the exact sequences."""
     return blocked_rank(L, "delta", L.d - 3)
 
 
@@ -212,24 +210,23 @@ def membership_equivalence_suite(L: LieAlgebra, samples: int, seed: int) -> Memb
     )
 
 
-def check_equivariance_matrices(L: LieAlgebra, ops) -> bool:
-    """Each operator in ``ops`` commutes with every basis Lie action on every basis wedge of degree 0-3.
+@per_algebra
+def check_equivariance_matrices(L: LieAlgebra) -> bool:
+    """The contraction commutes with every basis Lie action, decided on the degree-3 basis wedges.
 
     ``lie_action_basis(L, i, .)`` is the derivation D_i extending ad b_i, for
-    any structure constants, Jacobi identity or not.  The commutator of D_i with
-    the wedge by a fixed 3-form is the wedge by D_i of that form, which degree 0
-    shows; its commutator with the contraction by a fixed 3-form is the
-    contraction by the transformed form, which degree 3 shows.  So degrees 0-3
-    decide commutation on the whole exterior algebra.  Commuting with the simple
-    root vectors alone would imply it only through the Jacobi identity, which a
-    corrupted constant breaks, so every basis element is checked.
+    any structure constants, Jacobi identity or not.  So the contraction by a
+    3-form is natural under it: [D_i, delta_star] is the contraction by the
+    3-form transformed by ad b_i, which vanishes in every degree iff that form
+    does, that is iff it does on the degree-3 basis wedges.  Degrees 0-2 are
+    vacuous, both sides being zero there, and on degree 3 the contraction is a
+    scalar, which D_i kills: commuting there means delta_star(D_i u) = 0.
+    Commuting with the simple root vectors alone would imply it only through
+    the Jacobi identity, which a corrupted constant breaks, so every basis
+    element is checked.  The wedge half is ``exterior.check_w_sharp_invariance``.
     """
-    for k in range(4):
-        for key in degree_keys(L, k):
-            u = MultiVector.over(L, k, {key: 1})
-            images = [op(u) for op in ops]
-            for i in range(L.g):
-                au = lie_action_basis(L, i, u)
-                if any(op(au) != lie_action_basis(L, i, image) for op, image in zip(ops, images)):
-                    return False
-    return True
+    return all(
+        delta_star(lie_action_basis(L, i, MultiVector.over(L, 3, {key: 1}))).is_zero()
+        for key in degree_keys(L, 3)
+        for i in range(L.g)
+    )

@@ -30,7 +30,6 @@ from .algebra import (
     check_root_space_pairing,
     check_w_antisymmetry,
     orthogonal_complement,
-    per_algebra,
     root_pair_plane,
     standard_borel,
 )
@@ -40,8 +39,6 @@ from .exterior import (
     borel_top_wedge,
     casimir,
     check_w_sharp_invariance,
-    delta,
-    delta_star,
     delta_star_scalar,
     verify_exact_sequences,
     verify_zeta_identity,
@@ -284,7 +281,7 @@ def exterior_records(L: LieAlgebra) -> list[Record]:
     col.add(
         "delta_rank_into_degree_d",
         "independent linear equations: rank of the wedge map into degree d",
-        lambda: _equation_rank(L),
+        lambda: blocked_rank(L, "delta_star", L.d),
         lambda: srep().records[L.d].rank_delta_in,
     )
     if L.d - 3 == 3:
@@ -301,30 +298,9 @@ def exterior_records(L: LieAlgebra) -> list[Record]:
         "operator_invariance",
         "wedge and contraction commute with every basis Lie action",
         True,
-        lambda: _equivariant(L, delta) and _equivariant(L, delta_star),
+        lambda: check_w_sharp_invariance(L) and check_equivariance_matrices(L),
     )
     return col.records
-
-
-@per_algebra
-def _equation_rank(L: LieAlgebra) -> int:
-    """Rank of the contraction at degree d: the equations are its rows.
-
-    The exterior and equations suites both expect it, so it is computed once
-    per algebra.
-    """
-    return blocked_rank(L, "delta_star", L.d)
-
-
-@per_algebra
-def _equivariant(L: LieAlgebra, op) -> bool:
-    """Whether ``op`` commutes with every basis Lie action.
-
-    The exterior suite reads it for the wedge and the contraction and the
-    equations suite for the contraction, so each verdict is computed once per
-    algebra.
-    """
-    return check_equivariance_matrices(L, (op,))
 
 
 def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
@@ -493,13 +469,13 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     col.add(
         "equation_count",
         "rank of the wedge map into degree d equals the rank of the contraction at degree d",
-        lambda: _equation_rank(L),
+        lambda: blocked_rank(L, "delta_star", L.d),
         count,
     )
     col.add(
         "residual_dimension",
         "ambient Plucker dimension minus the equation rank",
-        lambda: ambient - _equation_rank(L),
+        lambda: ambient - blocked_rank(L, "delta_star", L.d),
         lambda: ambient - count(),
     )
     col.add(
@@ -512,7 +488,7 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
         "contraction_equivariance",
         "the contraction commutes with every basis Lie action at low degrees",
         True,
-        lambda: _equivariant(L, delta_star),
+        lambda: check_equivariance_matrices(L),
     )
     return col.records
 

@@ -225,6 +225,17 @@ def test_report_is_byte_identical_to_golden(label, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_g2_exterior_report_is_byte_identical_to_golden(tmp_path):
+    # regenerate with: NULLVAR_MAX_G=14 nullvar verify --type G2 --suite exterior --seed 42 --no-timestamp --out <file>
+    out = tmp_path / "report.json"
+    result = run_cli(
+        "verify", "--type", "G2", "--suite", "exterior", "--seed", "42", "--no-timestamp", "--out", str(out),
+        env_extra={"NULLVAR_MAX_G": "14"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "verify_G2_exterior_seed42.json").read_bytes()
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -497,9 +497,42 @@ def test_zeta_identity_fails_degreewise_on_corrupted_c2(c2):
     assert zeta_ok == [True] + [False] * 9 + [True]
 
 
+def _zeta_and_squares_oracle(L):
+    """The per-wedge loop: both squares and zeta on every basis wedge of every degree."""
+    scalar = delta_star_scalar(L)
+    ratio = scalar / casimir_eigenvalue(L.rd, two_rho(L.rd))
+    squares_ok = True
+    zeta_ok = []
+    for k in range(L.g + 1):
+        ok = True
+        for key in degree_keys(L, k):
+            u = MultiVector.over(L, k, {key: 1})
+            up, down = delta(u), delta_star(u)
+            if not delta(up).is_zero() or not delta_star(down).is_zero():
+                squares_ok = False
+            if ok and delta(down).add(delta_star(up)).add(casimir(u).scale(ratio)) != u.scale(scalar):
+                ok = False
+        zeta_ok.append(ok)
+    return squares_ok, zeta_ok
+
+
+@pytest.mark.parametrize("fixture", ["a2", "c2"])
+def test_squares_on_their_deciding_degrees_match_the_per_wedge_loop(fixture, request):
+    # delta twice is read off delta(w_sharp) and delta_star twice off degree 6
+    L = request.getfixturevalue(fixture)
+    rng = Lcg(7)
+    corruptions = [(2, 3, 1)]
+    while len(corruptions) < 4:
+        i, j, k = (rng.randint(0, L.g - 1) for _ in range(3))
+        if i != j:
+            corruptions.append((i, j, k))
+    for M in [L] + [L.with_corrupted_constant(*c) for c in corruptions]:
+        assert verify_zeta_identity(M) == _zeta_and_squares_oracle(M)
+
+
 def test_operator_invariance(a1, a2):
-    assert check_equivariance_matrices(a1, (delta, delta_star))
-    assert check_equivariance_matrices(a2, (delta, delta_star))
+    for L in (a1, a2):
+        assert check_w_sharp_invariance(L) and check_equivariance_matrices(L)
 
 
 def test_zeta_commutes_with_casimir_low_degrees(a2):

@@ -6,7 +6,16 @@ import pytest
 
 from nullvar import grassmann
 from nullvar.algebra import Subspace, build_involution, standard_borel
-from nullvar.exterior import MultiVector, binomial_dim, degree_keys, delta, delta_star, graded_matrix, lie_action_basis
+from nullvar.exterior import (
+    MultiVector,
+    binomial_dim,
+    check_w_sharp_invariance,
+    degree_keys,
+    delta,
+    delta_star,
+    graded_matrix,
+    lie_action_basis,
+)
 from nullvar.grassmann import (
     check_equivariance_matrices,
     equation_count,
@@ -148,16 +157,17 @@ def _equivariance_oracle(L, ops):
 
 def test_equivariance(a1, a2):
     for L in (a1, a2):
-        assert check_equivariance_matrices(L, (delta_star,))
-        assert check_equivariance_matrices(L, (delta,))
+        assert check_equivariance_matrices(L)
+        assert check_w_sharp_invariance(L)
 
 
 # a corruption that the simple root vectors e_+-alpha_i alone do not detect:
 # without the Jacobi identity they no longer generate the action
 @pytest.mark.parametrize("fixture,generators_miss", [("a2", (0, 4, 6)), ("c2", (0, 4, 7))], ids=["a2", "c2"])
 def test_equivariance_matches_all_degree_oracle(fixture, generators_miss, request):
-    # degrees 0-3 decide commutation on the whole exterior algebra, corrupted
-    # constants included; the oracle checks every degree
+    # w_sharp decides commutation with delta and degree 3 with delta_star, on
+    # the whole exterior algebra and corrupted constants included; the oracle
+    # checks every degree
     L = request.getfixturevalue(fixture)
     rng = Lcg(13)
     corruptions = [(2, 3, 1), generators_miss]
@@ -167,5 +177,5 @@ def test_equivariance_matches_all_degree_oracle(fixture, generators_miss, reques
             corruptions.append((i, j, k))
     algebras = [L] + [L.with_corrupted_constant(*c) for c in corruptions]
     for M in algebras:
-        for ops in ((delta,), (delta_star,), (delta, delta_star)):
-            assert check_equivariance_matrices(M, ops) == _equivariance_oracle(M, ops) == (M is L)
+        assert check_w_sharp_invariance(M) == _equivariance_oracle(M, (delta,)) == (M is L)
+        assert check_equivariance_matrices(M) == _equivariance_oracle(M, (delta_star,)) == (M is L)

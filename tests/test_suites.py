@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nullvar import suites
+from nullvar import exterior, suites
 from nullvar.algebra import build_algebra
 from nullvar.exterior import ExactSequenceReport
 from nullvar.roots import build_root_datum
@@ -65,20 +65,24 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
     records = list(report.records)
     records[L.d] = dataclasses.replace(records[L.d], rank_delta_in=records[L.d].rank_delta_in + 1)
     monkeypatch.setattr(suites, "verify_exact_sequences", lambda L: ExactSequenceReport(tuple(records)))
-    calls = []
-    original = suites.blocked_rank
+    blocks = []
+    original = exterior._block_matrix
 
-    def counting(L, name, k):
-        calls.append((name, k))
-        return original(L, name, k)
+    def counting(L, fn, k, keys, tkeys):
+        blocks.append((fn.__name__, k, tuple(keys)))
+        return original(L, fn, k, keys, tkeys)
 
-    monkeypatch.setattr(suites, "blocked_rank", counting)
+    monkeypatch.setattr(exterior, "_block_matrix", counting)
     config = suites.SuiteConfig("A", 2, samples=12)
     records = {r.name: r for r in suites.exterior_records(L) + suites.equations_records(L, config)}
     assert records["delta_rank_into_degree_d"].ok is False
     assert (records["delta_rank_into_degree_d"].expected, records["delta_rank_into_degree_d"].got) == (28, 29)
     assert records["equation_count"].ok and records["equation_count"].expected == 28
-    assert calls == [("delta_star", L.d)]
+    # three records expect the contraction rank, eliminated once block by
+    # block; equation_count reads the wedge rank that the exact sequences
+    # eliminated above, before the count began
+    assert {(name, k) for name, k, _ in blocks} == {("delta_star", L.d)}
+    assert len(blocks) == len(set(blocks)) == len(exterior.weight_blocks(L, L.d))
 
 
 def test_every_single_constant_corruption_turns_structure_red(a2):
