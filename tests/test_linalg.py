@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nullvar import exterior
+from nullvar.algebra import build_algebra
 from nullvar.linalg import (
     Matrix,
     SparseMatrix,
@@ -18,6 +19,7 @@ from nullvar.linalg import (
     rank,
     rref,
 )
+from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 
 from dense_oracles import identity
@@ -165,8 +167,10 @@ def _assert_matches_oracle(m: Matrix):
 
 
 @pytest.mark.parametrize("name", ["a2", "c2"])
-def test_rref_matches_fraction_oracle_on_weight_blocks(name, request, monkeypatch):
-    L = request.getfixturevalue(name)
+def test_rref_matches_fraction_oracle_on_weight_blocks(name, monkeypatch):
+    # a fresh algebra: blocked_rank is cached per algebra, and a shared fixture's
+    # cache would answer the delta and delta_star ranks without eliminating
+    L = build_algebra(build_root_datum(name[0].upper(), int(name[1:])))
     blocks = []
 
     def checked_rank(m):
@@ -182,9 +186,15 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, request, monkeypatc
     monkeypatch.setattr(exterior, "rank", checked_rank)
     for k in range(L.g + 1):
         exterior.blocked_rank(L, "delta", k)
+    rectangular = [m for m in blocks if m.rows != m.cols]
+    assert rectangular  # the delta blocks reached the oracle, not a cache
+    seen = len(blocks)
     exterior.blocked_rank(L, "delta_star", L.d)
+    assert any(m.rows != m.cols for m in blocks[seen:])
+    seen = len(blocks)
     # the square blocks of casimir minus a scalar, ranked for eigenspace dimensions
     exterior.blocked_eigenspace_dim(L, "casimir", L.d, 1)
+    assert len(blocks) > seen
     assert len(blocks) > L.g
     assert any(rank(m) < m.rows for m in blocks)  # dependent rows get eliminated too
 
