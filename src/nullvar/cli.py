@@ -200,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run verification suites and write a report",
         description="Run the named verification suites and write a JSON report. The exterior suite checks "
-        "the zeta identity on every basis wedge of every degree, and the vanishing squares and the invariance "
-        "of the wedge and contraction operators on the degrees that decide them.",
+        "the zeta identity on every basis wedge of one weight block per Weyl orbit (of every block when the "
+        "Tits lifts of the simple reflections are not certified automorphisms), and the vanishing squares and "
+        "the invariance of the wedge and contraction operators on the degrees that decide them.",
     )
     p_verify.add_argument("--type", required=True)
     p_verify.add_argument("--suite", default="all", choices=["all", "structure", "exterior", "nullspace", "equations", "repthy"])

@@ -36,6 +36,15 @@ column, but the square of delta only on w_sharp and the square of delta_star
 only on degree 6.  Commuting with the Lie action is decided by
 ``check_w_sharp_invariance`` for delta and on degree 3 for delta_star
 (``grassmann.check_equivariance_matrices``).
+
+Every operator preserves the Cartan weight, so ranks, eigenspace dimensions
+and the zeta identity are computed on weight blocks, one block per Weyl orbit
+of weights.  The Tits lift n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i) of each
+simple reflection s_i is an automorphism of g that maps block mu onto block
+s_i mu and commutes with every operator above, so each block's result is its
+dominant conjugate's.  ``weyl.tits_lifts_certified`` builds each lift exactly
+and checks it on the algebra at hand; when a check fails, as on a corrupted
+algebra, every block is computed.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from math import comb, gcd, lcm
 from .algebra import LieAlgebra, Vector, per_algebra
 from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank
 from .roots import casimir_eigenvalue, dim_gamma_two_rho, two_rho
+from .weyl import dominant, tits_lifts_certified
 
 
 def binomial_dim(g: int, k: int) -> int:
@@ -443,39 +453,71 @@ def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> SparseMatrix:
     return SparseMatrix(len(tkeys), tuple(rows))
 
 
+# ---------------------------------------------------------------------------
+# Weyl-orbit reduction of the weight blocks
+
+
+def orbit_representatives(L: LieAlgebra, k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each degree-k block weight, mapped to the weight of the block computed for it.
+
+    That is its dominant Weyl conjugate when ``weyl.tits_lifts_certified``
+    holds, and the weight itself otherwise, so every block stands for itself.
+    """
+    blocks = weight_blocks(L, k)
+    if not tits_lifts_certified(L):
+        return {wt: wt for wt in blocks}
+    return {wt: dominant(L.rd, wt) for wt in blocks}
+
+
+def _orbit_sum(L: LieAlgebra, k: int, value) -> int:
+    """The sum of ``value(weight)`` over the degree-k blocks, computed once per representative."""
+    found: dict[tuple[int, ...], int] = {}
+    total = 0
+    for rep in orbit_representatives(L, k).values():
+        if rep not in found:
+            found[rep] = value(rep)
+        total += found[rep]
+    return total
+
+
 @per_algebra
 def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
-    """Rank of the named weight-preserving operator at degree k, by weight blocks; eliminated once per algebra."""
+    """Rank of the named weight-preserving operator at degree k, by weight blocks; eliminated once per algebra.
+
+    Each block's rank is its representative's (``orbit_representatives``).
+    """
     fn, shift = _OPS[name]
     target = k + shift
     if binomial_dim(L.g, target) == 0 or binomial_dim(L.g, k) == 0:
         return 0
-    target_blocks = weight_blocks(L, target)
-    total = 0
-    for wt, keys in weight_blocks(L, k).items():
+    blocks, target_blocks = weight_blocks(L, k), weight_blocks(L, target)
+
+    def block_rank(wt) -> int:
         tkeys = target_blocks.get(wt, [])
-        block = _block_matrix(L, fn, k, keys, tkeys)
-        if tkeys:
-            total += rank(block)
-    return total
+        block = _block_matrix(L, fn, k, blocks[wt], tkeys)
+        return rank(block) if tkeys else 0
+
+    return _orbit_sum(L, k, block_rank)
 
 
 def blocked_eigenspace_dim(L: LieAlgebra, name: str, k: int, scalar) -> int:
-    """Dimension of the eigenspace of a degree-preserving operator at degree k."""
+    """Dimension of the eigenspace of a degree-preserving operator at degree k, by representative blocks."""
     fn, shift = _OPS[name]
     if shift != 0:
         raise ValueError("eigenspaces only for degree-preserving operators")
     scalar = frac(scalar)
+    blocks = weight_blocks(L, k)
 
     def shifted(u: MultiVector) -> MultiVector:
         return fn(u).sub(u.scale(scalar))
 
-    total = 0
-    for keys in weight_blocks(L, k).values():
+    def block_dim(wt) -> int:
         # the rows are images, so the eigenspace has the dimension of the left
         # kernel of the square block of (op - scalar): its size minus its rank
-        total += len(keys) - rank(_block_matrix(L, shifted, k, keys, keys))
-    return total
+        keys = blocks[wt]
+        return len(keys) - rank(_block_matrix(L, shifted, k, keys, keys))
+
+    return _orbit_sum(L, k, block_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +599,15 @@ def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
     """Check zeta = delta_star(w) (id - casimir / c_top) and that delta and delta_star square to zero.
 
     Returns ``(squares_ok, zeta_ok)`` with ``zeta_ok[k]`` the verdict at
-    degree k.  Zeta is checked on every basis wedge of every degree, which is
-    the exact matrix identity column by column; each degree stops at its
-    first failing wedge.  Each square is checked where it is decided, for any
-    structure constants.  The wedge is associative, so delta twice is the
-    wedge with w_sharp ^ w_sharp = delta(w_sharp), and it vanishes iff that
-    one multivector does.  Contracting twice takes out six factors at a time,
+    degree k.  Zeta is checked on every basis wedge of each representative
+    weight block (``orbit_representatives``), of every block when the Weyl
+    reduction is not certified.  The difference of the two sides commutes
+    with each certified Tits lift, so this is the exact matrix identity,
+    column by column; each degree stops at its first failing wedge.  Each
+    square is checked where it is decided, for any structure constants.
+    The wedge is associative, so delta twice is the wedge with
+    w_sharp ^ w_sharp = delta(w_sharp), and it vanishes iff that one
+    multivector does.  Contracting twice takes out six factors at a time,
     with the shuffle sign and a coefficient that depends only on those six,
     so delta_star twice is the contraction by a six-form: it vanishes iff
     that form does, that is iff it maps every degree-6 basis wedge to zero.
@@ -578,7 +623,11 @@ def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
         u = MultiVector.over(L, k, {key: 1})
         return zeta(u).add(casimir(u).scale(ratio)) == u.scale(scalar)
 
-    zeta_ok = [all(holds(key, k) for key in degree_keys(L, k)) for k in range(L.g + 1)]
+    zeta_ok = []
+    for k in range(L.g + 1):
+        blocks = weight_blocks(L, k)
+        reps = dict.fromkeys(orbit_representatives(L, k).values())
+        zeta_ok.append(all(holds(key, k) for rep in reps for key in blocks[rep]))
     return squares_ok, zeta_ok
 
 

@@ -78,11 +78,13 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
     assert records["delta_rank_into_degree_d"].ok is False
     assert (records["delta_rank_into_degree_d"].expected, records["delta_rank_into_degree_d"].got) == (28, 29)
     assert records["equation_count"].ok and records["equation_count"].expected == 28
-    # three records expect the contraction rank, eliminated once block by
-    # block; equation_count reads the wedge rank that the exact sequences
-    # eliminated above, before the count began
-    assert {(name, k) for name, k, _ in blocks} == {("delta_star", L.d)}
-    assert len(blocks) == len(set(blocks)) == len(exterior.weight_blocks(L, L.d))
+    # three records expect the contraction rank, eliminated once per Weyl-orbit
+    # representative block; equation_count reads the wedge rank that the
+    # exact sequences eliminated above, before the count began
+    weights = exterior.weight_blocks(L, L.d)
+    reps = set(exterior.orbit_representatives(L, L.d).values())
+    assert len(blocks) == len(set(blocks))
+    assert set(blocks) == {("delta_star", L.d, tuple(weights[rep])) for rep in reps}
 
 
 def test_every_single_constant_corruption_turns_structure_red(a2):
