@@ -421,6 +421,18 @@ def check_kappa_root_form(L: LieAlgebra) -> list[tuple]:
     return [(i, j) for i in range(L.g) for j in range(i, L.g) if L.kappa[i].get(j, 0) != expected(i, j)]
 
 
+def bracket_defect(L: LieAlgebra, images: list[Vector]) -> tuple[int, int] | None:
+    """The first ordered basis pair (a, b) with phi[b_a, b_b] != [phi b_a, phi b_b], or None.
+
+    phi is the linear map sending b_j to images[j]; None means it preserves
+    every bracket of the table.
+    """
+    for a, b in itertools.product(range(L.g), repeat=2):
+        if combine((c, images[m]) for m, c in L.brackets[a][b].items()) != L.bracket(images[a], images[b]):
+            return a, b
+    return None
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -456,22 +468,6 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace(self.L, self.rows + other.rows)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Combinations of the rows of S that are also combinations of the rows of T.
-
-        The coefficients (c, c') with sum c_r s_r + sum c'_r t_r = 0 form the
-        kernel of the matrix whose columns are the rows s_r and t_r, and each
-        gives the common vector sum c_r s_r.
-        """
-        columns = [{} for _ in range(self.L.g)]
-        for r, row in enumerate(self.rows + other.rows):
-            for j, x in row.items():
-                columns[j][r] = x
-        kernel = kernel_basis(SparseMatrix.scaled(self.dim + other.dim, columns))
-        return Subspace(
-            self.L, [combine((c, self.rows[r]) for r, c in coeffs.items() if r < self.dim) for coeffs in kernel]
-        )
 
     def to_json(self) -> dict:
         g = self.L.g
@@ -545,9 +541,8 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
     remaining positive roots is forced by the automorphism property.  It is
     a nonzero rational, a unit when the root vectors are Chevalley
     normalized (as ``build_algebra`` builds them), and sigma squared is the
-    identity either way.  With sigma(b_i) = c_i b_pi(i), sigma[b_i, b_j] =
-    [sigma b_i, sigma b_j] is checked on every basis pair i < j on the bracket
-    table: {pi(k): c_k C_ij^k} must equal {m: c_i c_j C_pi(i)pi(j)^m}.
+    identity either way.  sigma is the signed permutation sigma(b_i) =
+    c_i b_pi(i), and ``bracket_defect`` checks it on every ordered basis pair.
     """
     simple_signs = tuple(int(s) for s in simple_signs)
     if len(simple_signs) != L.l or any(s not in (1, -1) for s in simple_signs):
@@ -561,10 +556,7 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
 
     perm = list(range(L.l)) + [L.partner(i) for i in range(L.l, L.g)]
     scale = [Fraction(-1)] * L.l + signs + [1 / t for t in signs]
-    for i in range(L.g):
-        for j in range(i + 1, L.g):
-            lhs = {perm[k]: scale[k] * c for k, c in L.brackets[i][j].items() if c}
-            rhs = {m: scale[i] * scale[j] * c for m, c in L.brackets[perm[i]][perm[j]].items() if c}
-            if lhs != rhs:
-                raise InvolutionError(f"sigma fails to be an automorphism on ({i},{j})")
+    defect = bracket_defect(L, [{perm[i]: scale[i]} for i in range(L.g)])
+    if defect is not None:
+        raise InvolutionError("sigma fails to be an automorphism on (%d,%d)" % defect)
     return Involution(L, signs)

@@ -19,7 +19,7 @@ from .algebra import Subspace, build_algebra
 from .grassmann import equation_set, linear_membership, plucker
 from .roots import UnsupportedTypeError, algebra_dimension, build_root_datum, dim_gamma_two_rho, parse_type_label
 from .suites import SuiteConfig, run_suites
-from .variety import chart, degenerate, is_nullspace, orbit_label, parabolic_profile
+from .variety import chart, degenerate, is_nullspace, parabolic_profile
 
 DEFAULT_MAX_G = 10
 
@@ -168,14 +168,13 @@ def cmd_orbits(args) -> int:
 
     rows = []
     for pattern in itertools.product((0, 1), repeat=rd.rank):
-        t = tuple(Fraction(x) for x in pattern)
-        label = orbit_label(L, t)
-        dim_p, included = parabolic_profile(L, chart(L, t))
+        nonzero = [i for i, x in enumerate(pattern) if x]
+        dim_p, included = parabolic_profile(L, chart(L, pattern))
         rows.append(
             {
                 "pattern": list(pattern),
-                "I": list(label.nonzero),
-                "codim": label.codim,
+                "I": nonzero,
+                "codim": rd.rank - len(nonzero),
                 "dim_parabolic": dim_p,
                 "negative_simple_spaces": list(included),
             }

@@ -500,16 +500,13 @@ def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
     return _orbit_sum(L, k, block_rank)
 
 
-def blocked_eigenspace_dim(L: LieAlgebra, name: str, k: int, scalar) -> int:
-    """Dimension of the eigenspace of a degree-preserving operator at degree k, by representative blocks."""
-    fn, shift = _OPS[name]
-    if shift != 0:
-        raise ValueError("eigenspaces only for degree-preserving operators")
+def blocked_eigenspace_dim(L: LieAlgebra, k: int, scalar) -> int:
+    """Dimension of the Casimir eigenspace of ``scalar`` at degree k, by representative blocks."""
     scalar = frac(scalar)
     blocks = weight_blocks(L, k)
 
     def shifted(u: MultiVector) -> MultiVector:
-        return fn(u).sub(u.scale(scalar))
+        return casimir(u).sub(u.scale(scalar))
 
     def block_dim(wt) -> int:
         # the rows are images, so the eigenspace has the dimension of the left

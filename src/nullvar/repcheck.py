@@ -70,8 +70,6 @@ def ambient_dimension(claim: DecompositionClaim) -> int:
         return comb(int(claim.ambient["space_dim"]), int(claim.ambient["degree"]))
     if kind == "hook_content":
         return hook_content_dim(claim.ambient["partition"], int(claim.ambient["n"]))
-    if kind == "explicit":
-        return int(claim.ambient["dim"])
     raise ValueError(f"unknown ambient kind {kind!r}")
 
 
@@ -144,7 +142,7 @@ def verify_gamma_window(L: LieAlgebra) -> WindowReport:
     scalar = casimir_eigenvalue(L.rd, two_rho(L.rd))
     records = []
     for k in range(0, L.g + 1):
-        found = blocked_eigenspace_dim(L, "casimir", k, scalar)
+        found = blocked_eigenspace_dim(L, k, scalar)
         expected = gamma_multiplicity(L, k)
         records.append(WindowRecord(k=k, eigenspace_dim=found, expected=expected, ok=(found == expected)))
     symmetric = all(

@@ -1,6 +1,8 @@
 """Root systems of the classical families (plus G2), Weyl vector, dimension formula.
 
-Roots are integer vectors over the simple roots.  ``RootDatum.gram`` is the
+Roots are integer vectors over the simple roots, generated from them by the
+simple reflections of ``reflect``, the one Weyl action (``weyl.dominant``
+walks weights with it too).  ``RootDatum.gram`` is the
 Gram matrix of the simple roots scaled so that <theta, theta + 2 rho> = 1 for
 the highest root theta: the Casimir scalar of the adjoint representation is
 1, matching the Killing form built downstream from structure constants.
@@ -163,35 +165,31 @@ def _pair(gram, u, v) -> Fraction:
     return acc
 
 
-def _close_positive_roots(gram, l: int) -> list[tuple[int, ...]]:
-    """Generate all positive roots from the simple ones by root strings."""
-    simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
-    known = set(simples)
-    by_height: dict[int, list[tuple[int, ...]]] = {1: list(simples)}
-    h = 1
-    while by_height.get(h):
-        nxt: list[tuple[int, ...]] = []
-        for beta in by_height[h]:
-            for i, alpha in enumerate(simples):
-                gamma = tuple(b + a for b, a in zip(beta, alpha))
-                if gamma in known:
-                    continue
-                # beta - k*alpha_i string going down
-                p = 0
-                cur = tuple(b - a for b, a in zip(beta, alpha))
-                while cur in known:
-                    p += 1
-                    cur = tuple(b - a for b, a in zip(cur, alpha))
-                pairing = 2 * _pair(gram, beta, alpha) / _pair(gram, alpha, alpha)
-                if p - pairing > 0:
-                    known.add(gamma)
-                    nxt.append(gamma)
-        h += 1
-        if nxt:
-            by_height[h] = nxt
+def pairing(cartan, weight: tuple[int, ...], i: int) -> int:
+    """<weight, a_i^v> for a weight over the simple roots, with cartan[j][i] = <a_j, a_i^v>."""
+    return sum(c * row[i] for c, row in zip(weight, cartan))
+
+
+def reflect(cartan, weight: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The simple reflection s_i(weight) = weight - <weight, a_i^v> a_i."""
+    return weight[:i] + (weight[i] - pairing(cartan, weight, i),) + weight[i + 1:]
+
+
+def _positive_roots(cartan, l: int) -> list[tuple[int, ...]]:
+    """The simple roots and every image under simple reflections that stays nonnegative.
+
+    A non-simple positive root reflects, in some simple root, to a lower
+    positive root (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 10.2-10.3), so the search from the simple roots reaches them all.
+    """
+    found = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+    for root in found:  # the list grows while it is walked
+        for i in range(l):
+            image = reflect(cartan, root, i)
+            if min(image) >= 0 and image not in found:
+                found.append(image)
     # height first, then natural simple-root order within a height
-    out = sorted(known, key=lambda r: (sum(r), tuple(-c for c in r)))
-    return out
+    return sorted(found, key=lambda r: (sum(r), tuple(-c for c in r)))
 
 
 def build_root_datum(family: str, rank: int) -> RootDatum:
@@ -202,7 +200,16 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
     """
     family = _checked_family(family, rank)
     raw = _gram_matrix(family, rank)
-    positives = _close_positive_roots(raw, rank)
+    cartan_rows = []
+    for i in range(rank):
+        row = []
+        for j in range(rank):
+            val = 2 * raw[i][j] / raw[j][j]
+            if val.denominator != 1:
+                raise AssertionError("non-integral Cartan matrix")
+            row.append(int(val))
+        cartan_rows.append(tuple(row))
+    positives = _positive_roots(cartan_rows, rank)
     expected = _POSITIVE_COUNT[family](rank)
     if len(positives) != expected:
         raise AssertionError(f"{family}{rank}: expected {expected} positive roots, got {len(positives)}")
@@ -212,16 +219,6 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
     shifted = [t + sum(col) for t, col in zip(theta, zip(*positives))]
     scale = 1 / _pair(raw, theta, shifted)
     gram = tuple(tuple(scale * x for x in row) for row in raw)
-
-    cartan_rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            val = 2 * gram[i][j] / gram[j][j]
-            if val.denominator != 1:
-                raise AssertionError("non-integral Cartan matrix")
-            row.append(int(val))
-        cartan_rows.append(tuple(row))
 
     # omega_i = sum_k (M^{-1})[i][k] alpha_k where M[k][j] = cartan[k][j]
     cartan_inv = inverse(Matrix.from_rows([[Fraction(x) for x in row] for row in cartan_rows]))

@@ -2,10 +2,13 @@
 
 A maximal nullspace containing the standard Cartan subalgebra is the Cartan
 plus one line inside each plane x_alpha, x_{-alpha}.  The chart fixes one free
-parameter per simple root; the line over a non-simple positive root gamma is
-cut out, inside its plane, by the vanishing of w against the lines of one
-decomposition gamma = alpha + beta.  Zero parameters are allowed and land on
-orbit boundary strata.
+parameter per simple root; ``chart_lines`` cuts the line over a non-simple
+positive root gamma out of its plane by the vanishing of w against the lines
+of one decomposition gamma = alpha + beta, and ``chart_disagreements`` names
+the roots where another decomposition cuts out another line.  Zero parameters
+are allowed and land on orbit boundary strata: the stratum of a chart point is
+the set of its nonzero parameters, which ``parabolic_profile`` recovers from
+the subspace alone.
 
 The local picture at the Borel goes through one sparse operator
 D(v1 ^ v2 ^ v3) = v1 (x) [v2,v3] + v2 (x) [v3,v1] + v3 (x) [v1,v2]: ``_d``
@@ -32,22 +35,6 @@ def is_nullspace(L: LieAlgebra, S: Subspace) -> bool:
     return not any(L.w_eval(*triple) for triple in itertools.combinations(S.rows, 3))
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """Chart parameters plus the derived line in each root plane.
-
-    lines[a] is the sparse vector spanning the line over the a-th positive
-    root; for simple roots it is x_alpha + t_alpha x_{-alpha}.
-    """
-
-    L: LieAlgebra
-    t: tuple[Fraction, ...]
-    lines: tuple[Vector, ...]
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.L, [self.L.basis_vector(i) for i in range(self.L.l)] + list(self.lines))
-
-
 def _line_vector(L: LieAlgebra, a: int, t: Fraction) -> Vector:
     """x_alpha + t x_{-alpha} for the a-th positive root alpha."""
     return {L.pos_index(a): Fraction(1), L.neg_index(a): t} if t else {L.pos_index(a): Fraction(1)}
@@ -66,8 +53,13 @@ def _kernel_line(L: LieAlgebra, v_alpha: Vector, v_beta: Vector, a: int) -> Vect
     return _line_vector(L, a, -fp / fn)
 
 
-def chart_point(L: LieAlgebra, t) -> ChartPoint:
-    """Nullspace chart: one parameter per simple root, derived lines above."""
+def chart_lines(L: LieAlgebra, t) -> list[Vector]:
+    """The line in each root plane at the chart parameters t, one parameter per simple root.
+
+    lines[a] spans the line over the a-th positive root: x_alpha + t_alpha
+    x_{-alpha} for a simple root, and above it the line killed by w against
+    the lines of one decomposition.
+    """
     t = tuple(frac(x) for x in t)
     if len(t) != L.l:
         raise ValueError("need one parameter per simple root")
@@ -78,36 +70,22 @@ def chart_point(L: LieAlgebra, t) -> ChartPoint:
         else:
             b, c = L.decomposition(a)
             lines.append(_kernel_line(L, lines[b], lines[c], a))
-    return ChartPoint(L, t, tuple(lines))
+    return lines
 
 
 def chart(L: LieAlgebra, t) -> Subspace:
-    return chart_point(L, t).subspace()
+    """Nullspace chart: the Cartan plus the line in each root plane."""
+    return Subspace(L, [L.basis_vector(i) for i in range(L.l)] + chart_lines(L, t))
 
 
-@dataclass(frozen=True)
-class ChartConsistencyReport:
-    comparisons: tuple[tuple[tuple[int, ...], int, bool], ...]  # root, decomposition count, agree
-
-    @property
-    def ok(self) -> bool:
-        return all(c[2] for c in self.comparisons)
-
-
-def chart_consistency(L: LieAlgebra, t) -> ChartConsistencyReport:
-    """Compare the derived line of every decomposition of each non-simple root."""
-    point = chart_point(L, t)
-    comparisons = []
-    for a in range(L.l, L.n_pos):
-        decomps = L.all_decompositions(a)
-        reference = point.lines[a]
-        agree = True
-        for b, c in decomps:
-            line = _kernel_line(L, point.lines[b], point.lines[c], a)
-            if line != reference:
-                agree = False
-        comparisons.append((L.rd.positive_roots[a], len(decomps), agree))
-    return ChartConsistencyReport(tuple(comparisons))
+def chart_disagreements(L: LieAlgebra, t) -> list[tuple[int, ...]]:
+    """The non-simple roots with a decomposition whose derived line is not the chart's."""
+    lines = chart_lines(L, t)
+    return [
+        L.rd.positive_roots[a]
+        for a in range(L.l, L.n_pos)
+        if any(_kernel_line(L, lines[b], lines[c], a) != lines[a] for b, c in L.all_decompositions(a))
+    ]
 
 
 def parabolic_closure(L: LieAlgebra, V: Subspace) -> Subspace:
@@ -118,29 +96,11 @@ def parabolic_closure(L: LieAlgebra, V: Subspace) -> Subspace:
     return p
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    """Subset of simple roots with nonzero chart parameter; codim = number missing."""
-
-    nonzero: tuple[int, ...]
-    rank: int
-
-    @property
-    def codim(self) -> int:
-        return self.rank - len(self.nonzero)
-
-
-def orbit_label(L: LieAlgebra, t) -> OrbitLabel:
-    t = tuple(frac(x) for x in t)
-    nonzero = tuple(i for i, x in enumerate(t) if x != 0)
-    return OrbitLabel(nonzero=nonzero, rank=L.l)
-
-
 def parabolic_profile(L: LieAlgebra, V: Subspace) -> tuple[int, tuple[int, ...]]:
     """(dim of the parabolic closure, simple roots whose negative space it contains).
 
-    For chart-presented subspaces the second component recovers the orbit label
-    from the subspace alone.
+    For a chart point the second component recovers, from the subspace alone,
+    the simple roots whose chart parameter is nonzero: the orbit stratum.
     """
     p = parabolic_closure(L, V)
     included = tuple(

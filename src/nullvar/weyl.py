@@ -2,29 +2,22 @@
 
 Weights are integer tuples over the simple roots, as ``LieAlgebra.weights``
 holds them.  ``dominant`` walks a weight to the dominant weight of its Weyl
-orbit by simple reflections.  ``tits_lifts_certified`` decides, exactly and on
-the algebra at hand, whether each simple reflection lifts to an automorphism
-that moves every weight by the reflection; only then may a computation that
-commutes with automorphisms replace a weight by its dominant conjugate.
+orbit by the simple reflections of ``roots.reflect``, the same action that
+generates the positive roots.  ``tits_lifts_certified`` decides, exactly and
+on the algebra at hand, whether each simple reflection lifts to an
+automorphism that moves every weight by the reflection; the bracket half is
+``algebra.bracket_defect``, the check that ``build_involution`` runs too.
+Only then may a computation that commutes with automorphisms replace a
+weight by its dominant conjugate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Vector, per_algebra
+from .algebra import LieAlgebra, Vector, bracket_defect, per_algebra
 from .linalg import combine
-from .roots import RootDatum
-
-
-def _pairing(cartan, weight: tuple[int, ...], i: int) -> int:
-    """<weight, a_i^v>, with cartan[j][i] = <a_j, a_i^v>."""
-    return sum(c * row[i] for c, row in zip(weight, cartan))
-
-
-def _reflect(cartan, weight: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The simple reflection s_i(weight) = weight - <weight, a_i^v> a_i."""
-    return weight[:i] + (weight[i] - _pairing(cartan, weight, i),) + weight[i + 1:]
+from .roots import RootDatum, pairing, reflect
 
 
 def dominant(rd: RootDatum, weight: tuple[int, ...]) -> tuple[int, ...]:
@@ -35,10 +28,10 @@ def dominant(rd: RootDatum, weight: tuple[int, ...]) -> tuple[int, ...]:
     """
     cartan = rd.cartan
     while True:
-        i = next((i for i in range(rd.rank) if _pairing(cartan, weight, i) < 0), None)
+        i = next((i for i in range(rd.rank) if pairing(cartan, weight, i) < 0), None)
         if i is None:
             return weight
-        weight = _reflect(cartan, weight, i)
+        weight = reflect(cartan, weight, i)
 
 
 def _exp_ad(L: LieAlgebra, x: Vector, v: Vector) -> Vector | None:
@@ -79,9 +72,9 @@ def tits_lifts_certified(L: LieAlgebra) -> bool:
     """Whether each simple reflection lifts to an automorphism of L that moves weights by it.
 
     For each simple root the Tits lift n_i is built exactly (``_tits_lift``)
-    and checked on all g^2 basis pairs to be a bracket automorphism,
-    n_i[b_a, b_b] = [n_i b_a, n_i b_b], and on every basis vector to send b_j
-    into the weight space of s_i(wt b_j).  Each exponential is of a nilpotent
+    and checked on every basis vector to send b_j into the weight space of
+    s_i(wt b_j), and by ``algebra.bracket_defect`` on all g^2 ordered basis
+    pairs to be a bracket automorphism, n_i[b_a, b_b] = [n_i b_a, n_i b_b].  Each exponential is of a nilpotent
     map, so n_i is invertible.
 
     This is enough for the weight-block reduction of the exterior operators.
@@ -101,11 +94,9 @@ def tits_lifts_certified(L: LieAlgebra) -> bool:
         if n is None:
             return False
         for j, image in enumerate(n):
-            target = _reflect(cartan, L.weights[j], i)
+            target = reflect(cartan, L.weights[j], i)
             if any(L.weights[m] != target for m in image):
                 return False
-        for a in range(L.g):
-            for b in range(L.g):
-                if combine((c, n[m]) for m, c in L.brackets[a][b].items()) != L.bracket(n[a], n[b]):
-                    return False
+        if bracket_defect(L, n) is not None:
+            return False
     return True

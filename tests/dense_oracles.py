@@ -3,10 +3,10 @@
 A dense vector is a tuple of g Fractions, zeros included; a dense subspace
 is the dense reduced echelon matrix that ``linalg.rref`` returns.  The
 functions below are the dense ``bracket``, ``w_eval``, ``contains``,
-``intersection``, ``orthogonal_complement`` and ``degenerate`` that the
-sparse forms in ``nullvar`` replaced, the Killing form as a dense matrix of
-traces, and the triple-loop structure checks that the checks built on
-``bracket``, ``kappa_pair`` and ``w_eval`` replaced.
+``orthogonal_complement`` and ``degenerate`` that the sparse forms in
+``nullvar`` replaced, the Killing form as a dense matrix of traces, and the
+triple-loop structure checks that the checks built on ``bracket``,
+``kappa_pair`` and ``w_eval`` replaced.
 """
 
 import itertools
@@ -114,20 +114,6 @@ class DenseSubspace:
             if c:
                 v = [x - c * y for x, y in zip(v, row)]
         return not any(v)
-
-    def intersection(self, other: "DenseSubspace") -> "DenseSubspace":
-        if self.dim == 0 or other.dim == 0:
-            return DenseSubspace(self.L, [])
-        stacked = Matrix.from_rows([list(r) for r in self.rows()] + [[-x for x in r] for r in other.rows()])
-        ker = kernel(stacked.transpose())
-        out = []
-        for i in range(ker.rows):
-            vec = [Fraction(0)] * self.L.g
-            for c, row in zip(ker.row(i)[: self.dim], self.rows()):
-                for j, x in enumerate(row):
-                    vec[j] += c * x
-            out.append(vec)
-        return DenseSubspace(self.L, out)
 
 
 def orthogonal_complement(L, S: DenseSubspace) -> DenseSubspace:

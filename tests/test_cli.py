@@ -100,6 +100,24 @@ def test_cartan_corruption_breaks_dimension_bookkeeping(tmp_path):
     assert records["dimension_bookkeeping"]["expected"] == [8, 2, 5]
 
 
+@pytest.mark.parametrize(
+    "corrupt,got",
+    [
+        ("3,7,0", 4),  # sigma passes the automorphism check, but no -1 eigenspace is a nullspace
+        ("0,5,5", "error: InvolutionError: sigma fails to be an automorphism on (0,5)"),
+    ],
+)
+def test_involution_record_is_the_only_red_nullspace_record(corrupt, got, tmp_path):
+    report_path = tmp_path / "bad_involution.json"
+    out = run_cli(
+        "verify", "--type", "C2", "--suite", "nullspace", "--corrupt", corrupt, "--no-timestamp",
+        "--out", str(report_path),
+    )
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    red = [(r["name"], r["got"]) for r in json.loads(report_path.read_text())["records"] if not r["ok"]]
+    assert red == [("involution_minus_eigenspaces", got)]
+
+
 def test_reports_reproducible(tmp_path):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["verify", "--type", "A1", "--suite", "all", "--seed", "7", "--no-timestamp"]

@@ -394,7 +394,7 @@ def test_blocked_rank_matches_full_matrix(a2, c2):
             shifted = Matrix.from_rows(
                 [[x - c_top * (i == j) for j, x in enumerate(cmat.row(i))] for i in range(cmat.rows)]
             )
-            assert blocked_eigenspace_dim(L, "casimir", k, c_top) == len(kernel_basis(shifted)) > 0
+            assert blocked_eigenspace_dim(L, k, c_top) == len(kernel_basis(shifted)) > 0
 
 
 def test_eigenspace_dim_by_rank_matches_kernel_count(a2, c2):
@@ -407,7 +407,7 @@ def test_eigenspace_dim_by_rank_matches_kernel_count(a2, c2):
             for k in range(L.g + 1):
                 blocks = weight_blocks(L, k).values()
                 kernels = sum(len(kernel_basis(_block_matrix(L, shifted, k, keys, keys))) for keys in blocks)
-                assert blocked_eigenspace_dim(L, "casimir", k, scalar) == kernels
+                assert blocked_eigenspace_dim(L, k, scalar) == kernels
 
 
 def test_delta_is_wedge_with_w_sharp(a2, c2):

@@ -1,4 +1,4 @@
-"""Kill matrix of the C2 exterior and equations suites: one witness per record name.
+"""Kill matrix of the C2 exterior, nullspace and equations suites: one witness per record name.
 
 A witness is a corrupted structure constant ``(i, j, k)`` of C2 or a
 monkeypatched operator, and it must turn its record red by value, not through
@@ -9,7 +9,7 @@ C2; the table holds the outcome, not the sweep.
 
 import pytest
 
-from nullvar import exterior, suites
+from nullvar import exterior, suites, variety
 from nullvar.algebra import build_algebra
 from nullvar.roots import build_root_datum
 
@@ -45,6 +45,27 @@ def _wedge_rank_off_at_degree_3(monkeypatch):
     return _fresh_c2()
 
 
+def _grades_reversed(monkeypatch):
+    # the flow runs backwards, so a dominant weight degenerates onto the opposite Borel
+    original = variety._grading
+    monkeypatch.setattr(variety, "_grading", lambda L, weight: [-x for x in original(L, weight)])
+    return _fresh_c2()
+
+
+def _top_line_dropped(monkeypatch):
+    # the chart misses the plane of the highest root
+    original = variety.chart_lines
+    monkeypatch.setattr(variety, "chart_lines", lambda L, t: original(L, t)[:-1])
+    return _fresh_c2()
+
+
+def _negative_parameters_dropped(monkeypatch):
+    # a negative parameter reads as zero, so t and -t land on different strata
+    original = variety._line_vector
+    monkeypatch.setattr(variety, "_line_vector", lambda L, a, t: original(L, a, max(t, 0)))
+    return _fresh_c2()
+
+
 ZETA = (2, 3, 1)  # breaks zeta on degrees 1-9, the invariances, membership, the Casimir and the transpose
 RANK = (0, 5, 9)  # keeps every weight block but changes the wedge rank into degree d
 
@@ -67,14 +88,28 @@ WITNESSES = {
     "residual_dimension": RANK,
     "equation_transpose_relation": ZETA,
     "contraction_equivariance": ZETA,
+    "chart_points_are_nullspaces": (0, 1, 2),
+    "chart_zero_is_borel": (0, 4, 0),
+    "chart_consistency": "no witness: every non-simple root of C2 has one decomposition, so the only line "
+    "derived for it is the chart's own",
+    "involution_minus_eigenspaces": (3, 7, 0),  # sigma passes bracket_defect; no -1 eigenspace is a nullspace
+    "d_operator_corank": (1, 5, 2),
+    "jacobian_corank_borel": (1, 2, 2),
+    "jacobian_corank_open_orbit": (0, 2, 2),
+    "orbit_zero_patterns": (0, 1, 6),
+    "parabolic_profile_pattern_invariance": _negative_parameters_dropped,
+    "degeneration_to_borel": _grades_reversed,
+    "chart_meets_root_planes_in_lines": _top_line_dropped,
+    "d_operator_relations": (0, 1, 0),
 }
 
 
 def _records(L):
-    return {r.name: r for r in suites.exterior_records(L) + suites.equations_records(L, CONFIG)}
+    records = suites.exterior_records(L) + suites.nullspace_records(L, CONFIG) + suites.equations_records(L, CONFIG)
+    return {r.name: r for r in records}
 
 
-def test_the_table_names_every_record_of_both_suites(c2):
+def test_the_table_names_every_record_of_the_three_suites(c2):
     records = _records(c2)
     assert set(WITNESSES) == set(records)
     assert all(r.ok for r in records.values())

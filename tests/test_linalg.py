@@ -193,7 +193,7 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, monkeypatch):
     assert any(m.rows != m.cols for m in blocks[seen:])
     seen = len(blocks)
     # the square blocks of casimir minus a scalar, ranked for eigenspace dimensions
-    exterior.blocked_eigenspace_dim(L, "casimir", L.d, 1)
+    exterior.blocked_eigenspace_dim(L, L.d, 1)
     assert len(blocks) > seen
     assert len(blocks) > L.g
     assert any(rank(m) < m.rows for m in blocks)  # dependent rows get eliminated too

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullvar import roots
 from nullvar.roots import (
     UnsupportedTypeError,
     algebra_dimension,
@@ -57,6 +58,50 @@ def test_positive_root_counts(family, rank, n_pos):
 
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4), ("G", 2)]
+
+
+def _root_string_closure(gram, l):
+    """The positive roots by root strings over the Gram matrix, the generator the Weyl action replaced.
+
+    A root beta + a_i of the next height is a root iff p - <beta, a_i^v> > 0,
+    with p the length of the string beta - a_i, beta - 2 a_i, ... below beta.
+    """
+    simples = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+    known = set(simples)
+    layer = list(simples)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i, alpha in enumerate(simples):
+                gamma = tuple(b + a for b, a in zip(beta, alpha))
+                if gamma in known:
+                    continue
+                p, cur = 0, tuple(b - a for b, a in zip(beta, alpha))
+                while cur in known:
+                    p, cur = p + 1, tuple(b - a for b, a in zip(cur, alpha))
+                pair = sum(beta[j] * gram[j][i] for j in range(l))
+                if p - 2 * pair / gram[i][i] > 0:
+                    known.add(gamma)
+                    nxt.append(gamma)
+        layer = nxt
+    return sorted(known, key=lambda r: (sum(r), tuple(-c for c in r)))
+
+
+WEYL_TYPES = (
+    [("A", n) for n in range(1, 6)]
+    + [(f, n) for f in "BC" for n in range(2, 6)]
+    + [("D", n) for n in range(3, 7)]
+    + [("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", WEYL_TYPES, ids=[f"{f}{n}" for f, n in WEYL_TYPES])
+def test_weyl_generated_roots_match_the_root_string_closure(family, rank):
+    rd = build_root_datum(family, rank)
+    assert list(rd.positive_roots) == _root_string_closure(roots._gram_matrix(family, rank), rank)
+    # the Cartan matrix, taken from the unscaled Gram matrix, is that of the scaled one
+    gram = rd.gram
+    assert rd.cartan == tuple(tuple(2 * gram[i][j] / gram[j][j] for j in range(rank)) for i in range(rank))
 
 
 def test_killing_normalization_on_adjoint():

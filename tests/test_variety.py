@@ -8,17 +8,19 @@ import pytest
 from nullvar.algebra import (
     StructureError,
     Subspace,
+    build_algebra,
     build_involution,
     root_pair_plane,
     standard_borel,
 )
 from nullvar.linalg import Matrix, combine, frac, rank
+from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import (
     NotInVarietyError,
     chart,
-    chart_consistency,
-    chart_point,
+    chart_disagreements,
+    chart_lines,
     check_d_relations,
     coordinate_complement,
     d_operator_corank,
@@ -26,7 +28,6 @@ from nullvar.variety import (
     is_nullspace,
     jacobian_corank_at,
     local_equations,
-    orbit_label,
     parabolic_closure,
     parabolic_profile,
     random_chart_parameters,
@@ -36,11 +37,11 @@ from nullvar.variety import (
 from dense_oracles import bracket, unit
 
 
-def _effective_parameters(point):
+def _effective_parameters(L, lines):
     """Coefficient of x_{-gamma} in each line, normalized to x_gamma + t x_{-gamma}."""
     out = []
-    for a, line in enumerate(point.lines):
-        pos, neg = line.get(point.L.pos_index(a), 0), line.get(point.L.neg_index(a), 0)
+    for a, line in enumerate(lines):
+        pos, neg = line.get(L.pos_index(a), 0), line.get(L.neg_index(a), 0)
         assert pos != 0, "line escaped the chart normal form"
         out.append(neg / pos)
     return tuple(out)
@@ -63,10 +64,11 @@ def test_chart_generic(a2):
     assert V.dim == 5
     assert is_nullspace(a2, V)
     for a in range(a2.n_pos):
-        assert V.intersection(root_pair_plane(a2, a)).dim == 1
+        # V meets the plane in a line: the plane adds one dimension to V
+        assert V.add(root_pair_plane(a2, a)).dim == V.dim + 1
     # the induced parameter on the non-simple root is a structure-constant
     # ratio times t1 t2, hence nonzero
-    t_eff = _effective_parameters(chart_point(a2, (1, 1)))
+    t_eff = _effective_parameters(a2, chart_lines(a2, (1, 1)))
     assert t_eff[2] != 0
 
 
@@ -77,17 +79,25 @@ def test_chart_maximal_parabolic(c2):
 
 
 def test_chart_consistency(a2, c2):
-    assert chart_consistency(a2, (1, 1)).ok
-    rep = chart_consistency(c2, (1, 1))
-    assert rep.ok
-    assert chart_consistency(c2, (2, 3)).ok
+    assert chart_disagreements(a2, (1, 1)) == []
+    assert chart_disagreements(c2, (1, 1)) == []
+    assert chart_disagreements(c2, (2, 3)) == []
 
 
 def test_chart_consistency_counts_decompositions(c2):
-    rep = chart_consistency(c2, (1, 1))
-    by_root = {root: n for root, n, _ in rep.comparisons}
-    assert by_root[(1, 1)] == 1
-    assert by_root[(2, 1)] == 1
+    # each non-simple root of C2 has one decomposition, so the chart's line is the only one derived
+    by_root = {c2.rd.positive_roots[a]: len(c2.all_decompositions(a)) for a in range(c2.l, c2.n_pos)}
+    assert by_root == {(1, 1): 1, (2, 1): 1}
+
+
+def test_chart_disagreements_name_the_root_whose_decompositions_disagree(g2):
+    # (1,1,1) of A3 and (3,2) of G2 have two decompositions each; one corrupted
+    # constant makes them cut out different lines
+    a3 = build_algebra(build_root_datum("A", 3))
+    assert chart_disagreements(a3, (1, 1, 1)) == []
+    assert chart_disagreements(a3.with_corrupted_constant(0, 6, 0), (1, 1, 1)) == [(1, 1, 1)]
+    assert chart_disagreements(g2, (1, 1)) == []
+    assert chart_disagreements(g2.with_corrupted_constant(0, 4, 0), (1, 1)) == [(3, 2)]
 
 
 def test_parabolic_closure(a2):
@@ -109,10 +119,8 @@ def test_orbit_labels_and_profiles(a2, c2):
     for L in (a2, c2):
         profiles = set()
         for pattern in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            label = orbit_label(L, pattern)
-            assert label.codim == sum(1 for x in pattern if x == 0)
             prof = parabolic_profile(L, chart(L, pattern))
-            assert prof[1] == label.nonzero
+            assert prof[1] == tuple(i for i, x in enumerate(pattern) if x)
             profiles.add(prof)
         assert len(profiles) == 4
 
@@ -201,7 +209,7 @@ def test_local_equations_at_borel(a2):
     zero = [[0] * comp.dim for _ in range(b.dim)]
     assert all(v == 0 for v in _evaluate(system, zero))
     # chart point written in the graph coordinates of the Borel chart
-    t_eff = _effective_parameters(chart_point(a2, (Fraction(1, 3), Fraction(1, 3))))
+    t_eff = _effective_parameters(a2, chart_lines(a2, (Fraction(1, 3), Fraction(1, 3))))
     X = [[Fraction(0)] * comp.dim for _ in range(b.dim)]
     for a in range(a2.n_pos):
         col = comp.pivots.index(a2.neg_index(a))

@@ -88,7 +88,7 @@ def test_reduced_casimir_window_matches_the_all_blocks_loop(fixture, request):
     _assert_reduced(L)
     c_top = casimir_eigenvalue(L.rd, two_rho(L.rd))
     for k in range(L.g - L.d, L.d + 1):
-        assert blocked_eigenspace_dim(L, "casimir", k, c_top) == _all_blocks_eigenspace_dim(L, "casimir", k, c_top)
+        assert blocked_eigenspace_dim(L, k, c_top) == _all_blocks_eigenspace_dim(L, "casimir", k, c_top)
 
 
 def test_representatives_are_dominant_conjugates_with_blocks_of_the_same_size():
@@ -125,7 +125,7 @@ def test_an_uncertified_algebra_eliminates_every_block(a2, monkeypatch):
         expected += [("delta", k, tuple(keys)) for keys in weight_blocks(L, k).values()]
     blocked_rank(L, "delta_star", L.d)
     expected += [("delta_star", L.d, tuple(keys)) for keys in weight_blocks(L, L.d).values()]
-    blocked_eigenspace_dim(L, "casimir", L.d, 1)
+    blocked_eigenspace_dim(L, L.d, 1)
     expected += [("shifted", L.d, tuple(keys)) for keys in weight_blocks(L, L.d).values()]
     assert seen == expected
 
