@@ -82,17 +82,16 @@ class LieAlgebra:
     ``kappa[i]`` maps each j to the nonzero kappa(b_i, b_j).
     """
 
-    def __init__(self, rd: RootDatum, labels, weights, brackets):
+    def __init__(self, rd: RootDatum, weights, brackets):
         self.rd = rd
         self.g = rd.g
         self.l = rd.rank
         self.d = rd.d
         self.n_pos = rd.n_positive
-        self.labels = tuple(labels)
         self.weights = tuple(tuple(w) for w in weights)
         # brackets[i][j]: dict k -> coefficient of b_k in [b_i, b_j]
         self.brackets = brackets
-        if len(self.labels) != self.g or len(self.weights) != self.g:
+        if len(self.weights) != self.g:
             raise ValueError("basis size mismatch")
         self.kappa = self._ad_trace_form()
         self._cache: dict = {}
@@ -239,7 +238,7 @@ class LieAlgebra:
 
         bump(i, j, amount)
         bump(j, i, -amount)
-        return LieAlgebra(self.rd, self.labels, self.weights, brackets)
+        return LieAlgebra(self.rd, self.weights, brackets)
 
 
 def _standard_weights(rd: RootDatum):
@@ -248,13 +247,6 @@ def _standard_weights(rd: RootDatum):
     weights += [tuple(r) for r in rd.positive_roots]
     weights += [tuple(-c for c in r) for r in rd.positive_roots]
     return tuple(weights)
-
-
-def _standard_labels(rd: RootDatum):
-    labels = [f"h{i + 1}" for i in range(rd.rank)]
-    labels += ["x(" + ",".join(str(c) for c in r) + ")" for r in rd.positive_roots]
-    labels += ["x(" + ",".join(str(-c) for c in r) + ")" for r in rd.positive_roots]
-    return tuple(labels)
 
 
 def build_algebra(rd: RootDatum) -> LieAlgebra:
@@ -330,7 +322,7 @@ def build_algebra(rd: RootDatum) -> LieAlgebra:
             elif s in is_root:
                 put(index[a], index[b], {index[s]: n(a, b)})
 
-    return LieAlgebra(rd, _standard_labels(rd), _standard_weights(rd), brackets)
+    return LieAlgebra(rd, _standard_weights(rd), brackets)
 
 
 def _neg(root) -> tuple[int, ...]:
@@ -480,8 +472,9 @@ class Subspace:
         if mat.cols != L.g:
             raise ValueError("ambient dimension mismatch")
         sub = Subspace(L, mat.sparse_rows())
-        if "dim" in data and sub.dim != data["dim"]:
-            raise ValueError("declared dimension does not match basis rank")
+        # type(...) is int: a JSON true or 1.0 would compare equal to a rank of 1
+        if "dim" in data and (type(data["dim"]) is not int or sub.dim != data["dim"]):
+            raise ValueError("declared dimension is not the integer rank of the basis")
         return sub
 
 

@@ -144,7 +144,7 @@ def cmd_membership(args) -> int:
 def cmd_equations(args) -> int:
     rd = _load_datum(args.type)
     L = build_algebra(rd)
-    _emit(equation_set(L).to_json(), args.out)
+    _emit(equation_set(L), args.out)
     return 0
 
 

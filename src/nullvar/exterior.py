@@ -96,10 +96,6 @@ class MultiVector:
         return MultiVector.over(L, degree, {})
 
     @staticmethod
-    def scalar(L: LieAlgebra, value) -> "MultiVector":
-        return MultiVector(L, 0, {0: value})
-
-    @staticmethod
     def from_vector(L: LieAlgebra, coords: Vector) -> "MultiVector":
         return MultiVector(L, 1, {1 << i: c for i, c in coords.items()})
 

@@ -5,13 +5,13 @@ linear condition on its Plucker vector: the degree-lowering contraction with
 the trilinear form must vanish.  The contraction's coordinates on degree d are
 exactly the linear equation set; its row space matches, through the pairing
 induced by the Killing form, the space of hyperplanes spanned by the wedge
-images from degree d-3.
+images from degree d-3.  ``equation_set`` gives that set as the JSON the
+``equations`` verb writes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
@@ -53,40 +53,26 @@ def linear_membership(L: LieAlgebra, P: MultiVector) -> bool:
     return delta_star(P).is_zero()
 
 
-@dataclass(frozen=True)
-class LinearEquationSet:
-    """The degree-d contraction as sparse rows: one linear equation per degree-(d-3) basis wedge.
+def equation_set(L: LieAlgebra) -> dict:
+    """The degree-d contraction as sparse JSON rows: one linear equation per degree-(d-3) basis wedge.
 
-    Row r holds the nonzero ``(column, coefficient)`` pairs of the r-th key of
-    ``degree_keys(L, d - 3)``; column c is the c-th key of ``degree_keys(L, d)``.
+    Row r lists the nonzero ``[column, coefficient]`` pairs of the r-th key of
+    ``degree_keys(L, d - 3)``, transposed from the contraction's images of the
+    degree-d basis wedges; column c is the c-th key of ``degree_keys(L, d)``.
     """
-
-    equations: tuple[tuple[tuple[int, Fraction], ...], ...]
-    rank: int
-    ambient_plucker_dim: int
-
-    def to_json(self) -> dict:
-        return {
-            "rows": len(self.equations),
-            "cols": self.ambient_plucker_dim,
-            "equations": [[[c, str(x)] for c, x in row] for row in self.equations],
-            "rank": self.rank,
-            "ambient_plucker_dim": self.ambient_plucker_dim,
-        }
-
-
-def equation_set(L: LieAlgebra) -> LinearEquationSet:
-    """The contraction's images of the degree-d basis wedges, transposed into rows."""
     index = key_index_map(L, L.d - 3)
-    rows: list[list[tuple[int, Fraction]]] = [[] for _ in index]
+    rows: list[list] = [[] for _ in index]
     for col, key in enumerate(degree_keys(L, L.d)):
         for out_key, x in delta_star(MultiVector.over(L, L.d, {key: 1})).terms.items():
-            rows[index[out_key]].append((col, x))
-    return LinearEquationSet(
-        equations=tuple(map(tuple, rows)),
-        rank=blocked_rank(L, "delta_star", L.d),
-        ambient_plucker_dim=binomial_dim(L.g, L.d),
-    )
+            rows[index[out_key]].append([col, str(x)])
+    ambient = binomial_dim(L.g, L.d)
+    return {
+        "rows": len(rows),
+        "cols": ambient,
+        "equations": rows,
+        "rank": blocked_rank(L, "delta_star", L.d),
+        "ambient_plucker_dim": ambient,
+    }
 
 
 def equation_count(L: LieAlgebra) -> int:
@@ -151,31 +137,19 @@ def transpose_identity_sign(L: LieAlgebra) -> int | None:
 # the agreement suite between the linear and the direct membership tests
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    samples: int
-    seed: int
-    disagreements: int
-    tautology_failures: int
-    chart_agree_true: int
-
-    @property
-    def ok(self) -> bool:
-        return self.disagreements == 0 and self.tautology_failures == 0
-
-
-def membership_equivalence_suite(L: LieAlgebra, samples: int, seed: int) -> MembershipReport:
+def membership_equivalence_suite(L: LieAlgebra, samples: int, seed: int) -> tuple[int, int]:
     """Seeded agreement check between the linear test and the direct predicate.
 
     Rotates through three sample kinds: random d-subspaces with entries in
     -3..3, random chart points, and kappa-orthogonals of random subspaces of
     dimension (g-l)/2.  For chart points also guards the tautologies that the
     double orthogonal complement returns the point and that the complement has
-    dimension (g-l)/2, and counts those that both tests call nullspaces.
+    dimension (g-l)/2.  Returns ``(failures, chart_agree_true)``: the
+    disagreements plus the tautology failures, and the chart points that both
+    tests call nullspaces.
     """
     rng = Lcg(seed)
-    disagreements = 0
-    tautology_failures = 0
+    failures = 0
     chart_agree_true = 0
     half = (L.g - L.l) // 2
     for i in range(samples):
@@ -190,24 +164,18 @@ def membership_equivalence_suite(L: LieAlgebra, samples: int, seed: int) -> Memb
         direct = is_nullspace(L, V)
         linear = linear_membership(L, plucker(L, V))
         if direct != linear:
-            disagreements += 1
+            failures += 1
         elif direct and kind == 1:
             chart_agree_true += 1
         if kind == 1:
             comp = orthogonal_complement(L, V)
             if comp.dim != half:
-                tautology_failures += 1
+                failures += 1
             back = orthogonal_complement(L, comp)
             # back == V has V's canonical rows, so its Plucker vector is V's
             if back != V or not linear:
-                tautology_failures += 1
-    return MembershipReport(
-        samples=samples,
-        seed=seed,
-        disagreements=disagreements,
-        tautology_failures=tautology_failures,
-        chart_agree_true=chart_agree_true,
-    )
+                failures += 1
+    return failures, chart_agree_true
 
 
 @per_algebra

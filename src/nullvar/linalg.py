@@ -298,7 +298,7 @@ def matrix_from_json(data: dict) -> Matrix:
     if not isinstance(data, dict):
         raise ValueError("a matrix is a JSON object")
     rows, cols, entries = data["rows"], data["cols"], data["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(entries, list)):
+    if not (type(rows) is int and type(cols) is int and isinstance(entries, list)):
         raise ValueError("rows and cols must be integers and entries a list of rows")
     if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError("entry grid does not match declared shape")

@@ -3,7 +3,8 @@
 Claims pair an ambient dimension with a list of highest weights and
 multiplicities; verification sums exact Weyl dimensions.  The hook content
 formula supplies an independent second route for ambient spaces given as
-Schur modules of a general linear group.
+Schur modules of a general linear group.  Each check returns the value its
+record compares.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from importlib import resources
 from math import comb
 
 from .algebra import LieAlgebra
-from .exterior import blocked_eigenspace_dim, gamma_multiplicity
+from .exterior import blocked_eigenspace_dim
 from .roots import RootDatum, casimir_eigenvalue, two_rho, weyl_dim
 
 
@@ -73,31 +74,13 @@ def ambient_dimension(claim: DecompositionClaim) -> int:
     raise ValueError(f"unknown ambient kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    label: str
-    ambient_dim: int
-    summand_dims: tuple[int, ...]
-    total: int
-    ok: bool
-
-
-def verify_dimension_claim(rd: RootDatum, claim: DecompositionClaim) -> ClaimReport:
-    """Sum of multiplicity-weighted Weyl dimensions against the ambient dimension."""
+def verify_dimension_claim(rd: RootDatum, claim: DecompositionClaim) -> bool:
+    """True iff the multiplicity-weighted Weyl dimensions sum to the ambient dimension."""
     if (rd.family, rd.rank) != (claim.family, claim.rank):
         raise ValueError("claim does not match the root datum")
     if claim.ambient["kind"] == "exterior_power" and int(claim.ambient["space_dim"]) != rd.g:
         raise ValueError("ambient exterior power does not match the algebra dimension")
-    dims = tuple(weyl_dim(rd, weight) for weight, _ in claim.summands)
-    total = sum(dim * mult for dim, (_, mult) in zip(dims, claim.summands))
-    ambient = ambient_dimension(claim)
-    return ClaimReport(
-        label=claim.label,
-        ambient_dim=ambient,
-        summand_dims=dims,
-        total=total,
-        ok=(total == ambient),
-    )
+    return sum(weyl_dim(rd, weight) * mult for weight, mult in claim.summands) == ambient_dimension(claim)
 
 
 def load_claims() -> list[DecompositionClaim]:
@@ -113,39 +96,14 @@ def claims_for(rd: RootDatum) -> list[DecompositionClaim]:
 # the top-weight isotypic window
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    k: int
-    eigenspace_dim: int
-    expected: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class WindowReport:
-    records: tuple[WindowRecord, ...]
-    symmetric: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and all(r.ok for r in self.records)
-
-
-def verify_gamma_window(L: LieAlgebra) -> WindowReport:
-    """Casimir eigenspace of the top weight per degree against the window count.
+def verify_gamma_window(L: LieAlgebra) -> tuple[int, ...]:
+    """Casimir eigenspace dimension of the top weight's scalar in each degree 0..g.
 
     The eigenspace of the scalar attached to twice the Weyl vector is exactly
     the isotypic part of that module (every other constituent has a strictly
-    smaller scalar), so its dimension must be C(l, k-(g-d)) times the module
-    dimension inside the degree window g-d..d and zero outside.
+    smaller scalar), so in degree k its dimension must be
+    ``exterior.gamma_multiplicity(L, k)``: C(l, k-(g-d)) copies of the module
+    inside the degree window g-d..d, none outside.
     """
     scalar = casimir_eigenvalue(L.rd, two_rho(L.rd))
-    records = []
-    for k in range(0, L.g + 1):
-        found = blocked_eigenspace_dim(L, k, scalar)
-        expected = gamma_multiplicity(L, k)
-        records.append(WindowRecord(k=k, eigenspace_dim=found, expected=expected, ok=(found == expected)))
-    symmetric = all(
-        records[k].eigenspace_dim == records[L.g - k].eigenspace_dim for k in range(0, L.g + 1)
-    )
-    return WindowReport(records=tuple(records), symmetric=symmetric)
+    return tuple(blocked_eigenspace_dim(L, k, scalar) for k in range(L.g + 1))

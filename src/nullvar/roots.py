@@ -121,10 +121,6 @@ class RootDatum:
                 acc[i] += c
         return tuple(x / 2 for x in acc)
 
-    @property
-    def highest_root(self) -> tuple[int, ...]:
-        return self.positive_roots[-1]
-
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 

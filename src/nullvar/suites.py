@@ -40,6 +40,7 @@ from .exterior import (
     casimir,
     check_w_sharp_invariance,
     delta_star_scalar,
+    gamma_multiplicity,
     verify_exact_sequences,
     verify_zeta_identity,
     w_sharp,
@@ -452,13 +453,13 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
         "membership_equivalence",
         "linear membership of the Plucker vector agrees with the direct nullspace predicate",
         True,
-        lambda: membership().ok,
+        lambda: membership()[0] == 0,
     )
     col.add(
         "membership_counts",
         "every chart sample (every third, from the second) is a nullspace to both membership tests",
         (config.samples + 1) // 3,
-        lambda: membership().chart_agree_true,
+        lambda: membership()[1],
     )
     # the equations are the rows of the contraction at degree d, so its rank is
     # the expected count; equation_count takes the wedge rank from degree d-3
@@ -498,21 +499,21 @@ def repthy_records(L: LieAlgebra) -> list[Record]:
             f"claim_{claim.label}",
             "multiplicity-weighted Weyl dimensions sum to the ambient dimension",
             True,
-            lambda claim=claim: verify_dimension_claim(L.rd, claim).ok,
+            lambda claim=claim: verify_dimension_claim(L.rd, claim),
         )
     window = _once(lambda: verify_gamma_window(L))
     for k in range(L.g + 1):
         col.add(
             f"gamma_window_degree_{k}",
             "Casimir eigenspace of the top scalar matches the window multiplicity",
-            lambda k=k: window().records[k].expected,
-            lambda k=k: window().records[k].eigenspace_dim,
+            lambda k=k: gamma_multiplicity(L, k),
+            lambda k=k: window()[k],
         )
     col.add(
         "gamma_window_symmetry",
         "eigenspace dimensions are symmetric under degree reflection k to g-k",
         True,
-        lambda: window().symmetric,
+        lambda: window() == window()[::-1],
     )
     return col.records
 

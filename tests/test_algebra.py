@@ -130,7 +130,7 @@ def test_kappa_root_form_sees_a_rescaled_root_vector(a2):
         [{k: c * scale.get(m, 1) * scale.get(n, 1) / scale.get(k, 1) for k, c in cell.items()} for n, cell in enumerate(row)]
         for m, row in enumerate(a2.brackets)
     ]
-    rescaled = LieAlgebra(a2.rd, a2.labels, a2.weights, brackets)
+    rescaled = LieAlgebra(a2.rd, a2.weights, brackets)
     assert check_jacobi(rescaled) == [] and check_kappa_invariance(rescaled) == []
     assert check_kappa_root_form(rescaled) == [(i, a2.neg_index(0))]
     assert check_kappa_root_form(a2.with_corrupted_constant(i, a2.neg_index(0), 0, 1)) != []

@@ -155,10 +155,21 @@ def test_membership_verb(tmp_path, a2):
     assert out.returncode == 2
 
 
+E0 = [[1, 0, 0, 0, 0, 0, 0, 0]]
+
+
 @pytest.mark.parametrize(
     "basis",
-    [[1, 2], {"rows": 1, "cols": 8, "entries": 5}, {"rows": 1, "cols": 8, "entries": [[1, 0, 0, 0, 0, 0, 0, None]]}],
-    ids=["top-level-list", "entries-not-a-list", "null-entry"],
+    [
+        [1, 2],
+        {"rows": 1, "cols": 8, "entries": 5},
+        {"rows": 1, "cols": 8, "entries": [[1, 0, 0, 0, 0, 0, 0, None]]},
+        # a JSON true is a Python bool, an int subclass, and 1.0 == 1: neither is a shape or a dimension
+        {"rows": True, "cols": 8, "entries": E0, "dim": True},
+        {"rows": 1, "cols": 8, "entries": E0, "dim": True},
+        {"rows": 1, "cols": 8, "entries": E0, "dim": 1.0},
+    ],
+    ids=["top-level-list", "entries-not-a-list", "null-entry", "bool-rows", "bool-dim", "float-dim"],
 )
 def test_membership_verb_rejects_malformed_subspace(basis, tmp_path):
     basis_path = tmp_path / "bad.json"
@@ -264,8 +275,9 @@ DATA = Path(__file__).parent / "data"
         (("degenerate", "--type", "C2", "--t", "1,-2", "--weight", "2,1"), "cli_degenerate_C2_t1_-2_w2_1.json"),
         (("orbits", "--type", "C2"), "cli_orbits_C2.json"),
         (("membership", "--type", "C2", "--basis", str(DATA / "cli_chart_C2_t1_2.json")), "cli_membership_C2_chart.json"),
+        (("equations", "--type", "C2"), "cli_equations_C2.json"),
     ],
-    ids=["chart", "degenerate", "orbits", "membership"],
+    ids=["chart", "degenerate", "orbits", "membership", "equations"],
 )
 def test_subspace_verbs_are_byte_identical_to_golden(args, golden):
     # regenerate with: nullvar <args> > tests/data/<golden>

@@ -48,7 +48,7 @@ def test_wedge_basics(a2):
     # full top wedge of independent vectors is nonzero
     rows = [a2.basis_vector(i) for i in range(a2.g)]
     rows[0] = {0: Fraction(1), 1: Fraction(1)}
-    acc = MultiVector.scalar(a2, 1)
+    acc = MultiVector.over(a2, 0, {0: 1})
     for r in rows:
         acc = wedge(acc, MultiVector.from_vector(a2, r))
     assert not acc.is_zero()
@@ -68,7 +68,7 @@ def test_a1_w_sharp_by_hand(a1):
     assert a1.kappa == ({0: 8}, {2: 4}, {1: 4})
     ws = w_sharp(a1)
     assert ws == MultiVector.basis(a1, [0, 1, 2]).scale(Fraction(-1, 16))
-    assert delta(MultiVector.scalar(a1, 1)) == ws
+    assert delta(MultiVector.over(a1, 0, {0: 1})) == ws
 
 
 def test_delta_degree_overflow(a2):
@@ -80,7 +80,7 @@ def test_delta_degree_overflow(a2):
 
 def test_delta_star_low_degree(a2):
     assert delta_star(MultiVector.basis(a2, [0, 1])).is_zero()
-    assert delta_star(MultiVector.scalar(a2, 1)).is_zero()
+    assert delta_star(MultiVector.over(a2, 0, {0: 1})).is_zero()
     op = graded_matrix(a2, "delta_star", 2)
     assert (op.rows, op.cols) == (0, 28)
 
@@ -100,7 +100,7 @@ def test_delta_star_kills_borel_wedge(a2):
 
 
 def test_lie_action_root_grading(a2):
-    one = MultiVector.scalar(a2, 1)
+    one = MultiVector.over(a2, 0, {0: 1})
     assert lie_action(a2, a2.basis_vector(0), one).is_zero()
     xa = MultiVector.basis(a2, [a2.pos_index(0)])
     h = a2.basis_vector(0)
@@ -112,7 +112,7 @@ def test_lie_action_root_grading(a2):
 
 
 def test_casimir_eigenvalues(a1, a2):
-    assert casimir(MultiVector.scalar(a2, 1)).is_zero()
+    assert casimir(MultiVector.over(a2, 0, {0: 1})).is_zero()
     for i in range(a2.g):
         v = MultiVector.basis(a2, [i])
         assert casimir(v) == v  # Killing normalization: identity on the adjoint
@@ -238,7 +238,7 @@ def _oracle_wedge(u, v):
 
 
 def _oracle_wedge_rows(L, rows):
-    acc = MultiVector.scalar(L, 1)
+    acc = MultiVector.over(L, 0, {0: 1})
     for row in rows:
         acc = _oracle_wedge(acc, MultiVector.from_vector(L, row))
     return acc
@@ -362,7 +362,7 @@ def test_integer_paths_with_non_integral_constants(a2):
 
 
 def test_zeta_examples(a2):
-    one = MultiVector.scalar(a2, 1)
+    one = MultiVector.over(a2, 0, {0: 1})
     s = delta_star_scalar(a2)
     assert zeta(one) == one.scale(s)
     ws = w_sharp(a2)

@@ -19,10 +19,11 @@ from nullvar.roots import (
 
 def _adjoint_weight(rd):
     """Highest root expressed on the fundamental weights."""
+    # positive roots come by height, so the last one is the highest root
     coeffs = []
     for j in range(rd.rank):
         alpha_j = tuple(1 if k == j else 0 for k in range(rd.rank))
-        val = 2 * rd.inner(rd.highest_root, alpha_j) / rd.inner(alpha_j, alpha_j)
+        val = 2 * rd.inner(rd.positive_roots[-1], alpha_j) / rd.inner(alpha_j, alpha_j)
         assert val.denominator == 1
         coeffs.append(int(val))
     return tuple(coeffs)
@@ -107,7 +108,7 @@ def test_weyl_generated_roots_match_the_root_string_closure(family, rank):
 def test_killing_normalization_on_adjoint():
     for family, rank in ALL_TYPES:
         rd = build_root_datum(family, rank)
-        theta = rd.highest_root
+        theta = rd.positive_roots[-1]
         shifted = tuple(t + 2 * r for t, r in zip(theta, rd.rho_root))
         assert rd.inner(theta, shifted) == 1
         assert casimir_eigenvalue(rd, _adjoint_weight(rd)) == 1
