@@ -8,6 +8,7 @@ The environment variable NULLVAR_MAX_G caps the ambient algebra dimension
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -65,8 +66,11 @@ def _parse_ints(raw: str, expected: int, what: str):
 def _emit(data: dict, out: str | None) -> None:
     text = json.dumps(data, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -164,8 +168,6 @@ def cmd_degenerate(args) -> int:
 def cmd_orbits(args) -> int:
     rd = _load_datum(args.type)
     L = build_algebra(rd)
-    import itertools
-
     rows = []
     for pattern in itertools.product((0, 1), repeat=rd.rank):
         nonzero = [i for i, x in enumerate(pattern) if x]

@@ -462,7 +462,7 @@ def orbit_representatives(L: LieAlgebra, k: int) -> dict[tuple[int, ...], tuple[
     blocks = weight_blocks(L, k)
     if not tits_lifts_certified(L):
         return {wt: wt for wt in blocks}
-    return {wt: dominant(L.rd, wt) for wt in blocks}
+    return {wt: dominant(L, wt) for wt in blocks}
 
 
 def _orbit_sum(L: LieAlgebra, k: int, value) -> int:

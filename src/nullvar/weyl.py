@@ -3,12 +3,12 @@
 Weights are integer tuples over the simple roots, as ``LieAlgebra.weights``
 holds them.  ``dominant`` walks a weight to the dominant weight of its Weyl
 orbit by the simple reflections of ``roots.reflect``, the same action that
-generates the positive roots.  ``tits_lifts_certified`` decides, exactly and
-on the algebra at hand, whether each simple reflection lifts to an
-automorphism that moves every weight by the reflection; the bracket half is
-``algebra.bracket_defect``, the check that ``build_involution`` runs too.
-Only then may a computation that commutes with automorphisms replace a
-weight by its dominant conjugate.
+generates the positive roots, cached per algebra with every weight on the
+way.  ``tits_lifts_certified`` decides, exactly and on the algebra at hand,
+whether each simple reflection lifts to an automorphism that moves every
+weight by the reflection; the bracket half is ``algebra.bracket_defect``, the
+check that ``build_involution`` runs too.  Only then may a computation that
+commutes with automorphisms replace a weight by its dominant conjugate.
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, Vector, bracket_defect, per_algebra
 from .linalg import combine
-from .roots import RootDatum, pairing, reflect
+from .roots import pairing, reflect
 
 
-def dominant(rd: RootDatum, weight: tuple[int, ...]) -> tuple[int, ...]:
+@per_algebra
+def dominant(L: LieAlgebra, weight: tuple[int, ...]) -> tuple[int, ...]:
     """The dominant weight of the Weyl orbit of ``weight``, reached by simple reflections.
 
     Reflecting in a simple root with a negative pairing adds a positive
-    multiple of that root, so the walk climbs in the finite orbit and stops.
+    multiple of that root, so the walk climbs in the finite orbit and stops;
+    each step is a cached call, so a weight is walked once per algebra.
     """
-    cartan = rd.cartan
-    while True:
-        i = next((i for i in range(rd.rank) if pairing(cartan, weight, i) < 0), None)
-        if i is None:
-            return weight
-        weight = reflect(cartan, weight, i)
+    i = next((i for i in range(L.l) if pairing(L.rd.cartan, weight, i) < 0), None)
+    return weight if i is None else dominant(L, reflect(L.rd.cartan, weight, i))
 
 
 def _exp_ad(L: LieAlgebra, x: Vector, v: Vector) -> Vector | None:

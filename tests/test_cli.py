@@ -299,3 +299,20 @@ def test_sample_counts_below_one_are_usage_errors(flag, value):
     out = run_cli("verify", "--type", "A1", flag, value)
     assert out.returncode == 2
     assert f"{flag} must be at least 1" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--type", "A1", "--suite", "structure"),
+        ("equations", "--type", "A1"),
+        ("chart", "--type", "A1", "--t", "1"),
+    ],
+    ids=["verify", "equations", "chart"],
+)
+def test_unwritable_out_path_is_a_usage_error(args, tmp_path):
+    # exit 1 from verify means a check failed, so a path that cannot be written must not give it
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        result = run_cli(*args, "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: cannot write {out}:") and "Traceback" not in result.stderr

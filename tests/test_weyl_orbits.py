@@ -2,8 +2,9 @@
 
 The reduced code computes one block per Weyl orbit, and only when each
 simple reflection's Tits lift is certified an automorphism that moves the
-weights by the reflection.  The oracle below is the all-blocks loop with no
-reduction.
+weights by the reflection.  The oracles below are the all-blocks loop with no
+reduction, the uncached walk to the dominant conjugate, and the highest root
+of each length, which every root of that length is conjugate to.
 """
 
 import itertools
@@ -22,8 +23,8 @@ from nullvar.exterior import (
     weight_blocks,
 )
 from nullvar.linalg import rank
-from nullvar.roots import build_root_datum, casimir_eigenvalue, two_rho
-from nullvar.weyl import tits_lifts_certified
+from nullvar.roots import build_root_datum, casimir_eigenvalue, pairing, reflect, two_rho
+from nullvar.weyl import dominant, tits_lifts_certified
 
 
 def _all_blocks_rank(L, name, k):
@@ -50,6 +51,19 @@ def _all_blocks_eigenspace_dim(L, name, k, scalar):
         return fn(u).sub(u.scale(scalar))
 
     return sum(len(keys) - rank(_block_matrix(L, shifted, k, keys, keys)) for keys in weight_blocks(L, k).values())
+
+
+def _walked_dominant(rd, weight):
+    """The dominant conjugate by the uncached walk: reflect while some simple root pairs negatively."""
+    while True:
+        i = next((i for i in range(rd.rank) if pairing(rd.cartan, weight, i) < 0), None)
+        if i is None:
+            return weight
+        weight = reflect(rd.cartan, weight, i)
+
+
+def _is_dominant(rd, weight):
+    return all(pairing(rd.cartan, weight, i) >= 0 for i in range(rd.rank))
 
 
 def _fresh(family, rank_):
@@ -93,12 +107,56 @@ def test_reduced_casimir_window_matches_the_all_blocks_loop(fixture, request):
 
 def test_representatives_are_dominant_conjugates_with_blocks_of_the_same_size():
     L = _fresh("A", 3)
-    cartan = L.rd.cartan
     for k in range(L.g + 1):
         blocks = weight_blocks(L, k)
         for wt, rep in orbit_representatives(L, k).items():
-            assert all(sum(c * row[i] for c, row in zip(rep, cartan)) >= 0 for i in range(L.l))
+            assert _is_dominant(L.rd, rep)
             assert len(blocks[rep]) == len(blocks[wt])
+
+
+@pytest.mark.parametrize("family,rank_", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("D", 3)])
+def test_cached_dominant_matches_the_uncached_walk(family, rank_):
+    L = _fresh(family, rank_)
+    block_weights = {wt for k in range(L.g + 1) for wt in weight_blocks(L, k)}
+    for wt in block_weights:
+        assert dominant(L, wt) == _walked_dominant(L.rd, wt)
+    # the recursion also caches every weight on the way, each of which must hold its own answer
+    cached = {key[1]: rep for key, rep in L._cache.items() if isinstance(key, tuple) and key[0] == "dominant"}
+    assert block_weights <= cached.keys()
+    assert all(rep == _walked_dominant(L.rd, wt) for wt, rep in cached.items())
+
+
+def test_each_algebra_walks_by_its_own_cartan_matrix():
+    # A3 and D3 share block weight tuples but not Cartan matrices, so a cache shared between them would fail
+    a3, d3 = _fresh("A", 3), _fresh("D", 3)
+    assert a3.rd.cartan != d3.rd.cartan
+    shared = {wt for k in range(a3.g + 1) for wt in weight_blocks(a3, k)} & {
+        wt for k in range(d3.g + 1) for wt in weight_blocks(d3, k)
+    }
+    assert any(dominant(a3, wt) != dominant(d3, wt) for wt in shared)
+    for L in (a3, d3):
+        for k in range(L.g + 1):
+            assert all(_is_dominant(L.rd, rep) for rep in orbit_representatives(L, k).values())
+
+
+_ROOT_TYPES = [("A", r) for r in range(1, 6)] + [(f, r) for f in "BC" for r in range(2, 6)]
+_ROOT_TYPES += [("D", r) for r in range(3, 7)] + [("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank_", _ROOT_TYPES, ids=[f"{f}{r}" for f, r in _ROOT_TYPES])
+def test_every_root_walks_to_the_highest_root_of_its_length(family, rank_):
+    # positive_roots are ordered by height, so the last of a length is the highest of that length
+    L = _fresh(family, rank_)
+    rd = L.rd
+    norm = {root: rd.inner(root, root) for root in rd.positive_roots}
+    highest = rd.positive_roots[-1]
+    highest_short = [root for root in rd.positive_roots if norm[root] == min(norm.values())][-1]
+    for root in rd.positive_roots:
+        expected = highest if norm[root] == norm[highest] else highest_short
+        assert dominant(L, root) == expected
+        assert dominant(L, tuple(-c for c in root)) == expected
+    zero = (0,) * rd.rank
+    assert dominant(L, zero) == zero
 
 
 def test_certificate_fails_on_every_single_constant_corruption_of_a2(a2):
