@@ -28,10 +28,10 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix,
-    SparseMatrix,
     combine,
     echelon_rows,
     frac,
+    integer_rows,
     inverse,
     kernel_basis,
     matrix_from_json,
@@ -441,7 +441,7 @@ class Subspace:
         if any(not 0 <= j < L.g for row in rows for j in row):
             raise ValueError("ambient dimension mismatch")
         self.L = L
-        self.rows, self.pivots = echelon_rows(SparseMatrix.scaled(L.g, rows))
+        self.rows, self.pivots = echelon_rows(integer_rows(rows))
         self.dim = len(self.pivots)
 
     def __eq__(self, other):
@@ -494,7 +494,7 @@ def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
     dim S + dim complement = g when kappa is nondegenerate.
     """
     rows = [combine((x, L.kappa[j]) for j, x in row.items()) for row in S.rows]
-    return Subspace(L, kernel_basis(SparseMatrix.scaled(L.g, rows)))
+    return Subspace(L, kernel_basis(integer_rows(rows), L.g))
 
 
 # ---------------------------------------------------------------------------

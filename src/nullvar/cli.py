@@ -63,14 +63,18 @@ def _parse_ints(raw: str, expected: int, what: str):
     return tuple(int(v) for v in vals)
 
 
+def _write(out: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(out, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
+
+
 def _emit(data: dict, out: str | None) -> None:
     text = json.dumps(data, indent=2)
     if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -110,6 +114,9 @@ def cmd_verify(args) -> int:
         chart_samples=args.chart_samples,
         corrupt=corrupt,
     )
+    if args.out:
+        # an unwritable path fails before the suites run; appending nothing truncates nothing
+        _write(args.out, "", "a")
     report = run_suites(config)
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra, Vector, per_algebra
-from .linalg import Matrix, SparseMatrix, frac, integer_terms, rank
+from .linalg import Matrix, frac, integer_terms, rank
 from .roots import casimir_eigenvalue, dim_gamma_two_rho, two_rho
 from .weyl import dominant, tits_lifts_certified
 
@@ -432,7 +432,7 @@ def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> SparseMatrix:
+def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> list[dict[int, int]]:
     """The images under ``fn`` of the degree-k basis wedges ``keys``, as sparse integer rows.
 
     Row j is the numerators of the image of ``keys[j]`` over the positions of
@@ -446,7 +446,7 @@ def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> SparseMatrix:
         if not image.ints.keys() <= index.keys():
             raise AssertionError("operator output escapes its weight block")
         rows.append({index[out_key]: n for out_key, n in image.ints.items()})
-    return SparseMatrix(len(tkeys), tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Exact rational linear algebra: sparse rows, reduced echelon form, rank, kernels.
 
 Every value is exact; no rounding ever occurs.  A vector is a sparse row: a
-dict from each coordinate index to its nonzero ``fractions.Fraction``.  A
-``SparseMatrix`` holds integer rows that keep only their nonzero entries, as
-subspace bases and the weight blocks of the exterior operators are mostly
-zeros.  Dense ``Matrix`` entries serve the inversion of the Killing form,
-the operator and pairing matrices of the transpose relation, the Jacobian of
-the cubic local equations and the JSON encoding.
+dict from each coordinate index to its nonzero ``fractions.Fraction``.
+Elimination runs on sparse integer rows that keep only their nonzero
+entries, as subspace bases, weight blocks of the exterior operators and the
+Jacobian of the cubic local equations are mostly zeros; ``integer_rows``
+scales rational rows to them.  Dense ``Matrix`` entries serve the inversion
+of the Killing form, the operator and pairing matrices of the transpose
+relation and the JSON encoding.
 
 The reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  ``_echelon`` eliminates on sparse
-Python ``int`` rows (a dense row is first scaled by the lcm of its
-denominators).  ``echelon_rows`` divides its rows by their pivots into
-canonical sparse rows and ``rref`` lays those out densely for ``inverse``;
+Python ``int`` rows.  ``echelon_rows`` divides its rows by their pivots into
+canonical sparse rows; ``rref``, the one entry point for a dense matrix,
+scales its rows to integers and lays the result out densely for ``inverse``;
 ``kernel_basis`` reads the kernel off the same rows, and ``rank`` only counts
 their pivots.
 """
@@ -107,28 +108,6 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Integer matrix held as sparse rows: row i maps each column to its nonzero entry.
-
-    The weight-block operators build these from their images, and subspaces
-    from their spanning rows; ``echelon_rows``, ``rank`` and ``kernel_basis``
-    eliminate on them without a dense copy.
-    """
-
-    cols: int
-    entries: tuple[dict[int, int], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @staticmethod
-    def scaled(cols: int, rows) -> "SparseMatrix":
-        """Each sparse rational row times the lcm of its denominators: same row space and kernel."""
-        return SparseMatrix(cols, tuple(integer_terms(row)[1] for row in rows))
-
-
 def combine(terms) -> dict:
     """The sum of c * v over the (c, v) pairs, v sparse rows over any keys, without zero entries."""
     acc: dict = {}
@@ -142,6 +121,11 @@ def integer_terms(terms: dict) -> tuple[int, dict]:
     """``(den, ints)``: the rational ``terms`` are ``ints`` over their common denominator."""
     den = lcm(1, *[c.denominator for c in terms.values()])
     return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def integer_rows(rows) -> list[dict]:
+    """Each sparse rational row times the lcm of its denominators: same row space and kernel."""
+    return [integer_terms(row)[1] for row in rows]
 
 
 def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
@@ -170,23 +154,20 @@ def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
                 row[j] //= h
 
 
-def _echelon(m: Matrix | SparseMatrix) -> dict[int, dict[int, int]]:
-    """The reduced integer rows of the row space of ``m``, keyed by pivot column.
+def _echelon(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced integer rows of the row space of ``rows``, keyed by pivot column.
 
-    Gauss-Jordan elimination on sparse integer rows (a dense ``m`` is scaled
-    row by row to integers first), one row at a time.  The rows kept so far
-    form a reduced basis: each pivots at its first nonzero column and is zero
-    at every other kept pivot.  A new row is cleared at the kept pivots it
-    meets, which puts nothing into another pivot column; a nonzero remainder
-    pivots at its first column and is cleared from the kept rows.  Rows are
-    taken by descending first column, so a new pivot mostly lies left of the
-    kept rows and seldom needs clearing from them.  A row is only ever
-    replaced by a nonzero multiple of itself minus a multiple of a pivot row,
-    so the row space and the pivots are those of ``m``.
+    Gauss-Jordan elimination on sparse integer rows, one row at a time.  The
+    rows kept so far form a reduced basis: each pivots at its first nonzero
+    column and is zero at every other kept pivot.  A new row is cleared at the
+    kept pivots it meets, which puts nothing into another pivot column; a
+    nonzero remainder pivots at its first column and is cleared from the kept
+    rows.  Rows are taken by descending first column, so a new pivot mostly
+    lies left of the kept rows and seldom needs clearing from them.  A row is
+    only ever replaced by a nonzero multiple of itself minus a multiple of a
+    pivot row, so the row space and the pivots are those of ``rows``.
     """
-    if isinstance(m, Matrix):
-        m = SparseMatrix.scaled(m.cols, m.sparse_rows())
-    work = [dict(row) for row in m.entries]  # elimination edits rows in place
+    work = [dict(row) for row in rows]  # elimination edits rows in place
     basis: dict[int, dict[int, int]] = {}
     for row in sorted((row for row in work if row), key=min, reverse=True):
         for c in [c for c in row if c in basis]:
@@ -201,44 +182,43 @@ def _echelon(m: Matrix | SparseMatrix) -> dict[int, dict[int, int]]:
     return basis
 
 
-def echelon_rows(m: Matrix | SparseMatrix) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
-    """The unique reduced row echelon form of ``m`` as sparse rows, with its pivot columns.
+def echelon_rows(rows: Sequence[dict[int, int]]) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
+    """The unique reduced row echelon form of the integer ``rows`` as sparse rows, with its pivot columns.
 
     Each row of ``_echelon`` is divided by its pivot, so it is 1 there.
     """
-    basis = _echelon(m)
+    basis = _echelon(rows)
     pivots = tuple(sorted(basis))
     return tuple({j: Fraction(x, basis[c][c]) for j, x in basis[c].items()} for c in pivots), pivots
 
 
-def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, tuple[int, ...]]:
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row echelon form of ``m`` as a dense matrix, with its pivot columns."""
-    rows, pivots = echelon_rows(m)
-    ncols = m.cols
-    flat = [Fraction(0)] * (m.rows * ncols)
+    rows, pivots = echelon_rows(integer_rows(m.sparse_rows()))
+    flat = [Fraction(0)] * (m.rows * m.cols)
     for i, row in enumerate(rows):
         for j, x in row.items():
-            flat[i * ncols + j] = x
-    return Matrix(m.rows, ncols, tuple(flat)), pivots
+            flat[i * m.cols + j] = x
+    return Matrix(m.rows, m.cols, tuple(flat)), pivots
 
 
-def rank(m: Matrix | SparseMatrix) -> int:
-    """Rank over the rationals: the pivot count of ``_echelon``, without the canonical form."""
-    return len(_echelon(m))
+def rank(rows: Sequence[dict[int, int]]) -> int:
+    """Rank over the rationals of the integer ``rows``: the pivot count of ``_echelon``, without the canonical form."""
+    return len(_echelon(rows))
 
 
-def kernel_basis(m: Matrix | SparseMatrix) -> tuple[dict[int, Fraction], ...]:
-    """Basis of the right kernel as sparse rows, one per non-pivot column f of ``m``.
+def kernel_basis(rows: Sequence[dict[int, int]], cols: int) -> tuple[dict[int, Fraction], ...]:
+    """Basis of the right kernel of the integer ``rows`` over ``cols`` columns, one sparse row per non-pivot column f.
 
     Row f is e_f minus, at each pivot, the entry at f of the reduced row of
-    that pivot, so there are cols(m) - rank(m) rows.  The reduced rows depend
-    only on the row space of ``m``, which the kernel determines, so equal
-    kernels give equal bases.
+    that pivot, so there are cols - rank rows.  The reduced rows depend only
+    on the row space, which the kernel determines, so equal kernels give
+    equal bases.
     """
-    basis = _echelon(m)
+    basis = _echelon(rows)
     return tuple(
         {f: Fraction(1)} | {c: Fraction(-row[f], row[c]) for c, row in basis.items() if f in row}
-        for f in range(m.cols)
+        for f in range(cols)
         if f not in basis
     )
 

@@ -10,7 +10,6 @@ record compares.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from math import comb
 
@@ -43,53 +42,33 @@ def hook_content_dim(partition, n: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class DecompositionClaim:
-    label: str
-    family: str
-    rank: int
-    ambient: dict
-    summands: tuple[tuple[tuple[int, ...], int], ...]
-
-    @staticmethod
-    def from_json(data: dict) -> "DecompositionClaim":
-        return DecompositionClaim(
-            label=data["label"],
-            family=data["family"],
-            rank=int(data["rank"]),
-            ambient=dict(data["ambient"]),
-            summands=tuple(
-                (tuple(int(c) for c in s["weight"]), int(s.get("multiplicity", 1)))
-                for s in data["summands"]
-            ),
-        )
+def ambient_dimension(claim: dict) -> int:
+    ambient = claim["ambient"]
+    if ambient["kind"] == "exterior_power":
+        return comb(ambient["space_dim"], ambient["degree"])
+    if ambient["kind"] == "hook_content":
+        return hook_content_dim(ambient["partition"], ambient["n"])
+    raise ValueError(f"unknown ambient kind {ambient['kind']!r}")
 
 
-def ambient_dimension(claim: DecompositionClaim) -> int:
-    kind = claim.ambient["kind"]
-    if kind == "exterior_power":
-        return comb(int(claim.ambient["space_dim"]), int(claim.ambient["degree"]))
-    if kind == "hook_content":
-        return hook_content_dim(claim.ambient["partition"], int(claim.ambient["n"]))
-    raise ValueError(f"unknown ambient kind {kind!r}")
-
-
-def verify_dimension_claim(rd: RootDatum, claim: DecompositionClaim) -> bool:
-    """True iff the multiplicity-weighted Weyl dimensions sum to the ambient dimension."""
-    if (rd.family, rd.rank) != (claim.family, claim.rank):
+def verify_dimension_claim(rd: RootDatum, claim: dict) -> bool:
+    """True iff the Weyl dimensions, times multiplicities (1 when unstated), sum to the ambient dimension."""
+    if (rd.family, rd.rank) != (claim["family"], claim["rank"]):
         raise ValueError("claim does not match the root datum")
-    if claim.ambient["kind"] == "exterior_power" and int(claim.ambient["space_dim"]) != rd.g:
+    ambient = claim["ambient"]
+    if ambient["kind"] == "exterior_power" and ambient["space_dim"] != rd.g:
         raise ValueError("ambient exterior power does not match the algebra dimension")
-    return sum(weyl_dim(rd, weight) * mult for weight, mult in claim.summands) == ambient_dimension(claim)
+    total = sum(weyl_dim(rd, s["weight"]) * s.get("multiplicity", 1) for s in claim["summands"])
+    return total == ambient_dimension(claim)
 
 
-def load_claims() -> list[DecompositionClaim]:
-    raw = resources.files("nullvar").joinpath("data/claims.json").read_text()
-    return [DecompositionClaim.from_json(c) for c in json.loads(raw)["claims"]]
+def load_claims() -> list[dict]:
+    """The claim objects of ``data/claims.json``, as they are."""
+    return json.loads(resources.files("nullvar").joinpath("data/claims.json").read_text())["claims"]
 
 
-def claims_for(rd: RootDatum) -> list[DecompositionClaim]:
-    return [c for c in load_claims() if (c.family, c.rank) == (rd.family, rd.rank)]
+def claims_for(rd: RootDatum) -> list[dict]:
+    return [c for c in load_claims() if (c["family"], c["rank"]) == (rd.family, rd.rank)]
 
 
 # ---------------------------------------------------------------------------

@@ -139,15 +139,6 @@ class RootDatum:
                     acc[j] += frac(a) * c
         return tuple(acc)
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.label(),
-            "g": self.g,
-            "l": self.rank,
-            "d": self.d,
-            "positive_roots": [list(r) for r in self.positive_roots],
-        }
-
 
 def _pair(gram, u, v) -> Fraction:
     """sum_ij u_i gram[i][j] v_j on root-basis coordinates."""

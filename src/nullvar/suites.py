@@ -1,9 +1,10 @@
 """Named verification suites producing reproducible report records.
 
-Each record carries the mathematical claim it checks, the expected and
-observed values, and a pass flag.  ``_Collector.add`` is the one way to make a
-record: it evaluates both sides, and an exception on either side becomes that
-side's ``error: ...`` text and fails that record only.  A result that feeds
+Each record is the report's JSON dict: the suite, the record name, the
+mathematical claim it checks, the expected and observed values, and a pass
+flag.  ``_Collector.add`` is the one way to make a record: it evaluates both
+sides, and an exception on either side becomes that side's ``error: ...``
+text and fails that record only.  A result that feeds
 several records is read through ``_once``, which raises its stored exception
 again on every read, and per-degree records are emitted for every degree
 whether or not the shared computation raised.  So a failing check keeps its
@@ -69,26 +70,6 @@ from .variety import (
 SUITES = ("structure", "exterior", "nullspace", "equations", "repthy")
 
 
-@dataclass(frozen=True)
-class Record:
-    suite: str
-    name: str
-    claim: str
-    expected: Any
-    got: Any
-    ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "claim": self.claim,
-            "expected": _jsonable(self.expected),
-            "got": _jsonable(self.got),
-            "ok": self.ok,
-        }
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -109,12 +90,9 @@ class SuiteConfig:
     chart_samples: int = 50
     corrupt: tuple[int, int, int] | None = None
 
-    def type_label(self) -> str:
-        return f"{self.family}{self.rank}"
-
     def to_json(self) -> dict:
         return {
-            "type": self.type_label(),
+            "type": f"{self.family}{self.rank}",
             "suite": self.suite,
             "seed": self.seed,
             "samples": self.samples,
@@ -126,7 +104,7 @@ class SuiteConfig:
 class _Collector:
     def __init__(self, suite: str):
         self.suite = suite
-        self.records: list[Record] = []
+        self.records: list[dict] = []
 
     def add(self, name: str, claim: str, expected, fn: Callable[[], Any]):
         """Record one check; ``expected`` is a value or a zero-argument callable.
@@ -138,7 +116,14 @@ class _Collector:
         got, got_ran = _evaluate(fn)
         ok = expected_ran and got_ran and got == expected
         self.records.append(
-            Record(suite=self.suite, name=name, claim=claim, expected=expected, got=got, ok=ok)
+            {
+                "suite": self.suite,
+                "name": name,
+                "claim": claim,
+                "expected": _jsonable(expected),
+                "got": _jsonable(got),
+                "ok": ok,
+            }
         )
 
 
@@ -179,7 +164,7 @@ def _table_dimensions(L: LieAlgebra) -> tuple[int, int, int]:
     return g, l, (g + l) // 2
 
 
-def structure_records(L: LieAlgebra) -> list[Record]:
+def structure_records(L: LieAlgebra) -> list[dict]:
     col = _Collector("structure")
     rd = L.rd
     col.add(
@@ -234,7 +219,7 @@ def structure_records(L: LieAlgebra) -> list[Record]:
     return col.records
 
 
-def exterior_records(L: LieAlgebra) -> list[Record]:
+def exterior_records(L: LieAlgebra) -> list[dict]:
     col = _Collector("exterior")
     col.add(
         "w_sharp_invariance",
@@ -303,7 +288,7 @@ def exterior_records(L: LieAlgebra) -> list[Record]:
     return col.records
 
 
-def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
+def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[dict]:
     col = _Collector("nullspace")
     rng = Lcg(config.seed)
 
@@ -446,7 +431,7 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     return col.records
 
 
-def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
+def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[dict]:
     col = _Collector("equations")
     membership = _once(lambda: membership_equivalence_suite(L, config.samples, config.seed))
     col.add(
@@ -492,11 +477,11 @@ def equations_records(L: LieAlgebra, config: SuiteConfig) -> list[Record]:
     return col.records
 
 
-def repthy_records(L: LieAlgebra) -> list[Record]:
+def repthy_records(L: LieAlgebra) -> list[dict]:
     col = _Collector("repthy")
     for claim in claims_for(L.rd):
         col.add(
-            f"claim_{claim.label}",
+            f"claim_{claim['label']}",
             "multiplicity-weighted Weyl dimensions sum to the ambient dimension",
             True,
             lambda claim=claim: verify_dimension_claim(L.rd, claim),
@@ -530,7 +515,7 @@ def run_suites(config: SuiteConfig) -> dict:
         i, j, k = config.corrupt
         L = L.with_corrupted_constant(i, j, k)
     selected = SUITES if config.suite == "all" else (config.suite,)
-    records: list[Record] = []
+    records: list[dict] = []
     for name in selected:
         if name == "structure":
             records.extend(structure_records(L))
@@ -547,6 +532,6 @@ def run_suites(config: SuiteConfig) -> dict:
     return {
         "version": __version__,
         "config": config.to_json(),
-        "records": [r.to_json() for r in records],
-        "ok": all(r.ok for r in records),
+        "records": records,
+        "ok": all(r["ok"] for r in records),
     }

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, StructureError, Subspace, Vector
-from .linalg import Matrix, SparseMatrix, combine, echelon_rows, frac, rank
+from .linalg import combine, echelon_rows, frac, integer_rows, rank
 
 
 class NotInVarietyError(ValueError):
@@ -142,7 +142,7 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
     # pivot and zero at every other
     order = sorted(range(L.g), key=lambda i: -grades[i])
     column = {i: c for c, i in enumerate(order)}
-    red, pivots = echelon_rows(SparseMatrix.scaled(L.g, [{column[i]: x for i, x in row.items()} for row in V.rows]))
+    red, pivots = echelon_rows(integer_rows({column[i]: x for i, x in row.items()} for row in V.rows))
     limit = []
     for row, p in zip(red, pivots):
         top = grades[order[p]]
@@ -178,7 +178,7 @@ def d_operator_corank(L: LieAlgebra) -> int:
                 raise StructureError("bracket of Borel elements left the nilradical")
             row[borel_pos[a] * L.n_pos + nil_col[m]] = c
         rows.append(row)
-    corank = target_dim - rank(SparseMatrix.scaled(target_dim, rows))
+    corank = target_dim - rank(integer_rows(rows))
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
     return corank
@@ -206,19 +206,12 @@ class CubicSystem:
     def n_vars(self) -> int:
         return self.base.dim * self.complement.dim
 
-    def jacobian_at_zero(self) -> Matrix:
-        """Matrix of the degree-one coefficients; rows follow the triple order."""
-        d, m = self.base.dim, self.complement.dim
-        cols = d * m
-        entries = []
-        for poly in self.polynomials:
-            row = [Fraction(0)] * cols
-            for mono, coeff in poly.items():
-                if len(mono) == 1:
-                    (i, j) = mono[0]
-                    row[i * m + j] = coeff
-            entries.append(row)
-        return Matrix.from_rows(entries) if entries else Matrix(0, cols, ())
+    def jacobian_at_zero(self) -> list[Vector]:
+        """The degree-one coefficients as sparse rows, X[i][j] at column i * m + j; rows follow the triple order."""
+        m = self.complement.dim
+        return [
+            {i * m + j: c for mono, c in poly.items() if len(mono) == 1 for i, j in mono} for poly in self.polynomials
+        ]
 
 
 def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> CubicSystem:
@@ -271,8 +264,7 @@ def jacobian_corank_at(L: LieAlgebra, base: Subspace) -> int:
         raise NotInVarietyError("base point is not a maximal nullspace")
     complement = coordinate_complement(L, base)
     system = local_equations(L, base, complement)
-    jac = system.jacobian_at_zero()
-    return system.n_vars - rank(jac)
+    return system.n_vars - rank(integer_rows(system.jacobian_at_zero()))
 
 
 def check_d_relations(L: LieAlgebra) -> bool:

@@ -22,7 +22,7 @@ from nullvar.algebra import (
     orthogonal_complement,
     standard_borel,
 )
-from nullvar.linalg import Matrix, kernel_basis
+from nullvar.linalg import Matrix, integer_rows, kernel_basis
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import is_nullspace, random_subspace
@@ -291,7 +291,7 @@ def _dense_build_involution(L, simple_signs):
 
     def eigenspace(e):
         rows = [[x - e * (i == j) for j, x in enumerate(sigma.row(i))] for i in range(g)]
-        return Subspace(L, kernel_basis(Matrix.from_rows(rows)))
+        return Subspace(L, kernel_basis(integer_rows(Matrix.from_rows(rows).sparse_rows()), g))
 
     fixed, minus = eigenspace(1), eigenspace(-1)
     if fixed.dim != (g - L.l) // 2 or minus.dim != L.d:

@@ -316,3 +316,22 @@ def test_unwritable_out_path_is_a_usage_error(args, tmp_path):
         result = run_cli(*args, "--out", str(out))
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: cannot write {out}:") and "Traceback" not in result.stderr
+
+
+def test_unwritable_out_fails_before_the_suites_run(tmp_path, monkeypatch, capsys):
+    # a full A3 verify runs for minutes, so the path must be refused before it starts
+    def unreachable(config):
+        raise AssertionError("the suites ran before the --out path was checked")
+
+    monkeypatch.setattr(cli, "run_suites", unreachable)
+    monkeypatch.setenv("NULLVAR_MAX_G", "15")
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["verify", "--type", "A3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}:") and "Traceback" not in err
+    # the check writes nothing: a writable file keeps its content until the report replaces it
+    kept = tmp_path / "kept.json"
+    kept.write_text("old report\n")
+    with pytest.raises(AssertionError, match="the suites ran"):
+        cli.main(["verify", "--type", "A3", "--out", str(kept)])
+    assert kept.read_text() == "old report\n"

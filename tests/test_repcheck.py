@@ -30,27 +30,27 @@ def test_all_shipped_claims_pass():
     claims = load_claims()
     assert len(claims) >= 6
     for claim in claims:
-        rd = build_root_datum(claim.family, claim.rank)
-        assert verify_dimension_claim(rd, claim) is True, claim.label
+        rd = build_root_datum(claim["family"], claim["rank"])
+        assert verify_dimension_claim(rd, claim) is True, claim["label"]
 
 
 def test_sp4_wedge_sums():
     c2 = build_root_datum("C", 2)
-    by_label = {c.label: c for c in claims_for(c2)}
+    by_label = {c["label"]: c for c in claims_for(c2)}
     r3, r6 = by_label["wedge3_sp4"], by_label["wedge6_sp4"]
     assert verify_dimension_claim(c2, r3) and verify_dimension_claim(c2, r6)
     assert ambient_dimension(r3) == 120
-    assert sorted((weyl_dim(c2, w) for w, _ in r3.summands), reverse=True) == [35, 35, 30, 14, 5, 1]
+    assert sorted((weyl_dim(c2, s["weight"]) for s in r3["summands"]), reverse=True) == [35, 35, 30, 14, 5, 1]
     assert ambient_dimension(r6) == 210
-    assert sorted((weyl_dim(c2, w) for w, _ in r6.summands), reverse=True) == [81, 35, 35, 30, 14, 10, 5]
+    assert sorted((weyl_dim(c2, s["weight"]) for s in r6["summands"]), reverse=True) == [81, 35, 35, 30, 14, 10, 5]
 
 
 def test_cubics_claim_against_hook_oracle():
     c2 = build_root_datum("C", 2)
-    claim = next(c for c in claims_for(c2) if c.label == "cubics_on_plane_grassmannian_sp4")
+    claim = next(c for c in claims_for(c2) if c["label"] == "cubics_on_plane_grassmannian_sp4")
     assert verify_dimension_claim(c2, claim)
     assert ambient_dimension(claim) == 175
-    assert tuple(weyl_dim(c2, w) for w, _ in claim.summands) == (84, 10, 81)
+    assert tuple(weyl_dim(c2, s["weight"]) for s in claim["summands"]) == (84, 10, 81)
 
 
 def test_wedge_square_dimension_identities():

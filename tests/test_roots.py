@@ -217,13 +217,3 @@ def test_algebra_dimension_rejects_what_the_builder_rejects(family, rank):
             fn(family, rank)
 
 
-def test_root_datum_json():
-    rd = build_root_datum("A", 2)
-    data = rd.to_json()
-    assert data == {
-        "type": "A2",
-        "g": 8,
-        "l": 2,
-        "d": 5,
-        "positive_roots": [[1, 0], [0, 1], [1, 1]],
-    }

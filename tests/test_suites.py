@@ -22,19 +22,19 @@ def test_membership_suite_runs_once(a2, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(suites, "membership_equivalence_suite", counting)
-    records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
+    records = {r["name"]: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
     assert len(calls) == 1
-    assert records["membership_equivalence"].ok
+    assert records["membership_equivalence"]["ok"]
     # samples 1, 4, 7 and 10 of 12 are chart points
     counts = records["membership_counts"]
-    assert (counts.expected, counts.got, counts.ok) == (4, 4, True)
+    assert (counts["expected"], counts["got"], counts["ok"]) == (4, 4, True)
 
 
 def test_membership_counts_goes_red_by_count(a2):
     config = suites.SuiteConfig("A", 2, samples=12)
-    records = {r.name: r for r in suites.equations_records(a2.with_corrupted_constant(0, 1, 2), config)}
+    records = {r["name"]: r for r in suites.equations_records(a2.with_corrupted_constant(0, 1, 2), config)}
     counts = records["membership_counts"]
-    assert (counts.expected, counts.got, counts.ok) == (4, 0, False)
+    assert (counts["expected"], counts["got"], counts["ok"]) == (4, 0, False)
 
 
 def test_membership_failure_fails_both_records(a2, monkeypatch):
@@ -42,21 +42,21 @@ def test_membership_failure_fails_both_records(a2, monkeypatch):
         raise RuntimeError("sampler broke")
 
     monkeypatch.setattr(suites, "membership_equivalence_suite", broken)
-    records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
+    records = {r["name"]: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
     for name in ("membership_equivalence", "membership_counts"):
-        assert records[name].ok is False
-        assert records[name].got == "error: RuntimeError: sampler broke"
-    assert records["equation_count"].ok  # the failure stays in the records that use the suite
+        assert records[name]["ok"] is False
+        assert records[name]["got"] == "error: RuntimeError: sampler broke"
+    assert records["equation_count"]["ok"]  # the failure stays in the records that use the suite
 
 
 def test_wrong_equation_count_fails_both_records(a2, monkeypatch):
     true_count = suites.equation_count(a2)
     monkeypatch.setattr(suites, "equation_count", lambda L: true_count + 1)
-    records = {r.name: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
+    records = {r["name"]: r for r in suites.equations_records(a2, suites.SuiteConfig("A", 2, samples=12))}
     for name in ("equation_count", "residual_dimension"):
-        assert records[name].ok is False
-    assert records["equation_count"].expected == true_count == 28
-    assert records["residual_dimension"].expected == 56 - 28
+        assert records[name]["ok"] is False
+    assert records["equation_count"]["expected"] == true_count == 28
+    assert records["residual_dimension"]["expected"] == 56 - 28
 
 
 def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monkeypatch):
@@ -74,10 +74,11 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
 
     monkeypatch.setattr(exterior, "_block_matrix", counting)
     config = suites.SuiteConfig("A", 2, samples=12)
-    records = {r.name: r for r in suites.exterior_records(L) + suites.equations_records(L, config)}
-    assert records["delta_rank_into_degree_d"].ok is False
-    assert (records["delta_rank_into_degree_d"].expected, records["delta_rank_into_degree_d"].got) == (28, 29)
-    assert records["equation_count"].ok and records["equation_count"].expected == 28
+    records = {r["name"]: r for r in suites.exterior_records(L) + suites.equations_records(L, config)}
+    assert records["delta_rank_into_degree_d"]["ok"] is False
+    wedge_rank = records["delta_rank_into_degree_d"]
+    assert (wedge_rank["expected"], wedge_rank["got"]) == (28, 29)
+    assert records["equation_count"]["ok"] and records["equation_count"]["expected"] == 28
     # three records expect the contraction rank, eliminated once per Weyl-orbit
     # representative block; equation_count reads the wedge rank that the
     # exact sequences eliminated above, before the count began
@@ -92,27 +93,27 @@ def test_every_single_constant_corruption_turns_structure_red(a2):
     assert len(corruptions) == 224
     green = [
         c for c in corruptions
-        if all(r.ok for r in suites.structure_records(a2.with_corrupted_constant(*c)))
+        if all(r["ok"] for r in suites.structure_records(a2.with_corrupted_constant(*c)))
     ]
     assert green == []
-    assert all(r.ok for r in suites.structure_records(a2))
+    assert all(r["ok"] for r in suites.structure_records(a2))
 
 
 def test_invariance_records_go_red_on_corrupted_c2(c2):
     L = c2.with_corrupted_constant(2, 3, 1)
     records = {
-        r.name: r
+        r["name"]: r
         for r in suites.exterior_records(L) + suites.equations_records(L, suites.SuiteConfig("C", 2, samples=3))
     }
     for name in ("operator_invariance", "contraction_equivariance"):
-        assert (records[name].ok, records[name].got) == (False, False)
+        assert (records[name]["ok"], records[name]["got"]) == (False, False)
 
 
 def test_d_relations_record_goes_red_on_corrupted_c2(c2):
     config = suites.SuiteConfig("C", 2, chart_samples=1)
     # the first identity (h, k Cartan) fails here
-    records = {r.name: r for r in suites.nullspace_records(c2.with_corrupted_constant(0, 1, 0), config)}
-    assert (records["d_operator_relations"].ok, records["d_operator_relations"].got) == (False, False)
+    records = {r["name"]: r for r in suites.nullspace_records(c2.with_corrupted_constant(0, 1, 0), config)}
+    assert (records["d_operator_relations"]["ok"], records["d_operator_relations"]["got"]) == (False, False)
 
 
 GOLDEN_C2 = Path(__file__).parent / "data" / "verify_C2_seed42.json"
@@ -135,7 +136,7 @@ SHARED_READERS = {
 
 @pytest.fixture(scope="module")
 def c2_records(c2):
-    return [r.to_json() for r in suites.exterior_records(c2) + suites.repthy_records(c2)]
+    return suites.exterior_records(c2) + suites.repthy_records(c2)
 
 
 @pytest.mark.parametrize("shared", sorted(SHARED_READERS))
@@ -144,7 +145,7 @@ def test_raising_shared_computation_fails_only_its_readers(c2, c2_records, share
         raise RuntimeError(f"{shared} broke")
 
     monkeypatch.setattr(suites, shared, broken)
-    records = [r.to_json() for r in suites.exterior_records(c2) + suites.repthy_records(c2)]
+    records = suites.exterior_records(c2) + suites.repthy_records(c2)
     assert [r["name"] for r in records] == [r["name"] for r in c2_records]
     readers = 0
     for sound, got in zip(c2_records, records):
