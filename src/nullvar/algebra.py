@@ -491,10 +491,15 @@ def root_pair_plane(L: LieAlgebra, a: int) -> Subspace:
 def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
     """Kappa-orthogonal complement: the kernel of the rows of S times kappa.
 
-    dim S + dim complement = g when kappa is nondegenerate.
+    dim S + dim complement = g when kappa is nondegenerate.  The kernel is
+    taken with the columns reversed, j -> g-1-j: a kernel row is then nonzero
+    only at its non-pivot column and at pivots left of it, so mapped back it
+    is already a reduced echelon row and ``Subspace`` has nothing to eliminate.
     """
+    last = L.g - 1
     rows = [combine((x, L.kappa[j]) for j, x in row.items()) for row in S.rows]
-    return Subspace(L, kernel_basis(integer_rows(rows), L.g))
+    kernel = kernel_basis(integer_rows([{last - j: x for j, x in row.items()} for row in rows]), L.g)
+    return Subspace(L, [{last - j: x for j, x in row.items()} for row in kernel])
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
 from .algebra import Subspace, build_algebra
 from .grassmann import equation_set, linear_membership, plucker
+from .linalg import parse_rational
 from .roots import UnsupportedTypeError, algebra_dimension, build_root_datum, dim_gamma_two_rho, parse_type_label
 from .suites import SuiteConfig, run_suites
 from .variety import chart, degenerate, is_nullspace, parabolic_profile
@@ -51,9 +51,9 @@ def _parse_fractions(raw: str, expected: int, what: str):
     if len(parts) != expected:
         raise UsageError(f"{what} needs {expected} comma-separated values, got {len(parts)}")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(parse_rational(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed {what}: {raw!r}") from exc
+        raise UsageError(f"malformed {what}: {raw!r} ({exc})") from exc
 
 
 def _parse_ints(raw: str, expected: int, what: str):

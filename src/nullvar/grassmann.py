@@ -1,12 +1,14 @@
 """Plucker vectors and the linear equations cutting the nullspace variety out of the Grassmannian.
 
-Membership of a d-dimensional subspace in the variety is decided by a single
-linear condition on its Plucker vector: the degree-lowering contraction with
-the trilinear form must vanish.  The contraction's coordinates on degree d are
-exactly the linear equation set; its row space matches, through the pairing
+Membership of a d-dimensional subspace in the variety is decided by linear
+equations on its Plucker vector: the coordinates of its degree-lowering
+contraction with the trilinear form, one equation per degree-(d-3) basis
+wedge.  ``equation_table`` holds them as sparse integer rows, built once per
+algebra; ``linear_membership`` evaluates them in order and stops at the first
+nonzero one, and ``equation_set`` writes the same rows as the JSON the
+``equations`` verb writes.  Their row space matches, through the pairing
 induced by the Killing form, the space of hyperplanes spanned by the wedge
-images from degree d-3.  ``equation_set`` gives that set as the JSON the
-``equations`` verb writes.
+images from degree d-3.
 """
 
 from __future__ import annotations
@@ -42,34 +44,56 @@ def plucker(L: LieAlgebra, S: Subspace) -> MultiVector:
     return v
 
 
-def linear_membership(L: LieAlgebra, P: MultiVector) -> bool:
-    """True iff the contraction of P by the trilinear form vanishes.
+@per_algebra
+def equation_table(L: LieAlgebra) -> tuple[tuple[dict[int, int], ...], int]:
+    """``(rows, den)``: the degree-d contraction as sparse integer rows, one per degree-(d-3) basis wedge.
 
-    For decomposable P this is equivalent to the spanning subspace being a
-    nullspace; the map is total, so non-decomposable inputs are processed too.
+    Row r maps each degree-d key v, in the order of ``degree_keys(L, d)``, to
+    the numerator over ``den`` of the coefficient of the r-th key of
+    ``degree_keys(L, d - 3)`` in the contraction of the basis wedge v; zero
+    coefficients are left out.  So the contraction of P has the coordinates
+    sum(n * P[v]) over the rows, over ``den`` times P's denominator.
+    """
+    rows: dict[int, dict[int, int]] = {low: {} for low in degree_keys(L, L.d - 3)}
+    # each image holds a fresh int object per entry outside CPython's cached
+    # small ints; one object per distinct coefficient saves about 30 MB on B3
+    shared: dict[int, int] = {}
+    den = 1
+    for key in degree_keys(L, L.d):
+        image = delta_star(MultiVector.over(L, L.d, {key: 1}))
+        den = image.den  # the contraction table's denominator, the same for every basis wedge
+        for low, n in image.ints.items():
+            rows[low][key] = shared.setdefault(n, n)
+    return tuple(rows.values()), den
+
+
+def linear_membership(L: LieAlgebra, P: MultiVector) -> bool:
+    """True iff P satisfies every linear equation of ``equation_table``, that is its contraction vanishes.
+
+    The equations are evaluated in order, and the first nonzero one decides
+    False without reading the rest.  For decomposable P this is equivalent to
+    the spanning subspace being a nullspace; the equations are linear, so
+    non-decomposable inputs are decided too.
     """
     if P.degree != L.d:
         raise ValueError("membership is defined on degree-d vectors")
-    return delta_star(P).is_zero()
+    get = P.ints.get
+    return not any(sum(n * get(key, 0) for key, n in row.items()) for row in equation_table(L)[0])
 
 
 def equation_set(L: LieAlgebra) -> dict:
-    """The degree-d contraction as sparse JSON rows: one linear equation per degree-(d-3) basis wedge.
+    """``equation_table`` as sparse JSON rows: one linear equation per degree-(d-3) basis wedge.
 
     Row r lists the nonzero ``[column, coefficient]`` pairs of the r-th key of
-    ``degree_keys(L, d - 3)``, transposed from the contraction's images of the
-    degree-d basis wedges; column c is the c-th key of ``degree_keys(L, d)``.
+    ``degree_keys(L, d - 3)``; column c is the c-th key of ``degree_keys(L, d)``.
     """
-    index = key_index_map(L, L.d - 3)
-    rows: list[list] = [[] for _ in index]
-    for col, key in enumerate(degree_keys(L, L.d)):
-        for out_key, x in delta_star(MultiVector.over(L, L.d, {key: 1})).terms.items():
-            rows[index[out_key]].append([col, str(x)])
+    rows, den = equation_table(L)
+    column = key_index_map(L, L.d)
     ambient = binomial_dim(L.g, L.d)
     return {
         "rows": len(rows),
         "cols": ambient,
-        "equations": rows,
+        "equations": [[[column[key], str(Fraction(n, den))] for key, n in row.items()] for row in rows],
         "rank": blocked_rank(L, "delta_star", L.d),
         "ambient_plucker_dim": ambient,
     }

@@ -33,6 +33,18 @@ def frac(value) -> Fraction:
     return Fraction(value)
 
 
+def parse_rational(text: str) -> Fraction:
+    """The rational that ``text`` writes, as '3/4', '-2' or '0.5' do; ValueError or ZeroDivisionError otherwise.
+
+    ``Fraction`` also reads an exponent, and Fraction('1e9') builds a
+    billion-digit integer before any size could be checked, so a string with
+    an exponent is refused.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponents are not accepted: {text!r}")
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense row-major matrix of exact rationals."""
@@ -285,6 +297,7 @@ def matrix_from_json(data: dict) -> Matrix:
     if any(isinstance(x, bool) or not isinstance(x, (int, str)) for row in entries for x in row):
         raise ValueError("matrix entries must be integers or rational strings")
     try:
-        return Matrix(rows, cols, tuple(Fraction(x) for row in entries for x in row))
+        flat = tuple(parse_rational(x) if isinstance(x, str) else Fraction(x) for row in entries for x in row)
+        return Matrix(rows, cols, flat)
     except ZeroDivisionError as exc:
         raise ValueError(f"matrix entry {exc}") from None

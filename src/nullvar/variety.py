@@ -327,7 +327,7 @@ def random_subspace(L: LieAlgebra, rng, dim: int) -> Subspace:
     """Random subspace of exact dimension ``dim`` with entries in -3..3."""
     while True:
         # every coordinate is drawn, in row order; the zeros are left out
-        rows = [{j: Fraction(x) for j in range(L.g) if (x := rng.randint(-3, 3))} for _ in range(dim)]
+        rows = [{j: x for j in range(L.g) if (x := rng.randint(-3, 3))} for _ in range(dim)]
         S = Subspace(L, rows)
         if S.dim == dim:
             return S

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullvar import algebra
 from nullvar.algebra import (
     InvolutionError,
     LieAlgebra,
@@ -22,7 +23,7 @@ from nullvar.algebra import (
     orthogonal_complement,
     standard_borel,
 )
-from nullvar.linalg import Matrix, integer_rows, kernel_basis
+from nullvar.linalg import Matrix, combine, integer_rows, kernel_basis
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import is_nullspace, random_subspace
@@ -408,6 +409,38 @@ def test_orthogonal_complements(a2):
         assert h_perp.contains(a2.basis_vector(a2.neg_index(a)))
     S = standard_borel(a2)
     assert orthogonal_complement(a2, orthogonal_complement(a2, S)) == S
+
+
+def _complement_oracle(L, S):
+    """The complement by two eliminations: the kernel of S times kappa, then the echelon rows of that kernel."""
+    rows = [combine((x, L.kappa[j]) for j, x in row.items()) for row in S.rows]
+    return Subspace(L, kernel_basis(integer_rows(rows), L.g))
+
+
+@pytest.mark.parametrize(
+    "fixture,corrupt",
+    [("a2", None), ("b2", None), ("c2", None), ("g2", None), ("c2", (2, 3, 1))],
+    ids=["a2", "b2", "c2", "g2", "c2_corrupt_2_3_1"],
+)
+def test_orthogonal_complement_matches_two_elimination_oracle(fixture, corrupt, request, monkeypatch):
+    L = request.getfixturevalue(fixture)
+    if corrupt:
+        L = L.with_corrupted_constant(*corrupt)
+    kernels = []
+
+    def recording(rows, cols, _kernel_basis=algebra.kernel_basis):
+        kernels.append(_kernel_basis(rows, cols))
+        return kernels[-1]
+
+    monkeypatch.setattr(algebra, "kernel_basis", recording)
+    rng = Lcg(11)
+    for dim in range(L.g + 1):
+        S = random_subspace(L, rng, dim)
+        comp = orthogonal_complement(L, S)
+        assert comp == _complement_oracle(L, S)
+        # the kernel rows, mapped back from the reversed columns, are already the canonical rows
+        mapped = [{L.g - 1 - j: x for j, x in row.items()} for row in kernels[-1]]
+        assert sorted(mapped, key=min) == list(comp.rows)
 
 
 def test_subspace_canonical_equality(a2):

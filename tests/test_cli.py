@@ -10,6 +10,7 @@ import pytest
 
 from nullvar import cli
 from nullvar.algebra import standard_borel
+from nullvar.variety import chart
 
 
 def run_cli(*args, env_extra=None):
@@ -177,6 +178,34 @@ def test_membership_verb_rejects_malformed_subspace(basis, tmp_path):
     out = run_cli("membership", "--type", "A2", "--basis", str(basis_path))
     assert out.returncode == 2
     assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chart", "--type", "A2", "--t", "1e3,1"],
+        ["degenerate", "--type", "A2", "--t", "1,1", "--weight", "1E3,1"],
+        ["membership", "--type", "A2", "--basis", "EXPONENT_JSON"],
+    ],
+    ids=["chart-t", "degenerate-weight", "membership-basis"],
+)
+def test_exponent_notation_is_a_usage_error(argv, tmp_path, capsys):
+    # Fraction reads '1e3' as 1000, and a large exponent as an integer of that many digits
+    basis = tmp_path / "exponent.json"
+    basis.write_text(json.dumps({"rows": 1, "cols": 8, "entries": [["1e3", 0, 0, 0, 0, 0, 0, 0]]}))
+    assert cli.main([str(basis) if a == "EXPONENT_JSON" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "exponent" in err
+
+
+def test_rationals_without_exponents_are_accepted(tmp_path, capsys, a2):
+    for t, parsed in (("3/4,-2", (Fraction(3, 4), -2)), ("0.5,1", (Fraction(1, 2), 1))):
+        assert cli.main(["chart", "--type", "A2", "--t", t]) == 0
+        assert json.loads(capsys.readouterr().out) == chart(a2, parsed).to_json()
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"rows": 1, "cols": 8, "entries": [["3/4", "-2", "0.5", 0, 0, 0, 0, 0]]}))
+    assert cli.main(["membership", "--type", "A2", "--basis", str(basis)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dim": 1, "is_nullspace": True}
 
 
 def test_degenerate_verb(a2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nullvar import grassmann
-from nullvar.algebra import Subspace, build_involution, standard_borel
+from nullvar.algebra import Subspace, build_involution, orthogonal_complement, standard_borel
 from nullvar.exterior import (
     MultiVector,
     binomial_dim,
@@ -28,7 +28,7 @@ from nullvar.grassmann import (
 )
 from nullvar.linalg import combine
 from nullvar.seeds import Lcg
-from nullvar.variety import chart, is_nullspace, random_subspace
+from nullvar.variety import chart, is_nullspace, random_chart_parameters, random_subspace
 
 
 def test_plucker_borel(a2):
@@ -60,6 +60,38 @@ def test_linear_membership_examples(a2):
             hits += 1
             assert not linear_membership(a2, plucker(a2, V))
     assert hits > 0
+
+
+def _contraction_vanishes(L, P):
+    """The reference membership test: the whole contraction of P is zero."""
+    return delta_star(P).is_zero()
+
+
+@pytest.mark.parametrize("corrupt", [None, (2, 3, 1)], ids=["plain", "corrupt_2_3_1"])
+@pytest.mark.parametrize("fixture", ["a2", "c2"])
+def test_linear_membership_matches_the_contraction(fixture, corrupt, request):
+    L = request.getfixturevalue(fixture)
+    if corrupt:
+        L = L.with_corrupted_constant(*corrupt)
+    rng = Lcg(5)
+    half = (L.g - L.l) // 2
+    decomposable = []
+    for _ in range(6):
+        decomposable.append(plucker(L, random_subspace(L, rng, L.d)))
+        decomposable.append(plucker(L, chart(L, random_chart_parameters(L, rng))))
+        comp = orthogonal_complement(L, random_subspace(L, rng, half))
+        if comp.dim == L.d:
+            decomposable.append(plucker(L, comp))
+    # non-decomposable vectors too: sums of two (two chart points among them,
+    # three apart), every basis wedge, multiples
+    vectors = decomposable + [P.add(Q) for i, P in enumerate(decomposable) for Q in decomposable[i + 1 : i + 4]]
+    vectors += [MultiVector.over(L, L.d, {key: 1}) for key in degree_keys(L, L.d)]
+    vectors += [P.scale(Fraction(-7, 3)) for P in decomposable]
+    verdicts = [linear_membership(L, P) for P in vectors]
+    assert verdicts == [_contraction_vanishes(L, P) for P in vectors]
+    assert False in verdicts
+    if corrupt is None:
+        assert True in verdicts
 
 
 def test_equation_counts(a1, a2, c2):

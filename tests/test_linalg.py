@@ -15,6 +15,7 @@ from nullvar.linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    parse_rational,
     rank,
     rref,
 )
@@ -130,6 +131,23 @@ def test_matrix_json_roundtrip():
     data = matrix_to_json(m)
     assert data["entries"][0][0] == "1/3"
     assert matrix_from_json(data) == m
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1", "-3e0"])
+def test_exponent_entries_are_refused(text):
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rational(text)
+    with pytest.raises(ValueError, match="exponent"):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [[text, 1]]})
+
+
+def test_rational_strings_are_read_exactly():
+    assert [parse_rational(x) for x in ("3/4", "-2", "0.5", " 7 ")] == [Fraction(3, 4), -2, Fraction(1, 2), 7]
+    assert matrix_from_json({"rows": 1, "cols": 3, "entries": [["3/4", "0.5", -2]]}).row(0) == (
+        Fraction(3, 4),
+        Fraction(1, 2),
+        -2,
+    )
 
 
 def _fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
