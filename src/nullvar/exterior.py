@@ -340,7 +340,11 @@ def delta(u: MultiVector) -> MultiVector:
 
 @per_algebra
 def _delta_star_table(L: LieAlgebra) -> tuple[tuple, int]:
-    """``(table, den)``: each nonzero w triple, taken out of a wedge with the value of w."""
+    """``(table, den)``: each nonzero w triple, taken out of a wedge with the value of w.
+
+    ``grassmann`` reads its linear equations off it too: the equation of a key
+    u gives u | part, for each triple part missing u, the signed value of w.
+    """
     den, ints = integer_terms({sum(1 << i for i in triple): c for triple, c in L.w_table.items()})
     return tuple((part, _terms(part, {0: n})) for part, n in ints.items()), den
 

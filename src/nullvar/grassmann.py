@@ -1,14 +1,13 @@
 """Plucker vectors and the linear equations cutting the nullspace variety out of the Grassmannian.
 
 Membership of a d-dimensional subspace in the variety is decided by linear
-equations on its Plucker vector: the coordinates of its degree-lowering
-contraction with the trilinear form, one equation per degree-(d-3) basis
-wedge.  ``equation_table`` holds them as sparse integer rows, built once per
-algebra; ``linear_membership`` evaluates them in order and stops at the first
-nonzero one, and ``equation_set`` writes the same rows as the JSON the
-``equations`` verb writes.  Their row space matches, through the pairing
-induced by the Killing form, the space of hyperplanes spanned by the wedge
-images from degree d-3.
+equations on its Plucker vector: the coordinates of its contraction with the
+trilinear form, one per degree-(d-3) basis wedge, each read on demand off the
+contraction's own table.  ``linear_membership`` evaluates those that P's keys
+reach until one is nonzero; ``equation_set`` writes them all as the JSON of
+the ``equations`` verb.  Through the pairing induced by the Killing form,
+their row space matches the hyperplanes spanned by the wedge images from
+degree d-3.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
 from .exterior import (
     MultiVector,
     _bits,
+    _delta_star_table,
     binomial_dim,
     blocked_rank,
     degree_keys,
@@ -44,56 +44,52 @@ def plucker(L: LieAlgebra, S: Subspace) -> MultiVector:
     return v
 
 
-@per_algebra
-def equation_table(L: LieAlgebra) -> tuple[tuple[dict[int, int], ...], int]:
-    """``(rows, den)``: the degree-d contraction as sparse integer rows, one per degree-(d-3) basis wedge.
-
-    Row r maps each degree-d key v, in the order of ``degree_keys(L, d)``, to
-    the numerator over ``den`` of the coefficient of the r-th key of
-    ``degree_keys(L, d - 3)`` in the contraction of the basis wedge v; zero
-    coefficients are left out.  So the contraction of P has the coordinates
-    sum(n * P[v]) over the rows, over ``den`` times P's denominator.
-    """
-    rows: dict[int, dict[int, int]] = {low: {} for low in degree_keys(L, L.d - 3)}
-    # each image holds a fresh int object per entry outside CPython's cached
-    # small ints; one object per distinct coefficient saves about 30 MB on B3
-    shared: dict[int, int] = {}
-    den = 1
-    for key in degree_keys(L, L.d):
-        image = delta_star(MultiVector.over(L, L.d, {key: 1}))
-        den = image.den  # the contraction table's denominator, the same for every basis wedge
-        for low, n in image.ints.items():
-            rows[low][key] = shared.setdefault(n, n)
-    return tuple(rows.values()), den
+def _equation(table: tuple, low: int) -> dict[int, int]:
+    """Equation of the degree-(d-3) key ``low``: its numerator over ``den`` in the contraction of each degree-d key."""
+    return {
+        low | part: minus if (low & mask).bit_count() & 1 else plus
+        for part, ((_, mask, plus, minus),) in table
+        if not low & part
+    }
 
 
 def linear_membership(L: LieAlgebra, P: MultiVector) -> bool:
-    """True iff P satisfies every linear equation of ``equation_table``, that is its contraction vanishes.
+    """True iff P satisfies every linear equation, that is its contraction vanishes.
 
-    The equations are evaluated in order, and the first nonzero one decides
-    False without reading the rest.  For decomposable P this is equivalent to
-    the spanning subspace being a nullspace; the equations are linear, so
-    non-decomposable inputs are decided too.
+    Only the equations of ``v ^ part``, for a key v of P and a w triple
+    ``part`` inside it, can be nonzero; each is read once, the first nonzero
+    one deciding False.  For decomposable P this says the spanning subspace is
+    a nullspace; the equations are linear, so any P is decided.
     """
     if P.degree != L.d:
         raise ValueError("membership is defined on degree-d vectors")
+    table = _delta_star_table(L)[0]
     get = P.ints.get
-    return not any(sum(n * get(key, 0) for key, n in row.items()) for row in equation_table(L)[0])
+    seen: set[int] = set()
+    for key in P.ints:
+        for part, _ in table:
+            if key & part == part and (low := key ^ part) not in seen:
+                seen.add(low)
+                if sum(n * get(high, 0) for high, n in _equation(table, low).items()):
+                    return False
+    return True
 
 
 def equation_set(L: LieAlgebra) -> dict:
-    """``equation_table`` as sparse JSON rows: one linear equation per degree-(d-3) basis wedge.
+    """The linear equations as sparse JSON rows: one per degree-(d-3) basis wedge.
 
-    Row r lists the nonzero ``[column, coefficient]`` pairs of the r-th key of
-    ``degree_keys(L, d - 3)``; column c is the c-th key of ``degree_keys(L, d)``.
+    Row r lists the nonzero ``[column, coefficient]`` pairs, by column, of the
+    equation of the r-th key of ``degree_keys(L, d - 3)``; column c is the
+    c-th key of ``degree_keys(L, d)``.
     """
-    rows, den = equation_table(L)
+    table, den = _delta_star_table(L)
     column = key_index_map(L, L.d)
+    rows = [sorted((column[high], n) for high, n in _equation(table, low).items()) for low in degree_keys(L, L.d - 3)]
     ambient = binomial_dim(L.g, L.d)
     return {
         "rows": len(rows),
         "cols": ambient,
-        "equations": [[[column[key], str(Fraction(n, den))] for key, n in row.items()] for row in rows],
+        "equations": [[[c, str(Fraction(n, den))] for c, n in row] for row in rows],
         "rank": blocked_rank(L, "delta_star", L.d),
         "ambient_plucker_dim": ambient,
     }

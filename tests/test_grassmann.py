@@ -1,13 +1,15 @@
 """Plucker vectors, the linear equation set, and the membership equivalence."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nullvar import grassmann
-from nullvar.algebra import Subspace, build_involution, orthogonal_complement, standard_borel
+from nullvar import cli, grassmann
+from nullvar.algebra import Subspace, build_algebra, build_involution, orthogonal_complement, standard_borel
 from nullvar.exterior import (
     MultiVector,
+    _delta_star_table,
     binomial_dim,
     check_w_sharp_invariance,
     degree_keys,
@@ -27,8 +29,12 @@ from nullvar.grassmann import (
     transpose_identity_sign,
 )
 from nullvar.linalg import combine
+from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import chart, is_nullspace, random_chart_parameters, random_subspace
+from nullvar.weyl import _exp_ad
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_plucker_borel(a2):
@@ -92,6 +98,82 @@ def test_linear_membership_matches_the_contraction(fixture, corrupt, request):
     assert False in verdicts
     if corrupt is None:
         assert True in verdicts
+
+
+@pytest.mark.parametrize(
+    "fixture,corrupt",
+    [("a2", None), ("c2", None), ("g2", None), ("a2", (2, 3, 1, Fraction(1, 2)))],
+    ids=["a2", "c2", "g2", "a2_corrupt_2_3_1_half"],
+)
+def test_equations_on_demand_match_the_contraction(fixture, corrupt, request):
+    # equation u holds the coefficient of e_u in the contraction of every degree-d basis wedge
+    L = request.getfixturevalue(fixture)
+    if corrupt:
+        L = L.with_corrupted_constant(*corrupt)
+    table, den = _delta_star_table(L)
+    assert den == (2 if corrupt else 1)
+    from_contraction = {low: {} for low in degree_keys(L, L.d - 3)}
+    for high in degree_keys(L, L.d):
+        for low, c in delta_star(MultiVector.over(L, L.d, {high: 1})).terms.items():
+            from_contraction[low][high] = c
+    on_demand = {
+        low: {high: Fraction(n, den) for high, n in grassmann._equation(table, low).items()} for low in from_contraction
+    }
+    assert on_demand == from_contraction
+    assert sum(map(len, on_demand.values())) > 0
+
+
+def _moved_by_every_root_vector(L, V):
+    """V moved by exp(ad e) for each root vector e in turn: a dense point of V's orbit."""
+    rows = list(V.rows)
+    for j in range(L.l, L.g):
+        rows = [_exp_ad(L, L.basis_vector(j), row) for row in rows]
+    return Subspace(L, rows)
+
+
+@pytest.mark.parametrize(
+    "family,rank,moved",
+    [("G", 2, False), ("B", 3, False), ("G", 2, True), ("A", 3, True)],
+    ids=["g2_chart", "b3_chart", "g2_orbit", "a3_orbit"],
+)
+def test_linear_membership_matches_the_contraction_on_chart_and_orbit_points(family, rank, moved):
+    L = build_algebra(build_root_datum(family, rank))
+    V = chart(L, tuple(range(1, L.l + 1)))
+    if moved:
+        V = _moved_by_every_root_vector(L, V)
+    assert is_nullspace(L, V)
+    P = plucker(L, V)
+    if moved:
+        assert len(P.ints) > binomial_dim(L.g, L.d) // 2  # dense
+    # one basis wedge with a w triple inside has a nonzero contraction, so P plus it is not a member
+    table = _delta_star_table(L)[0]
+    high = next(key for key in P.ints if any(key & part == part for part, _ in table))
+    vectors = [P, P.add(MultiVector.over(L, L.d, {high: 1})), P.scale(Fraction(-7, 3))]
+    verdicts = [linear_membership(L, Q) for Q in vectors]
+    assert verdicts == [_contraction_vanishes(L, Q) for Q in vectors] == [True, False, True]
+
+
+def test_a_flipped_equation_term_turns_membership_and_the_equations_verb_red(c2, monkeypatch, capsys):
+    # flip the sign of one w triple's term: a triple inside a key of a chart point's Plucker vector, so
+    # every chart sample, being a nullspace, fails that equation
+    assert cli.main(["equations", "--type", "C2"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "cli_equations_C2.json").read_bytes()
+    table = _delta_star_table(c2)[0]
+    P = plucker(c2, chart(c2, (1, 1)))
+    flipped = next(part for part, _ in table if any(key & part == part for key in P.ints))
+
+    def mutated(table, low, _equation=grassmann._equation):
+        eq = _equation(table, low)
+        if not low & flipped:
+            eq[low | flipped] = -eq[low | flipped]
+        return eq
+
+    monkeypatch.setattr(grassmann, "_equation", mutated)
+    assert not linear_membership(c2, P)
+    failures, chart_agree_true = membership_equivalence_suite(c2, 200, 42)
+    assert failures > 0 and chart_agree_true < 67
+    assert cli.main(["equations", "--type", "C2"]) == 0
+    assert capsys.readouterr().out.encode() != (DATA / "cli_equations_C2.json").read_bytes()
 
 
 def test_equation_counts(a1, a2, c2):
