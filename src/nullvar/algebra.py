@@ -31,7 +31,6 @@ from .linalg import (
     combine,
     echelon_rows,
     frac,
-    integer_rows,
     inverse,
     kernel_basis,
     matrix_from_json,
@@ -441,7 +440,7 @@ class Subspace:
         if any(not 0 <= j < L.g for row in rows for j in row):
             raise ValueError("ambient dimension mismatch")
         self.L = L
-        self.rows, self.pivots = echelon_rows(integer_rows(rows))
+        self.rows, self.pivots = echelon_rows(rows)
         self.dim = len(self.pivots)
 
     def __eq__(self, other):
@@ -498,7 +497,7 @@ def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
     """
     last = L.g - 1
     rows = [combine((x, L.kappa[j]) for j, x in row.items()) for row in S.rows]
-    kernel = kernel_basis(integer_rows([{last - j: x for j, x in row.items()} for row in rows]), L.g)
+    kernel = kernel_basis([{last - j: x for j, x in row.items()} for row in rows], L.g)
     return Subspace(L, [{last - j: x for j, x in row.items()} for row in kernel])
 
 

@@ -19,7 +19,7 @@ from .algebra import Subspace, build_algebra
 from .grassmann import equation_set, linear_membership, plucker
 from .linalg import parse_rational
 from .roots import UnsupportedTypeError, algebra_dimension, build_root_datum, dim_gamma_two_rho, parse_type_label
-from .suites import SuiteConfig, run_suites
+from .suites import SUITES, SuiteConfig, run_suites
 from .variety import chart, degenerate, is_nullspace, parabolic_profile
 
 DEFAULT_MAX_G = 10
@@ -63,20 +63,27 @@ def _parse_ints(raw: str, expected: int, what: str):
     return tuple(int(v) for v in vals)
 
 
-def _write(out: str, text: str, mode: str = "w") -> None:
+def _dump(data: dict, fh) -> None:
+    """Stream ``data`` into ``fh`` as indented JSON and a newline, without building the whole text."""
+    json.dump(data, fh, indent=2)
+    fh.write("\n")
+
+
+def _write(out: str, data: dict | None, mode: str = "w") -> None:
+    """``_dump`` ``data`` into the file ``out``; with None, only open it, which checks that it can be written."""
     try:
         with open(out, mode) as fh:
-            fh.write(text)
+            if data is not None:
+                _dump(data, fh)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
     if out:
-        _write(out, text + "\n")
+        _write(out, data)
     else:
-        print(text)
+        _dump(data, sys.stdout)
 
 
 def cmd_info(args) -> int:
@@ -116,7 +123,7 @@ def cmd_verify(args) -> int:
     )
     if args.out:
         # an unwritable path fails before the suites run; appending nothing truncates nothing
-        _write(args.out, "", "a")
+        _write(args.out, None, "a")
     report = run_suites(config)
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the invariance of the wedge and contraction operators on the degrees that decide them.",
     )
     p_verify.add_argument("--type", required=True)
-    p_verify.add_argument("--suite", default="all", choices=["all", "structure", "exterior", "nullspace", "equations", "repthy"])
+    p_verify.add_argument("--suite", default="all", choices=("all", *SUITES))
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--samples", type=int, default=200, help="membership equivalence sample count")
     p_verify.add_argument("--chart-samples", type=int, default=50, dest="chart_samples")

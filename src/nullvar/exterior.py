@@ -50,11 +50,11 @@ algebra, every block is computed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .algebra import LieAlgebra, Vector, per_algebra
+from .algebra import LieAlgebra, Vector, per_algebra, standard_borel
 from .linalg import Matrix, frac, integer_terms, rank
 from .roots import casimir_eigenvalue, dim_gamma_two_rho, two_rho
 from .weyl import dominant, tits_lifts_certified
@@ -531,14 +531,7 @@ class DegreeRecord:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "dim": self.dim,
-            "rank_delta_in": self.rank_delta_in,
-            "ker_delta": self.ker_delta,
-            "gamma_mult": self.gamma_mult,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -642,5 +635,4 @@ def check_w_sharp_invariance(L: LieAlgebra) -> bool:
 
 def borel_top_wedge(L: LieAlgebra) -> MultiVector:
     """Top wedge of the standard Borel subalgebra: a weight-2rho vector of degree d."""
-    indices = list(range(L.l)) + [L.pos_index(a) for a in range(L.n_pos)]
-    return MultiVector.basis(L, indices)
+    return MultiVector.basis(L, standard_borel(L).pivots)

@@ -2,20 +2,20 @@
 
 Every value is exact; no rounding ever occurs.  A vector is a sparse row: a
 dict from each coordinate index to its nonzero ``fractions.Fraction``.
-Elimination runs on sparse integer rows that keep only their nonzero
-entries, as subspace bases, weight blocks of the exterior operators and the
-Jacobian of the cubic local equations are mostly zeros; ``integer_rows``
-scales rational rows to them.  Dense ``Matrix`` entries serve the inversion
-of the Killing form, the operator and pairing matrices of the transpose
-relation and the JSON encoding.
+Elimination takes sparse rows of ``int`` or ``Fraction`` entries that keep
+only their nonzero entries, as subspace bases, weight blocks of the exterior
+operators and the Jacobian of the cubic local equations are mostly zeros.
+Dense ``Matrix`` entries serve the inversion of the Killing form, the
+operator and pairing matrices of the transpose relation and the JSON
+encoding.
 
 The reduced row echelon form is the canonical representative used for
-subspace equality throughout the package.  ``_echelon`` eliminates on sparse
-Python ``int`` rows.  ``echelon_rows`` divides its rows by their pivots into
-canonical sparse rows; ``rref``, the one entry point for a dense matrix,
-scales its rows to integers and lays the result out densely for ``inverse``;
-``kernel_basis`` reads the kernel off the same rows, and ``rank`` only counts
-their pivots.
+subspace equality throughout the package.  ``_echelon`` scales each row by
+the lcm of its denominators and eliminates on these sparse Python ``int``
+rows.  ``echelon_rows`` divides its rows by their pivots into canonical
+sparse rows; ``rref``, the one entry point for a dense matrix, lays the
+result out densely for ``inverse``; ``kernel_basis`` reads the kernel off the
+same rows, and ``rank`` only counts their pivots.
 """
 
 from __future__ import annotations
@@ -135,11 +135,6 @@ def integer_terms(terms: dict) -> tuple[int, dict]:
     return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
 
 
-def integer_rows(rows) -> list[dict]:
-    """Each sparse rational row times the lcm of its denominators: same row space and kernel."""
-    return [integer_terms(row)[1] for row in rows]
-
-
 def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
     """Clear column c of ``row`` in place with ``pivot_row``, whose pivot is at c.
 
@@ -166,20 +161,22 @@ def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
                 row[j] //= h
 
 
-def _echelon(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """The reduced integer rows of the row space of ``rows``, keyed by pivot column.
+def _echelon(rows: Sequence[dict]) -> dict[int, dict[int, int]]:
+    """The reduced integer rows of the row space of the ``int`` or ``Fraction`` ``rows``, keyed by pivot column.
 
-    Gauss-Jordan elimination on sparse integer rows, one row at a time.  The
-    rows kept so far form a reduced basis: each pivots at its first nonzero
-    column and is zero at every other kept pivot.  A new row is cleared at the
-    kept pivots it meets, which puts nothing into another pivot column; a
-    nonzero remainder pivots at its first column and is cleared from the kept
-    rows.  Rows are taken by descending first column, so a new pivot mostly
-    lies left of the kept rows and seldom needs clearing from them.  A row is
-    only ever replaced by a nonzero multiple of itself minus a multiple of a
-    pivot row, so the row space and the pivots are those of ``rows``.
+    Each row is copied times the lcm of its denominators, which keeps its row
+    space and kernel, and Gauss-Jordan elimination runs on these sparse
+    integer rows, one row at a time.  The rows kept so far form a reduced
+    basis: each pivots at its first nonzero column and is zero at every other
+    kept pivot.  A new row is cleared at the kept pivots it meets, which puts
+    nothing into another pivot column; a nonzero remainder pivots at its first
+    column and is cleared from the kept rows.  Rows are taken by descending
+    first column, so a new pivot mostly lies left of the kept rows and seldom
+    needs clearing from them.  A row is only ever replaced by a nonzero
+    multiple of itself minus a multiple of a pivot row, so the row space and
+    the pivots are those of ``rows``.
     """
-    work = [dict(row) for row in rows]  # elimination edits rows in place
+    work = [integer_terms(row)[1] for row in rows]  # elimination edits its integer copies in place
     basis: dict[int, dict[int, int]] = {}
     for row in sorted((row for row in work if row), key=min, reverse=True):
         for c in [c for c in row if c in basis]:
@@ -194,8 +191,8 @@ def _echelon(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     return basis
 
 
-def echelon_rows(rows: Sequence[dict[int, int]]) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
-    """The unique reduced row echelon form of the integer ``rows`` as sparse rows, with its pivot columns.
+def echelon_rows(rows: Sequence[dict]) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
+    """The unique reduced row echelon form of the ``int`` or ``Fraction`` ``rows`` as sparse rows, with its pivot columns.
 
     Each row of ``_echelon`` is divided by its pivot, so it is 1 there.
     """
@@ -206,7 +203,7 @@ def echelon_rows(rows: Sequence[dict[int, int]]) -> tuple[tuple[dict[int, Fracti
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row echelon form of ``m`` as a dense matrix, with its pivot columns."""
-    rows, pivots = echelon_rows(integer_rows(m.sparse_rows()))
+    rows, pivots = echelon_rows(m.sparse_rows())
     flat = [Fraction(0)] * (m.rows * m.cols)
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -214,13 +211,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(m.rows, m.cols, tuple(flat)), pivots
 
 
-def rank(rows: Sequence[dict[int, int]]) -> int:
-    """Rank over the rationals of the integer ``rows``: the pivot count of ``_echelon``, without the canonical form."""
+def rank(rows: Sequence[dict]) -> int:
+    """Rank over the rationals of the ``int`` or ``Fraction`` ``rows``: the pivot count of ``_echelon``, without the canonical form."""
     return len(_echelon(rows))
 
 
-def kernel_basis(rows: Sequence[dict[int, int]], cols: int) -> tuple[dict[int, Fraction], ...]:
-    """Basis of the right kernel of the integer ``rows`` over ``cols`` columns, one sparse row per non-pivot column f.
+def kernel_basis(rows: Sequence[dict], cols: int) -> tuple[dict[int, Fraction], ...]:
+    """Basis of the right kernel of the ``int`` or ``Fraction`` ``rows`` over ``cols`` columns, one sparse row per non-pivot column f.
 
     Row f is e_f minus, at each pivot, the entry at f of the reduced row of
     that pivot, so there are cols - rank rows.  The reduced rows depend only

@@ -22,8 +22,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, StructureError, Subspace, Vector
-from .linalg import combine, echelon_rows, frac, integer_rows, rank
+from .algebra import LieAlgebra, StructureError, Subspace, Vector, standard_borel
+from .linalg import combine, echelon_rows, frac, rank
 
 
 class NotInVarietyError(ValueError):
@@ -142,7 +142,7 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
     # pivot and zero at every other
     order = sorted(range(L.g), key=lambda i: -grades[i])
     column = {i: c for c, i in enumerate(order)}
-    red, pivots = echelon_rows(integer_rows({column[i]: x for i, x in row.items()} for row in V.rows))
+    red, pivots = echelon_rows([{column[i]: x for i, x in row.items()} for row in V.rows])
     limit = []
     for row, p in zip(red, pivots):
         top = grades[order[p]]
@@ -166,7 +166,7 @@ def _d(L: LieAlgebra, i: int, j: int, k: int) -> dict[tuple[int, int], Fraction]
 
 def d_operator_corank(L: LieAlgebra) -> int:
     """Corank of D: wedge^3 b -> b (x) [b, b] for the standard Borel."""
-    borel_idx = list(range(L.l)) + [L.pos_index(a) for a in range(L.n_pos)]
+    borel_idx = standard_borel(L).pivots
     borel_pos = {idx: s for s, idx in enumerate(borel_idx)}
     nil_col = {L.pos_index(a): a for a in range(L.n_pos)}
     target_dim = len(borel_idx) * L.n_pos
@@ -178,7 +178,7 @@ def d_operator_corank(L: LieAlgebra) -> int:
                 raise StructureError("bracket of Borel elements left the nilradical")
             row[borel_pos[a] * L.n_pos + nil_col[m]] = c
         rows.append(row)
-    corank = target_dim - rank(integer_rows(rows))
+    corank = target_dim - rank(rows)
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
     return corank
@@ -264,7 +264,7 @@ def jacobian_corank_at(L: LieAlgebra, base: Subspace) -> int:
         raise NotInVarietyError("base point is not a maximal nullspace")
     complement = coordinate_complement(L, base)
     system = local_equations(L, base, complement)
-    return system.n_vars - rank(integer_rows(system.jacobian_at_zero()))
+    return system.n_vars - rank(system.jacobian_at_zero())
 
 
 def check_d_relations(L: LieAlgebra) -> bool:

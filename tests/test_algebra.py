@@ -23,7 +23,7 @@ from nullvar.algebra import (
     orthogonal_complement,
     standard_borel,
 )
-from nullvar.linalg import Matrix, combine, integer_rows, kernel_basis
+from nullvar.linalg import Matrix, combine, kernel_basis
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import is_nullspace, random_subspace
@@ -292,7 +292,7 @@ def _dense_build_involution(L, simple_signs):
 
     def eigenspace(e):
         rows = [[x - e * (i == j) for j, x in enumerate(sigma.row(i))] for i in range(g)]
-        return Subspace(L, kernel_basis(integer_rows(Matrix.from_rows(rows).sparse_rows()), g))
+        return Subspace(L, kernel_basis(Matrix.from_rows(rows).sparse_rows(), g))
 
     fixed, minus = eigenspace(1), eigenspace(-1)
     if fixed.dim != (g - L.l) // 2 or minus.dim != L.d:
@@ -414,7 +414,7 @@ def test_orthogonal_complements(a2):
 def _complement_oracle(L, S):
     """The complement by two eliminations: the kernel of S times kappa, then the echelon rows of that kernel."""
     rows = [combine((x, L.kappa[j]) for j, x in row.items()) for row in S.rows]
-    return Subspace(L, kernel_basis(integer_rows(rows), L.g))
+    return Subspace(L, kernel_basis(rows, L.g))
 
 
 @pytest.mark.parametrize(

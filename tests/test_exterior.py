@@ -31,7 +31,7 @@ from nullvar.exterior import (
     zeta,
 )
 from nullvar.grassmann import check_equivariance_matrices
-from nullvar.linalg import Matrix, integer_rows, kernel_basis, rank
+from nullvar.linalg import Matrix, kernel_basis, rank
 from nullvar.roots import build_root_datum, casimir_eigenvalue, two_rho
 from nullvar.seeds import Lcg
 from nullvar.variety import chart, random_chart_parameters, random_subspace
@@ -386,16 +386,16 @@ def test_blocked_rank_matches_full_matrix(a2, c2):
     for L in (a2, c2):
         for k in range(0, L.g + 1):
             dense = graded_matrix(L, "delta", k)
-            assert blocked_rank(L, "delta", k) == rank(integer_rows(dense.sparse_rows()))
+            assert blocked_rank(L, "delta", k) == rank(dense.sparse_rows())
         dense = graded_matrix(L, "delta_star", L.d)
-        assert blocked_rank(L, "delta_star", L.d) == rank(integer_rows(dense.sparse_rows()))
+        assert blocked_rank(L, "delta_star", L.d) == rank(dense.sparse_rows())
         c_top = casimir_eigenvalue(L.rd, two_rho(L.rd))
         for k in range(L.g - L.d, L.d + 1):
             cmat = graded_matrix(L, "casimir", k)
             shifted = Matrix.from_rows(
                 [[x - c_top * (i == j) for j, x in enumerate(cmat.row(i))] for i in range(cmat.rows)]
             )
-            kernel = kernel_basis(integer_rows(shifted.sparse_rows()), shifted.cols)
+            kernel = kernel_basis(shifted.sparse_rows(), shifted.cols)
             assert blocked_eigenspace_dim(L, k, c_top) == len(kernel) > 0
 
 
@@ -468,7 +468,7 @@ def test_c2_kernel_is_w_line(c2):
     assert blocked_rank(c2, "delta", 3) == 119
     # the dense oracle: the right kernel of the whole degree-3 wedge matrix
     dense = graded_matrix(c2, "delta", 3)
-    ker = kernel_basis(integer_rows(dense.sparse_rows()), dense.cols)
+    ker = kernel_basis(dense.sparse_rows(), dense.cols)
     assert len(ker) == 1
     keys = degree_keys(c2, 3)
     vector = MultiVector(c2, 3, {keys[j]: x for j, x in ker[0].items()})

@@ -1,6 +1,7 @@
 """Exact matrix engine: echelon form, rank, kernels."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -10,7 +11,6 @@ from nullvar.linalg import (
     Matrix,
     det,
     echelon_rows,
-    integer_rows,
     inverse,
     kernel_basis,
     matrix_from_json,
@@ -25,9 +25,9 @@ from nullvar.seeds import Lcg
 from dense_oracles import identity
 
 
-def _rows(m: Matrix) -> list[dict[int, int]]:
-    # the rows of a dense matrix, each scaled to integers, as elimination takes them
-    return integer_rows(m.sparse_rows())
+def _scaled(rows) -> list[dict[int, int]]:
+    # each sparse row times the product of its denominators: integer rows with the same row space and kernel
+    return [{j: int(x * prod(y.denominator for y in row.values())) for j, x in row.items()} for row in rows]
 
 
 def test_rref_identity():
@@ -62,23 +62,24 @@ def test_rref_idempotent():
 
 
 def test_kernel_one_equation():
-    k = kernel_basis(_rows(Matrix.from_rows([[1, 1]])), 2)
+    k = kernel_basis(Matrix.from_rows([[1, 1]]).sparse_rows(), 2)
     assert k == ({0: -1, 1: 1},)
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(_rows(identity(4)), 4) == ()
+    assert kernel_basis(identity(4).sparse_rows(), 4) == ()
 
 
 def test_kernel_rank_one_canonical():
-    k = kernel_basis(_rows(Matrix.from_rows([[1, 2], [2, 4]])), 2)
+    k = kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]).sparse_rows(), 2)
     assert k == ({0: -2, 1: 1},)
 
 
 def test_rank_examples():
-    assert rank(_rows(Matrix.zeros(3, 5))) == 0
-    assert rank(_rows(identity(6))) == 6
-    assert rank(_rows(Matrix.from_rows([[1, 2], [2, 4]]))) == 1
+    assert rank(Matrix.zeros(3, 5).sparse_rows()) == 0
+    assert rank(identity(6).sparse_rows()) == 6
+    assert rank(Matrix.from_rows([[1, 2], [2, 4]]).sparse_rows()) == 1
+    assert rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1, 4), 1: Fraction(2, 3)}]) == 2
 
 
 def _column_echelon_rank(m: Matrix) -> int:
@@ -109,8 +110,8 @@ def test_rank_nullity_and_second_path():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
-        r = rank(_rows(m))
-        assert r + len(kernel_basis(_rows(m), ncols)) == ncols
+        r = rank(m.sparse_rows())
+        assert r + len(kernel_basis(m.sparse_rows(), ncols)) == ncols
         assert r == _column_echelon_rank(m)
 
 
@@ -176,7 +177,7 @@ def _assert_matches_oracle(m: Matrix):
     assert (red, pivots) == _fraction_rref(m)
     assert all(type(x) is Fraction for x in red.entries)
     # the same rows, each scaled to integers, given sparse
-    ints = _rows(m)
+    ints = _scaled(m.sparse_rows())
     assert all(type(x) is int for row in ints for x in row.values())
     rows, sparse_pivots = echelon_rows(ints)
     assert sparse_pivots == pivots and all(0 not in row.values() for row in rows)
@@ -186,6 +187,14 @@ def _assert_matches_oracle(m: Matrix):
     assert all(not sum(x * m[i, j] for j, x in v.items()) for v in kernel for i in range(m.rows))
     # rank skips the canonical form but counts the same pivots
     assert rank(ints) == len(pivots)
+    # the Fraction rows, taken as they are, eliminate to the same results
+    _assert_same_elimination(m.sparse_rows(), ints, m.cols)
+
+
+def _assert_same_elimination(fractions, ints, cols):
+    assert rank(fractions) == rank(ints)
+    assert echelon_rows(fractions) == echelon_rows(ints)
+    assert kernel_basis(fractions, cols) == kernel_basis(ints, cols)
 
 
 @pytest.mark.parametrize("name", ["a2", "c2"])
@@ -202,6 +211,8 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, monkeypatch):
         dense = Matrix.from_rows([[row.get(j, 0) for j in range(len(tkeys))] for row in rows])
         _assert_matches_oracle(dense)
         assert rank(rows) == len(rref(dense)[1])
+        # the block divided by 3, as Fraction rows with entries off the integers
+        _assert_same_elimination([{j: Fraction(x, 3) for j, x in row.items()} for row in rows], rows, len(tkeys))
         blocks.append(dense)
         return rows
 
@@ -218,7 +229,7 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, monkeypatch):
     exterior.blocked_eigenspace_dim(L, L.d, 1)
     assert len(blocks) > seen
     assert len(blocks) > L.g
-    assert any(rank(_rows(m)) < m.rows for m in blocks)  # dependent rows get eliminated too
+    assert any(rank(m.sparse_rows()) < m.rows for m in blocks)  # dependent rows get eliminated too
 
 
 def test_rref_matches_fraction_oracle_on_seeded_matrices():

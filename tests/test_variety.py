@@ -13,7 +13,7 @@ from nullvar.algebra import (
     root_pair_plane,
     standard_borel,
 )
-from nullvar.linalg import Matrix, combine, frac, integer_rows, rank
+from nullvar.linalg import Matrix, combine, frac, rank
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import (
@@ -284,7 +284,7 @@ def _oracle_d_operator_corank(L):
         rows.append(row)
     if not rows:
         return target_dim
-    r = rank(integer_rows(Matrix.from_rows(rows).sparse_rows()))
+    r = rank(Matrix.from_rows(rows).sparse_rows())
     corank = target_dim - r
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
