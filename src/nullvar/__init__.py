@@ -19,7 +19,7 @@ from .algebra import (
     orthogonal_complement,
     standard_borel,
 )
-from .exterior import MultiVector, casimir, delta, delta_star, lie_action, wedge, zeta
+from .exterior import MultiVector, casimir, delta, delta_star, wedge, zeta
 from .linalg import Matrix, kernel_basis, rank, rref
 from .roots import RootDatum, build_root_datum, casimir_eigenvalue, weyl_dim
 from .variety import chart, degenerate, is_nullspace, parabolic_closure
@@ -42,7 +42,6 @@ __all__ = [
     "delta_star",
     "is_nullspace",
     "kernel_basis",
-    "lie_action",
     "orthogonal_complement",
     "parabolic_closure",
     "rank",

@@ -7,7 +7,8 @@ terms, cached per algebra, and one call of the kernel ``_substitute``: for
 each basis wedge it puts the terms of each listed part (a subset of the
 factors, possibly empty) in place of that part, so the image is over the
 input's denominator times the table's; rationals appear only in the
-constructor and in the ``terms`` view.  The operators and their parts:
+constructor and in the ``terms`` view.  The operators and their parts (the
+first five are the kernel's only callers; zeta composes two of them):
 
   wedge       u ^ v: the empty part of v, replaced by the terms of u
   delta       wedge with the trilinear form seen inside the algebra (degree
@@ -16,8 +17,9 @@ constructor and in the ``terms`` view.  The operators and their parts:
               w triple, replaced by the empty key times the value of w
   lie_action_basis  the derivation extending ad b_i: each b_j, replaced by
               the terms of [b_i, b_j]
-  casimir     sum over a kappa-dual basis pair of composed Lie actions: each
-              factor and each pair of factors, replaced by its image
+  casimir     sum over a kappa-dual basis pair of composed lie_action_basis
+              calls: each factor and each pair of factors, replaced by its
+              image
   zeta        delta . delta_star + delta_star . delta
 
 One sign rule serves them all: the wedge of a key is (-1)^s part ^ rest, with
@@ -228,16 +230,6 @@ def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
     return _substitute(v, u.degree + v.degree, ((0, _terms(0, u.ints)),), u.den)
 
 
-def wedge_rows(L: LieAlgebra, rows) -> MultiVector:
-    """Wedge of sparse vectors in order, summed in ``int``s over the product of the row denominators."""
-    acc = MultiVector.over(L, 0, {0: 1})
-    for row in reversed(rows):
-        # each row, the last first, is put in front of the product so far
-        row_den, row = integer_terms({1 << j: c for j, c in row.items()})
-        acc = _substitute(acc, acc.degree + 1, ((0, _terms(0, row)),), row_den)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Lie action and Casimir
 
@@ -260,23 +252,13 @@ def lie_action_basis(L: LieAlgebra, i: int, u: MultiVector) -> MultiVector:
     return _substitute(u, u.degree, tables[i], den)
 
 
-def lie_action(L: LieAlgebra, a: Vector, u: MultiVector) -> MultiVector:
-    """Derivation extension of ad a for an arbitrary sparse vector a."""
-    acc = MultiVector.zero(L, u.degree)
-    for i, c in a.items():
-        acc = acc.add(lie_action_basis(L, i, u).scale(c))
-    return acc
-
-
 def _dual_basis_casimir(u: MultiVector) -> MultiVector:
-    """sum_i lie_action(b_i, lie_action(b^i, u)): the definition the table of ``casimir`` comes from."""
+    """sum_i b_i . (b^i . u), with b^i = sum_m (b^i)_m b_m: the definition the table of ``casimir`` comes from."""
     L = u.L
     acc = MultiVector.zero(L, u.degree)
     for i in range(L.g):
-        dual = L.dual_basis_vector(i)
-        inner = lie_action(L, dual, u)
-        if not inner.is_zero():
-            acc = acc.add(lie_action_basis(L, i, inner))
+        for m, c in L.dual_basis_vector(i).items():
+            acc = acc.add(lie_action_basis(L, i, lie_action_basis(L, m, u)).scale(c))
     return acc
 
 
@@ -302,7 +284,7 @@ def _casimir_table(L: LieAlgebra) -> tuple[tuple, int]:
 
 
 def casimir(u: MultiVector) -> MultiVector:
-    """Casimir operator sum_i lie_action(b_i, lie_action(b^i, u)), applied through a cached table.
+    """Casimir operator sum_i b_i . (b^i . u) over a kappa-dual basis pair, applied through a cached table.
 
     Composing two derivations acts on each factor of a wedge and on each pair
     of factors, so each factor and each pair is replaced by its table entry.

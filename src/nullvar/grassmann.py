@@ -27,7 +27,7 @@ from .exterior import (
     graded_matrix,
     key_index_map,
     lie_action_basis,
-    wedge_rows,
+    wedge,
 )
 from .linalg import Matrix, det
 from .seeds import Lcg
@@ -38,7 +38,10 @@ def plucker(L: LieAlgebra, S: Subspace) -> MultiVector:
     """Wedge of the canonical basis rows of a d-dimensional subspace."""
     if S.dim != L.d:
         raise ValueError(f"Plucker vectors require dimension {L.d}, got {S.dim}")
-    v = wedge_rows(L, S.rows)
+    v = MultiVector.over(L, 0, {0: 1})
+    for row in reversed(S.rows):
+        # each row, the last first, goes in front of the product so far, so the table is one row
+        v = wedge(MultiVector.from_vector(L, row), v)
     if v.is_zero():
         raise AssertionError("independent rows wedge to zero")
     return v
@@ -84,12 +87,15 @@ def equation_set(L: LieAlgebra) -> dict:
     """
     table, den = _delta_star_table(L)
     column = key_index_map(L, L.d)
-    rows = [sorted((column[high], n) for high, n in _equation(table, low).items()) for low in degree_keys(L, L.d - 3)]
+    equations = [
+        [[c, str(Fraction(n, den))] for c, n in sorted((column[high], n) for high, n in _equation(table, low).items())]
+        for low in degree_keys(L, L.d - 3)
+    ]
     ambient = binomial_dim(L.g, L.d)
     return {
-        "rows": len(rows),
+        "rows": len(equations),
         "cols": ambient,
-        "equations": [[[c, str(Fraction(n, den))] for c, n in row] for row in rows],
+        "equations": equations,
         "rank": blocked_rank(L, "delta_star", L.d),
         "ambient_plucker_dim": ambient,
     }

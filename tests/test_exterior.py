@@ -20,17 +20,15 @@ from nullvar.exterior import (
     delta_star,
     delta_star_scalar,
     graded_matrix,
-    lie_action,
     lie_action_basis,
     verify_exact_sequences,
     verify_zeta_identity,
     w_sharp,
     wedge,
-    wedge_rows,
     weight_blocks,
     zeta,
 )
-from nullvar.grassmann import check_equivariance_matrices
+from nullvar.grassmann import check_equivariance_matrices, plucker
 from nullvar.linalg import Matrix, kernel_basis, rank
 from nullvar.roots import build_root_datum, casimir_eigenvalue, two_rho
 from nullvar.seeds import Lcg
@@ -100,15 +98,16 @@ def test_delta_star_kills_borel_wedge(a2):
 
 
 def test_lie_action_root_grading(a2):
+    # h is basis vector 0
     one = MultiVector.over(a2, 0, {0: 1})
-    assert lie_action(a2, a2.basis_vector(0), one).is_zero()
+    assert lie_action_basis(a2, 0, one).is_zero()
     xa = MultiVector.basis(a2, [a2.pos_index(0)])
     h = a2.basis_vector(0)
     alpha_h = a2.bracket(h, a2.basis_vector(a2.pos_index(0)))[a2.pos_index(0)]
-    assert lie_action(a2, h, xa) == xa.scale(alpha_h)
+    assert lie_action_basis(a2, 0, xa) == xa.scale(alpha_h)
     pair = MultiVector.basis(a2, [a2.pos_index(0), a2.pos_index(1)])
     beta_h = a2.bracket(h, a2.basis_vector(a2.pos_index(1)))[a2.pos_index(1)]
-    assert lie_action(a2, h, pair) == pair.scale(alpha_h + beta_h)
+    assert lie_action_basis(a2, 0, pair) == pair.scale(alpha_h + beta_h)
 
 
 def test_casimir_eigenvalues(a1, a2):
@@ -127,7 +126,10 @@ def _oracle_casimir(L, u):
     """sum_i b_i . (b^i . u) over the kappa-dual basis, from the Lie actions alone."""
     acc = MultiVector.zero(L, u.degree)
     for i in range(L.g):
-        acc = acc.add(lie_action_basis(L, i, lie_action(L, L.dual_basis_vector(i), u)))
+        inner = MultiVector.zero(L, u.degree)
+        for m, c in L.dual_basis_vector(i).items():
+            inner = inner.add(lie_action_basis(L, m, u).scale(c))
+        acc = acc.add(lie_action_basis(L, i, inner))
     return acc
 
 
@@ -244,6 +246,14 @@ def _oracle_wedge_rows(L, rows):
     return acc
 
 
+def _wedge_fold(L, rows):
+    """The rows wedged by ``wedge``, each in front of the product of the rows after it."""
+    acc = MultiVector.over(L, 0, {0: 1})
+    for row in reversed(rows):
+        acc = wedge(MultiVector.from_vector(L, row), acc)
+    return acc
+
+
 def _integer_path_mismatches(L, vectors):
     ws = w_sharp(L)
     bad = [("delta", u) for u in vectors if delta(u) != _oracle_wedge(ws, u)]
@@ -283,7 +293,7 @@ def test_integer_paths_match_fraction_oracles(a2, c2):
         for k in range(7):
             for combo in itertools.combinations(range(L.g), k):
                 rows = [L.basis_vector(i) for i in reversed(combo)]
-                assert wedge_rows(L, rows) == _oracle_wedge_rows(L, rows)
+                assert _wedge_fold(L, rows) == _oracle_wedge_rows(L, rows)
 
 
 def test_plucker_wedge_matches_fraction_oracle(a2, c2):
@@ -292,14 +302,13 @@ def test_plucker_wedge_matches_fraction_oracle(a2, c2):
         subspaces = [random_subspace(L, rng, L.d) for _ in range(5)]
         subspaces += [chart(L, random_chart_parameters(L, rng)) for _ in range(5)]
         for S in subspaces:
-            rows = S.rows
-            P = wedge_rows(L, rows)
-            assert not P.is_zero() and P == _oracle_wedge_rows(L, rows)
+            P = plucker(L, S)
+            assert not P.is_zero() and P == _oracle_wedge_rows(L, S.rows)
             assert _integer_path_mismatches(L, [P]) == []
         for _ in range(5):
             # rows over denominators up to 7, not always independent
             rows = [sparse(Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(L.g)) for _ in range(L.d)]
-            assert wedge_rows(L, rows) == _oracle_wedge_rows(L, rows)
+            assert _wedge_fold(L, rows) == _oracle_wedge_rows(L, rows)
 
 
 # each id names the integer table it corrupts: the w triples of the
