@@ -11,11 +11,11 @@ degenerations, and the representation-theoretic dimension identities.
 __version__ = "0.1.0"
 
 from .algebra import (
-    Involution,
     LieAlgebra,
     Subspace,
     build_algebra,
     build_involution,
+    eigenspace,
     orthogonal_complement,
     standard_borel,
 )
@@ -25,7 +25,6 @@ from .roots import RootDatum, build_root_datum, casimir_eigenvalue, weyl_dim
 from .variety import chart, degenerate, is_nullspace, parabolic_closure
 
 __all__ = [
-    "Involution",
     "LieAlgebra",
     "Matrix",
     "MultiVector",
@@ -40,6 +39,7 @@ __all__ = [
     "degenerate",
     "delta",
     "delta_star",
+    "eigenspace",
     "is_nullspace",
     "kernel_basis",
     "orthogonal_complement",

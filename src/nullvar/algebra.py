@@ -26,16 +26,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .linalg import (
-    Matrix,
-    combine,
-    echelon_rows,
-    frac,
-    inverse,
-    kernel_basis,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .linalg import Matrix, combine, echelon_rows, frac, inverse, kernel_basis, parse_rational
 from .roots import RootDatum
 
 Vector = dict[int, Fraction]  # basis index -> nonzero coordinate
@@ -461,16 +452,33 @@ class Subspace:
         return Subspace(self.L, self.rows + other.rows)
 
     def to_json(self) -> dict:
+        """The rows as a ``dim`` x g grid of rationals written as strings in lowest terms."""
         g = self.L.g
-        dense = Matrix(self.dim, g, tuple(row.get(j, Fraction(0)) for row in self.rows for j in range(g)))
-        return matrix_to_json(dense) | {"dim": self.dim}
+        entries = [[str(row.get(j, 0)) for j in range(g)] for row in self.rows]
+        return {"rows": self.dim, "cols": g, "entries": entries, "dim": self.dim}
 
     @staticmethod
     def from_json(L: LieAlgebra, data: dict) -> "Subspace":
-        mat = matrix_from_json(data)
-        if mat.cols != L.g:
+        """The subspace spanned by the rows of a ``to_json`` grid; ValueError on any other shape or entry type."""
+        if not isinstance(data, dict):
+            raise ValueError("a matrix is a JSON object")
+        rows, cols, entries = data["rows"], data["cols"], data["entries"]
+        if not (type(rows) is int and type(cols) is int and isinstance(entries, list)):
+            raise ValueError("rows and cols must be integers and entries a list of rows")
+        if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
+            raise ValueError("entry grid does not match declared shape")
+        if any(isinstance(x, bool) or not isinstance(x, (int, str)) for row in entries for x in row):
+            raise ValueError("matrix entries must be integers or rational strings")
+        try:
+            vectors = [
+                {j: c for j, x in enumerate(row) if (c := parse_rational(x) if isinstance(x, str) else Fraction(x))}
+                for row in entries
+            ]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"matrix entry {exc}") from None
+        if cols != L.g:
             raise ValueError("ambient dimension mismatch")
-        sub = Subspace(L, mat.sparse_rows())
+        sub = Subspace(L, vectors)
         # type(...) is int: a JSON true or 1.0 would compare equal to a rank of 1
         if "dim" in data and (type(data["dim"]) is not int or sub.dim != data["dim"]):
             raise ValueError("declared dimension is not the integer rank of the basis")
@@ -505,33 +513,17 @@ def orthogonal_complement(L: LieAlgebra, S: Subspace) -> Subspace:
 # involutions
 
 
-class Involution:
-    """Automorphism of order two acting as -id on the Cartan subalgebra.
+def eigenspace(L: LieAlgebra, sigma: list[Vector], sign: int) -> Subspace:
+    """The sign-eigenspace of the involution sigma, given by its basis images sigma(b_j) = sigma[j].
 
-    sigma is h -> -h, x_alpha -> t_alpha x_{-alpha}, x_{-alpha} -> x_alpha / t_alpha,
-    a signed permutation of the basis fixed by the numbers t_alpha.
+    It is spanned by the b_j + sign * sigma(b_j): since sigma^2 = 1, the image
+    of id + sign * sigma is exactly the set of v with sigma v = sign * v.
     """
-
-    def __init__(self, L: LieAlgebra, signs):
-        self.L = L
-        self.signs = tuple(signs)  # t_alpha per positive root
-
-    def _root_pairs(self, sign) -> list[Vector]:
-        """x_alpha + sign * t_alpha x_{-alpha} for each positive root alpha."""
-        L = self.L
-        return [{L.pos_index(a): Fraction(1), L.neg_index(a): sign * t} for a, t in enumerate(self.signs)]
-
-    def fixed_subspace(self) -> Subspace:
-        """sigma v = v: spanned by the x_alpha + t_alpha x_{-alpha}."""
-        return Subspace(self.L, self._root_pairs(1))
-
-    def minus_subspace(self) -> Subspace:
-        """sigma v = -v: spanned by the h_i and the x_alpha - t_alpha x_{-alpha}."""
-        return Subspace(self.L, [self.L.basis_vector(i) for i in range(self.L.l)] + self._root_pairs(-1))
+    return Subspace(L, [combine(((1, L.basis_vector(j)), (sign, image))) for j, image in enumerate(sigma)])
 
 
-def build_involution(L: LieAlgebra, simple_signs) -> Involution:
-    """Involution with sigma(h) = -h, sigma(x_alpha) = t_alpha x_{-alpha}
+def build_involution(L: LieAlgebra, simple_signs) -> list[Vector]:
+    """The basis images of the involution with sigma(h) = -h, sigma(x_alpha) = t_alpha x_{-alpha}
     and sigma(x_{-alpha}) = x_alpha / t_alpha.
 
     One sign t_alpha = +1 or -1 per simple root is free; t_alpha of the
@@ -553,7 +545,8 @@ def build_involution(L: LieAlgebra, simple_signs) -> Involution:
 
     perm = list(range(L.l)) + [L.partner(i) for i in range(L.l, L.g)]
     scale = [Fraction(-1)] * L.l + signs + [1 / t for t in signs]
-    defect = bracket_defect(L, [{perm[i]: scale[i]} for i in range(L.g)])
+    sigma = [{perm[i]: scale[i]} for i in range(L.g)]
+    defect = bracket_defect(L, sigma)
     if defect is not None:
         raise InvolutionError("sigma fails to be an automorphism on (%d,%d)" % defect)
-    return Involution(L, signs)
+    return sigma

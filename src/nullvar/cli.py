@@ -1,8 +1,11 @@
 """Command-line front door: build algebras, run verification suites, emit reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
-The environment variable NULLVAR_MAX_G caps the ambient algebra dimension
-(default 10); raise it to admit larger types.
+A reader that closes standard output early, as ``head`` does, ends the
+process by SIGPIPE where the platform has it, so neither a traceback nor one
+of these codes reports a verdict that was never written.  The environment
+variable NULLVAR_MAX_G caps the ambient algebra dimension (default 10);
+raise it to admit larger types.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import itertools
 import json
 import os
+import signal
 import sys
 from datetime import datetime, timezone
 
@@ -23,6 +27,9 @@ from .suites import SUITES, SuiteConfig, run_suites
 from .variety import chart, degenerate, is_nullspace, parabolic_profile
 
 DEFAULT_MAX_G = 10
+# argparse takes a value that starts with "-" and is not a single number for the next option, so
+# a list with a leading minus sign is joined to its flag by "="
+T_HELP = "comma-separated rationals, one per simple root; a leading minus needs the form --t=-1,2"
 
 
 class UsageError(Exception):
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chart = sub.add_parser("chart", help="nullspace from chart parameters")
     p_chart.add_argument("--type", required=True)
-    p_chart.add_argument("--t", required=True, help="comma-separated rationals, one per simple root")
+    p_chart.add_argument("--t", required=True, help=T_HELP)
     p_chart.add_argument("--out", default=None)
     p_chart.set_defaults(fn=cmd_chart)
 
@@ -249,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_deg = sub.add_parser("degenerate", help="limit of a chart point under a one-parameter weight")
     p_deg.add_argument("--type", required=True)
-    p_deg.add_argument("--t", required=True)
-    p_deg.add_argument("--weight", required=True, help="comma-separated integers, one per simple root")
+    p_deg.add_argument("--t", required=True, help=T_HELP)
+    p_deg.add_argument("--weight", required=True,
+                       help="comma-separated integers, one per simple root; a leading minus needs the form --weight=-1,-2")
     p_deg.add_argument("--out", default=None)
     p_deg.set_defaults(fn=cmd_degenerate)
 
@@ -263,6 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(signal, "SIGPIPE"):
+        # Python turns SIGPIPE into BrokenPipeError; the default action ends the process quietly instead
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -34,8 +34,9 @@ Every operator is such a sum of substitutions for any structure constants,
 so each identity between operators is checked on the degrees that decide it.
 ``verify_zeta_identity`` checks zeta = delta_star(w) (id - casimir / c_top) on
 every basis wedge of every degree, the exact matrix identity column by
-column, but the square of delta only on w_sharp and the square of delta_star
-only on degree 6.  Commuting with the Lie action is decided by
+column, with delta_star(w) = -g c_theta / 6 read off the root datum, but the
+square of delta only on w_sharp and the square of delta_star only on degree
+6.  Commuting with the Lie action is decided by
 ``check_w_sharp_invariance`` for delta and on degree 3 for delta_star
 (``grassmann.check_equivariance_matrices``).
 
@@ -570,6 +571,11 @@ def verify_exact_sequences(L: LieAlgebra) -> ExactSequenceReport:
 def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
     """Check zeta = delta_star(w) (id - casimir / c_top) and that delta and delta_star square to zero.
 
+    The scalar delta_star(w) is taken from the root datum: -g c_theta / 6,
+    with c_theta = <theta, theta + 2 rho> the Casimir scalar of the highest
+    root theta.  So degree 0, where zeta(1) = delta_star(w_sharp), compares
+    the contraction with that value, not with itself.
+
     Returns ``(squares_ok, zeta_ok)`` with ``zeta_ok[k]`` the verdict at
     degree k.  Zeta is checked on every basis wedge of each representative
     weight block (``orbit_representatives``), of every block when the Weyl
@@ -587,7 +593,8 @@ def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
     squares_ok = delta(w_sharp(L)).is_zero() and all(
         delta_star(delta_star(MultiVector.over(L, 6, {key: 1}))).is_zero() for key in degree_keys(L, 6)
     )
-    scalar = delta_star_scalar(L)
+    theta = L.rd.positive_roots[-1]  # the positive roots come by height
+    scalar = -L.g * L.rd.inner(theta, tuple(t + 2 * r for t, r in zip(theta, L.rd.rho_root))) / 6
     ratio = scalar / casimir_eigenvalue(L.rd, two_rho(L.rd))
 
     def holds(key: int, k: int) -> bool:

@@ -5,9 +5,9 @@ dict from each coordinate index to its nonzero ``fractions.Fraction``.
 Elimination takes sparse rows of ``int`` or ``Fraction`` entries that keep
 only their nonzero entries, as subspace bases, weight blocks of the exterior
 operators and the Jacobian of the cubic local equations are mostly zeros.
-Dense ``Matrix`` entries serve the inversion of the Killing form, the
-operator and pairing matrices of the transpose relation and the JSON
-encoding.
+Dense ``Matrix`` entries serve the inversion of the Killing form and of the
+Cartan matrix, and the operator and pairing matrices of the transpose
+relation.
 
 The reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  ``_echelon`` scales each row by
@@ -75,10 +75,6 @@ class Matrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -271,30 +267,3 @@ def det(m: Matrix) -> Fraction:
                 for j in range(c, n):
                     work[k][j] -= fk * work[c][j]
     return result
-
-
-def matrix_to_json(m: Matrix) -> dict:
-    """Repo-wide JSON encoding: rationals as strings in lowest terms."""
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)],
-    }
-
-
-def matrix_from_json(data: dict) -> Matrix:
-    """The matrix of ``matrix_to_json``; ValueError on any other shape or entry type."""
-    if not isinstance(data, dict):
-        raise ValueError("a matrix is a JSON object")
-    rows, cols, entries = data["rows"], data["cols"], data["entries"]
-    if not (type(rows) is int and type(cols) is int and isinstance(entries, list)):
-        raise ValueError("rows and cols must be integers and entries a list of rows")
-    if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
-        raise ValueError("entry grid does not match declared shape")
-    if any(isinstance(x, bool) or not isinstance(x, (int, str)) for row in entries for x in row):
-        raise ValueError("matrix entries must be integers or rational strings")
-    try:
-        flat = tuple(parse_rational(x) if isinstance(x, str) else Fraction(x) for row in entries for x in row)
-        return Matrix(rows, cols, flat)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"matrix entry {exc}") from None

@@ -30,6 +30,7 @@ from .algebra import (
     check_kappa_root_form,
     check_root_space_pairing,
     check_w_antisymmetry,
+    eigenspace,
     orthogonal_complement,
     root_pair_plane,
     standard_borel,
@@ -322,9 +323,9 @@ def nullspace_records(L: LieAlgebra, config: SuiteConfig) -> list[dict]:
     def involution_failures():
         bad = 0
         for signs in itertools.product((1, -1), repeat=L.l):
-            inv = build_involution(L, signs)
-            minus = inv.minus_subspace()  # d independent spanning rows, so of dimension d
-            if not is_nullspace(L, minus) or minus != orthogonal_complement(L, inv.fixed_subspace()):
+            sigma = build_involution(L, signs)
+            minus = eigenspace(L, sigma, -1)  # the h_i and the x_alpha - t_alpha x_{-alpha}: of dimension d
+            if not is_nullspace(L, minus) or minus != orthogonal_complement(L, eigenspace(L, sigma, 1)):
                 bad += 1
         return bad
 

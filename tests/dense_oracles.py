@@ -85,7 +85,7 @@ def kernel(m: Matrix) -> Matrix:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
+            v[p] = -red.row(r)[f]
         rows.append(v)
     return rref(Matrix.from_rows(rows))[0] if rows else Matrix(0, m.cols, ())
 
@@ -133,7 +133,7 @@ def degenerate(L, V: DenseSubspace, weight) -> DenseSubspace:
     rows = []
     for r, p in enumerate(pivots):
         top = grades[order[p]]
-        rows.append([red[r, order.index(i)] if grades[i] == top else Fraction(0) for i in range(L.g)])
+        rows.append([red.row(r)[order.index(i)] if grades[i] == top else Fraction(0) for i in range(L.g)])
     return DenseSubspace(L, rows)
 
 
@@ -207,7 +207,7 @@ def check_root_space_pairing(L) -> list[tuple]:
     kap = kappa_matrix(L)
     for i in range(L.g):
         for j in range(i, L.g):
-            val = kap[i, j]
+            val = kap.row(i)[j]
             wi = L.weights[i]
             wj = L.weights[j]
             opposite = all(a + b == 0 for a, b in zip(wi, wj))
@@ -235,4 +235,4 @@ def check_kappa_root_form(L) -> list[tuple]:
             return 2 / rd.inner(L.weights[i], L.weights[i])
         return Fraction(0)
 
-    return [(i, j) for i in range(L.g) for j in range(i, L.g) if kap[i, j] != expected(i, j)]
+    return [(i, j) for i in range(L.g) for j in range(i, L.g) if kap.row(i)[j] != expected(i, j)]

@@ -16,6 +16,7 @@ from nullvar.algebra import (
     check_kappa_invariance,
     check_root_space_pairing,
     check_w_antisymmetry,
+    eigenspace,
     orthogonal_complement,
     standard_borel,
 )
@@ -83,11 +84,11 @@ def test_criterion_03_nullspace_construction(a1, a2, b2, c2):
             V = chart(L, random_chart_parameters(L, rng))
             ok = ok and V.dim == L.d and is_nullspace(L, V)
         for signs in itertools.product((1, -1), repeat=L.l):
-            inv = build_involution(L, signs)
-            minus = inv.minus_subspace()
+            sigma = build_involution(L, signs)
+            minus = eigenspace(L, sigma, -1)
             ok = ok and minus.dim == L.d
             ok = ok and is_nullspace(L, minus)
-            ok = ok and minus == orthogonal_complement(L, inv.fixed_subspace())
+            ok = ok and minus == orthogonal_complement(L, eigenspace(L, sigma, 1))
     _report(3, "50 seeded chart points per algebra and every involution eigenspace", ok)
 
 

@@ -12,6 +12,7 @@ from nullvar.algebra import (
     LieAlgebra,
     StructureError,
     Subspace,
+    bracket_defect,
     build_algebra,
     build_involution,
     check_antisymmetry,
@@ -20,6 +21,7 @@ from nullvar.algebra import (
     check_kappa_root_form,
     check_root_space_pairing,
     check_w_antisymmetry,
+    eigenspace,
     orthogonal_complement,
     standard_borel,
 )
@@ -38,7 +40,7 @@ def test_a1_structure(a1):
     assert a1.bracket(x, y) == h
     # oracle: trace of (ad h)^2 = sum of alpha(h)^2 over both roots = 4 + 4
     ad_h = Matrix.from_rows([dense(a1, a1.bracket(h, a1.basis_vector(j))) for j in range(3)]).transpose()
-    assert sum((ad_h @ ad_h)[i, i] for i in range(3)) == 8
+    assert sum((ad_h @ ad_h).row(i)[i] for i in range(3)) == 8
     assert a1.kappa_pair(h, h) == 8
 
 
@@ -53,7 +55,7 @@ def test_sparse_kappa_is_the_dense_trace_form(fixture, request):
     L = request.getfixturevalue(fixture)
     dense_kappa = dense_oracles.kappa_matrix(L)
     e = L.basis_vector
-    assert all(L.kappa_pair(e(i), e(j)) == dense_kappa[i, j] for i in range(L.g) for j in range(L.g))
+    assert all(L.kappa_pair(e(i), e(j)) == dense_kappa.row(i)[j] for i in range(L.g) for j in range(L.g))
     assert all(0 not in row.values() for row in L.kappa)
 
 
@@ -190,7 +192,7 @@ def _w_by_bracket(L, kappa, x, y, z):
         for j in range(L.g):
             for k, c in L.brackets[i][j].items():
                 xy[k] += x[i] * y[j] * c
-    return sum(xy[k] * kappa[k, m] * z[m] for k in range(L.g) for m in range(L.g))
+    return sum(xy[k] * kappa.row(k)[m] * z[m] for k in range(L.g) for m in range(L.g))
 
 
 @pytest.mark.parametrize("fixture", ["a2", "c2"])
@@ -224,15 +226,15 @@ def test_w_eval_matches_bracket_then_kappa(fixture, request):
 
 
 def test_involution_dimensions(a1, a2, c2):
-    assert build_involution(a1, (1,)).fixed_subspace().dim == 1
-    assert build_involution(a1, (1,)).minus_subspace().dim == 2
-    inv = build_involution(a2, (1, 1))
-    assert inv.fixed_subspace().dim == 3
-    assert inv.minus_subspace().dim == 5
+    assert eigenspace(a1, build_involution(a1, (1,)), 1).dim == 1
+    assert eigenspace(a1, build_involution(a1, (1,)), -1).dim == 2
+    sigma = build_involution(a2, (1, 1))
+    assert eigenspace(a2, sigma, 1).dim == 3
+    assert eigenspace(a2, sigma, -1).dim == 5
     for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        iv = build_involution(c2, signs)
-        assert iv.fixed_subspace().dim == 4
-        assert iv.minus_subspace().dim == 6
+        sigma = build_involution(c2, signs)
+        assert eigenspace(c2, sigma, 1).dim == 4
+        assert eigenspace(c2, sigma, -1).dim == 6
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
@@ -241,8 +243,8 @@ def test_involution_signs_are_units(label):
     # itself checks the automorphism property on every basis pair
     L = build_algebra(build_root_datum(label[0], int(label[1:])))
     for signs in itertools.product((1, -1), repeat=L.l):
-        inv = build_involution(L, signs)
-        assert all(t in (1, -1) for t in inv.signs)
+        sigma = build_involution(L, signs)
+        assert all(t in (1, -1) for image in sigma for t in image.values())
 
 
 def _dense_sigma(L, signs) -> Matrix:
@@ -258,7 +260,7 @@ def _dense_sigma(L, signs) -> Matrix:
 
 
 def _matvec(m: Matrix, v) -> tuple:
-    return tuple(sum((m[i, j] * x for j, x in enumerate(v) if x), Fraction(0)) for i in range(m.rows))
+    return tuple(sum((a * x for a, x in zip(m.row(i), v) if x), Fraction(0)) for i in range(m.rows))
 
 
 def _dense_build_involution(L, simple_signs):
@@ -266,7 +268,7 @@ def _dense_build_involution(L, simple_signs):
 
     It checks sigma^2 = 1 and the automorphism property through dense products,
     takes the eigenspaces as kernels of sigma -+ 1, and returns
-    ``(signs, fixed, minus)``.
+    ``(images, fixed, minus)`` with images[j] the sparse column j of sigma.
     """
     simple_signs = tuple(int(s) for s in simple_signs)
     if len(simple_signs) != L.l or any(s not in (1, -1) for s in simple_signs):
@@ -297,7 +299,8 @@ def _dense_build_involution(L, simple_signs):
     fixed, minus = eigenspace(1), eigenspace(-1)
     if fixed.dim != (g - L.l) // 2 or minus.dim != L.d:
         raise InvolutionError("eigenspace dimensions are off")
-    return tuple(signs), fixed, minus
+    columns = sigma.transpose()
+    return [sparse(columns.row(j)) for j in range(g)], fixed, minus
 
 
 def _involution_outcome(build, L, signs):
@@ -326,8 +329,8 @@ def test_involution_matches_dense_builder_on_witnesses(a2, corruption, signs, er
     dense = _involution_outcome(_dense_build_involution, L, signs)
     sparse = _involution_outcome(build_involution, L, signs)
     if error is None:
-        assert sparse.signs == dense[0]
-        assert (sparse.fixed_subspace(), sparse.minus_subspace()) == dense[1:]
+        assert sparse == dense[0]
+        assert (eigenspace(L, sparse, 1), eigenspace(L, sparse, -1)) == dense[1:]
     else:
         assert sparse == dense and sparse[1] == error
 
@@ -336,19 +339,19 @@ def test_involution_matches_dense_builder_on_witnesses(a2, corruption, signs, er
 def test_involution_matches_dense_builder(label):
     L = build_algebra(build_root_datum(label[0], int(label[1:])))
     for signs in itertools.product((1, -1), repeat=L.l):
-        inv = build_involution(L, signs)
-        assert (inv.signs, inv.fixed_subspace(), inv.minus_subspace()) == _dense_build_involution(L, signs)
+        sigma = build_involution(L, signs)
+        assert (sigma, eigenspace(L, sigma, 1), eigenspace(L, sigma, -1)) == _dense_build_involution(L, signs)
 
 
 def test_involution_eigenspaces_are_right_eigenvectors(b2):
     for signs in itertools.product((1, -1), repeat=b2.l):
-        inv = build_involution(b2, signs)
-        sigma = _dense_sigma(b2, inv.signs)
-        minus = inv.minus_subspace()
+        images = build_involution(b2, signs)
+        sigma = Matrix.from_rows([dense(b2, image) for image in images]).transpose()
+        minus = eigenspace(b2, images, -1)
         assert minus.dim == b2.d
         for v in (dense(b2, row) for row in minus.rows):
             assert _matvec(sigma, v) == tuple(-x for x in v)
-        for v in (dense(b2, row) for row in inv.fixed_subspace().rows):
+        for v in (dense(b2, row) for row in eigenspace(b2, images, 1).rows):
             assert _matvec(sigma, v) == v
 
 
@@ -367,14 +370,14 @@ def test_decomposition_is_first_of_all_decompositions(label):
 def test_rank3_sign_patterns_build_nullspaces(family):
     L = build_algebra(build_root_datum(family, 3))
     for signs in itertools.product((1, -1), repeat=3):
-        minus = build_involution(L, signs).minus_subspace()
+        minus = eigenspace(L, build_involution(L, signs), -1)
         assert minus.dim == L.d
         assert is_nullspace(L, minus)
 
 
 def test_involution_is_orthogonal_decomposition(a2):
-    inv = build_involution(a2, (1, -1))
-    fixed, minus = inv.fixed_subspace(), inv.minus_subspace()
+    sigma = build_involution(a2, (1, -1))
+    fixed, minus = eigenspace(a2, sigma, 1), eigenspace(a2, sigma, -1)
     assert fixed.add(minus).dim == a2.g
     for u in fixed.rows:
         for v in minus.rows:
@@ -382,13 +385,26 @@ def test_involution_is_orthogonal_decomposition(a2):
     assert minus == orthogonal_complement(a2, fixed)
 
 
+@pytest.mark.parametrize("fixture", ["a2", "c2"])
+def test_eigenspaces_of_an_inner_involution(fixture, request):
+    # sigma(b_i) = eps(wt b_i) b_i with eps the sign character that is -1 on the last simple root
+    L = request.getfixturevalue(fixture)
+    sign = [(-1) ** wt[-1] for wt in L.weights]
+    sigma = [{i: Fraction(s)} for i, s in enumerate(sign)]
+    assert bracket_defect(L, sigma) is None
+    for s in (1, -1):
+        assert eigenspace(L, sigma, s) == Subspace(L, [L.basis_vector(i) for i in range(L.g) if sign[i] == s])
+    assert is_nullspace(L, eigenspace(L, sigma, -1))
+
+
 def test_involution_minus_space_form(a2):
     # minus eigenspace = Cartan plus the lines x_a - t_a x_{-a}
-    inv = build_involution(a2, (1, 1))
-    minus = inv.minus_subspace()
+    sigma = build_involution(a2, (1, 1))
+    minus = eigenspace(a2, sigma, -1)
     assert all(minus.contains(a2.basis_vector(i)) for i in range(a2.l))
     for a in range(a2.n_pos):
-        assert minus.contains({a2.pos_index(a): Fraction(1), a2.neg_index(a): -inv.signs[a]})
+        t = sigma[a2.pos_index(a)][a2.neg_index(a)]
+        assert minus.contains({a2.pos_index(a): Fraction(1), a2.neg_index(a): -t})
 
 
 def test_involution_rejects_bad_signs(a2):

@@ -1,6 +1,8 @@
 """Command-line contract: verbs, exit codes, reproducible reports."""
 
 import json
+import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,13 +11,11 @@ from pathlib import Path
 import pytest
 
 from nullvar import cli
-from nullvar.algebra import standard_borel
+from nullvar.algebra import Subspace, standard_borel
 from nullvar.variety import chart
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -208,12 +208,17 @@ def test_rationals_without_exponents_are_accepted(tmp_path, capsys, a2):
     assert json.loads(capsys.readouterr().out) == {"dim": 1, "is_nullspace": True}
 
 
-def test_degenerate_verb(a2):
+def test_degenerate_verb(a2, c2):
     out = run_cli("degenerate", "--type", "A2", "--t", "1,1", "--weight", "2,1")
     assert out.returncode == 0
     assert json.loads(out.stdout) == standard_borel(a2).to_json()
     out = run_cli("degenerate", "--type", "A2", "--t", "1,1", "--weight", "1,-1")
     assert out.returncode == 2  # irregular weight
+    # an anti-dominant weight flows onto the opposite Borel; a list with a leading minus is joined by "="
+    out = run_cli("degenerate", "--type", "C2", "--t=1,1", "--weight=-1,-2")
+    assert out.returncode == 0, out.stderr
+    negative = [c2.basis_vector(c2.neg_index(a)) for a in range(c2.n_pos)]
+    assert json.loads(out.stdout) == Subspace(c2, [c2.basis_vector(i) for i in range(c2.l)] + negative).to_json()
 
 
 def test_equations_verb():
@@ -233,6 +238,29 @@ def test_orbits_verb():
     assert len(data["orbits"]) == 4
     by_codim = sorted(o["codim"] for o in data["orbits"])
     assert by_codim == [0, 1, 1, 2]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("chart", "--type", "A2", "--t=-1,2"),
+        ("equations", "--type", "A2"),
+        ("verify", "--type", "A1", "--suite", "structure"),
+    ],
+    ids=["chart", "equations", "verify"],
+)
+def test_a_closed_stdout_ends_the_process_by_sigpipe(args):
+    # exit 1 from verify means a check failed, so a reader that left early must give neither it nor a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write finds no reader
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nullvar", *args], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == -signal.SIGPIPE and result.stderr == ""
 
 
 def test_verify_b2_nullspace_green(tmp_path):

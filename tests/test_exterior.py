@@ -511,7 +511,7 @@ def test_zeta_identity_fails_degreewise_on_corrupted_c2(c2):
 
 def _zeta_and_squares_oracle(L):
     """The per-wedge loop: both squares and zeta on every basis wedge of every degree."""
-    scalar = delta_star_scalar(L)
+    scalar = Fraction(-L.g, 6)  # delta_star(w) = -g c_theta / 6, and c_theta = 1 in the normalization of roots
     ratio = scalar / casimir_eigenvalue(L.rd, two_rho(L.rd))
     squares_ok = True
     zeta_ok = []

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nullvar import cli, grassmann
-from nullvar.algebra import Subspace, build_algebra, build_involution, orthogonal_complement, standard_borel
+from nullvar.algebra import Subspace, build_algebra, build_involution, eigenspace, orthogonal_complement, standard_borel
 from nullvar.exterior import (
     MultiVector,
     _delta_star_table,
@@ -56,8 +56,7 @@ def test_plucker_wrong_dimension(a2):
 
 def test_linear_membership_examples(a2):
     assert linear_membership(a2, plucker(a2, standard_borel(a2)))
-    inv = build_involution(a2, (-1, 1))
-    assert linear_membership(a2, plucker(a2, inv.minus_subspace()))
+    assert linear_membership(a2, plucker(a2, eigenspace(a2, build_involution(a2, (-1, 1)), -1)))
     rng = Lcg(3)
     hits = 0
     for _ in range(20):

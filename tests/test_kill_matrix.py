@@ -23,13 +23,6 @@ def _fresh(L):
     return build_algebra(build_root_datum(L.rd.family, L.rd.rank))
 
 
-def _wedge_doubled(monkeypatch, L):
-    # delta no longer wedges with w_sharp, so delta_star(delta(1)) misses the scalar
-    original = exterior.delta
-    monkeypatch.setattr(exterior, "delta", lambda u: original(u).scale(2))
-    return _fresh(L)
-
-
 def _contraction_emptied(monkeypatch, L):
     monkeypatch.setattr(exterior, "_delta_star_table", lambda L: ((), 1))
     return _fresh(L)
@@ -122,9 +115,11 @@ C2_WITNESSES = {
     "casimir_borel_top_wedge": ZETA,
     "squares_vanish": "no witness: delta twice is the wedge with w_sharp ^ w_sharp and delta_star twice "
     "the contraction by w ^ w, both zero for a form of odd degree whatever the structure constants",
-    "zeta_identity_degree_0": _wedge_doubled,
+    # degree 0 compares the contraction of the form with -g/6 from the root datum: 28 of the 450 move it,
+    # and 26 of those break the top wedge too, which no other corrupted constant breaks by value
+    "zeta_identity_degree_0": (0, 2, 2),
     **{f"zeta_identity_degree_{k}": ZETA for k in range(1, 10)},
-    "zeta_identity_degree_10": (0, 1, 0),
+    "zeta_identity_degree_10": (0, 2, 2),
     **{f"rank_nullity_degree_{k}": _window_off_by_one for k in range(11)},
     # no corrupted constant reaches the three readers of the wedge rank into degree d by value: 345 of
     # the 450 turn them red through the weight-block escape error, and the other 105 leave them green
@@ -173,9 +168,10 @@ A2_WITNESSES = {
     "delta_star_w_nonzero": _contraction_emptied,
     "casimir_borel_top_wedge": ZETA,
     "squares_vanish": C2_WITNESSES["squares_vanish"],
-    "zeta_identity_degree_0": _wedge_doubled,
+    # 20 of the 224 move the contraction of the form off -g/6; 18 of those, and no other, break the top wedge
+    "zeta_identity_degree_0": (0, 2, 2),
     **{f"zeta_identity_degree_{k}": ZETA for k in range(1, 8)},
-    "zeta_identity_degree_8": (0, 1, 0),
+    "zeta_identity_degree_8": (0, 2, 2),
     # a corrupted constant reaches the rank-nullity records and the three readers of the wedge rank into
     # degree d only through the weight-block escape error (160 and 168 of the 224)
     **{f"rank_nullity_degree_{k}": _window_off_by_one for k in range(9)},

@@ -6,15 +6,13 @@ from math import prod
 import pytest
 
 from nullvar import exterior
-from nullvar.algebra import build_algebra
+from nullvar.algebra import Subspace, build_algebra
 from nullvar.linalg import (
     Matrix,
     det,
     echelon_rows,
     inverse,
     kernel_basis,
-    matrix_from_json,
-    matrix_to_json,
     parse_rational,
     rank,
     rref,
@@ -84,7 +82,7 @@ def test_rank_examples():
 
 def _column_echelon_rank(m: Matrix) -> int:
     # independent oracle: plain forward elimination on columns of the transpose
-    cols = [[m[i, j] for i in range(m.rows)] for j in range(m.cols)]
+    cols = [[m.row(i)[j] for i in range(m.rows)] for j in range(m.cols)]
     r = 0
     for pos in range(m.rows):
         pivot = None
@@ -127,28 +125,26 @@ def test_det_matches_elimination():
     assert det(singular) == 0
 
 
-def test_matrix_json_roundtrip():
-    m = Matrix.from_rows([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
-    data = matrix_to_json(m)
-    assert data["entries"][0][0] == "1/3"
-    assert matrix_from_json(data) == m
+def test_matrix_json_roundtrip(a1):
+    # a subspace writes its echelon rows as a grid of rationals in lowest terms
+    S = Subspace(a1, [{0: 3, 2: 1}, {1: Fraction(2, 7)}])
+    data = S.to_json()
+    assert data == {"rows": 2, "cols": 3, "entries": [["1", "0", "1/3"], ["0", "1", "0"]], "dim": 2}
+    assert Subspace.from_json(a1, data) == S
 
 
 @pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1", "-3e0"])
-def test_exponent_entries_are_refused(text):
+def test_exponent_entries_are_refused(text, a1):
     with pytest.raises(ValueError, match="exponent"):
         parse_rational(text)
     with pytest.raises(ValueError, match="exponent"):
-        matrix_from_json({"rows": 1, "cols": 2, "entries": [[text, 1]]})
+        Subspace.from_json(a1, {"rows": 1, "cols": 3, "entries": [[text, 1, 0]]})
 
 
-def test_rational_strings_are_read_exactly():
+def test_rational_strings_are_read_exactly(a1):
     assert [parse_rational(x) for x in ("3/4", "-2", "0.5", " 7 ")] == [Fraction(3, 4), -2, Fraction(1, 2), 7]
-    assert matrix_from_json({"rows": 1, "cols": 3, "entries": [["3/4", "0.5", -2]]}).row(0) == (
-        Fraction(3, 4),
-        Fraction(1, 2),
-        -2,
-    )
+    S = Subspace.from_json(a1, {"rows": 1, "cols": 3, "entries": [["3/4", "0.5", -2]]})
+    assert S.rows == ({0: 1, 1: Fraction(2, 3), 2: Fraction(-8, 3)},)
 
 
 def _fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -184,7 +180,7 @@ def _assert_matches_oracle(m: Matrix):
     assert [tuple(row.get(j, 0) for j in range(m.cols)) for row in rows] == [red.row(i) for i in range(len(pivots))]
     kernel = kernel_basis(ints, m.cols)
     assert len(kernel) == m.cols - len(pivots)
-    assert all(not sum(x * m[i, j] for j, x in v.items()) for v in kernel for i in range(m.rows))
+    assert all(not sum(x * m.row(i)[j] for j, x in v.items()) for v in kernel for i in range(m.rows))
     # rank skips the canonical form but counts the same pivots
     assert rank(ints) == len(pivots)
     # the Fraction rows, taken as they are, eliminate to the same results

@@ -10,6 +10,7 @@ from nullvar.algebra import (
     Subspace,
     build_algebra,
     build_involution,
+    eigenspace,
     root_pair_plane,
     standard_borel,
 )
@@ -50,8 +51,7 @@ def _effective_parameters(L, lines):
 def test_is_nullspace_examples(a2):
     assert is_nullspace(a2, standard_borel(a2))
     assert not is_nullspace(a2, Subspace(a2, [a2.basis_vector(i) for i in range(a2.g)]))
-    inv = build_involution(a2, (1, -1))
-    assert is_nullspace(a2, inv.minus_subspace())
+    assert is_nullspace(a2, eigenspace(a2, build_involution(a2, (1, -1)), -1))
 
 
 def test_chart_zero_gives_borel(a2, c2):
