@@ -26,10 +26,11 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .linalg import Matrix, combine, echelon_rows, frac, inverse, kernel_basis, parse_rational
+from .linalg import Matrix, combine, echelon_rows, frac, integer_terms, inverse, kernel_basis, parse_rational
 from .roots import RootDatum
 
 Vector = dict[int, Fraction]  # basis index -> nonzero coordinate
+_ZERO = Fraction(0)  # w_eval's zero value, shared
 
 
 class StructureError(AssertionError):
@@ -153,30 +154,28 @@ class LieAlgebra:
         return table
 
     @per_algebra
-    def _w_by_first(self) -> dict[int, list[tuple[int, int, Fraction]]]:
-        """``(b, c, w(b_a, b_b, b_c))`` for each first index a: the table extended by alternation."""
-        by_first: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for (i, j, k), val in self.w_table.items():
+    def _w_by_first(self) -> tuple[dict, int]:
+        """``(by_first, den)``: ``(b, c, n)`` for each first index a, with w(b_a, b_b, b_c) = n / den."""
+        den, ints = integer_terms(self.w_table)
+        by_first: dict = {}
+        for (i, j, k), n in ints.items():
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                by_first.setdefault(a, []).extend(((b, c, val), (c, b, -val)))
-        return by_first
+                by_first.setdefault(a, []).extend(((b, c, n), (c, b, -n)))
+        return by_first, den
 
     def w_eval(self, x: Vector, y: Vector, z: Vector) -> Fraction:
-        """w(x, y, z) = kappa([x, y], z) for arbitrary coordinate vectors.
+        """w(x, y, z) = kappa([x, y], z) for ``int`` or ``Fraction`` coordinates.
 
-        Sums w(b_a, b_b, b_c) x_a y_b z_c over the nonzero table entries whose
-        three coordinates are all nonzero, so sparse arguments cost little.
+        Sums the numerators of w(b_a, b_b, b_c) x_a y_b z_c over the entries
+        whose three coordinates are nonzero, then divides by their denominator.
         """
-        by_first = self._w_by_first()
-        acc = Fraction(0)
+        by_first, den = self._w_by_first()
+        acc = 0
         for a, xa in x.items():
-            for b, c, val in by_first.get(a, ()):
-                yb = y.get(b)
-                if yb is not None:
-                    zc = z.get(c)
-                    if zc is not None:
-                        acc += val * xa * yb * zc
-        return acc
+            for b, c, n in by_first.get(a, ()):
+                if b in y and c in z:
+                    acc += n * xa * y[b] * z[c]
+        return Fraction(acc, den) if acc else _ZERO
 
     # -- root bookkeeping ----------------------------------------------------
 
@@ -461,21 +460,21 @@ class Subspace:
     def from_json(L: LieAlgebra, data: dict) -> "Subspace":
         """The subspace spanned by the rows of a ``to_json`` grid; ValueError on any other shape or entry type."""
         if not isinstance(data, dict):
-            raise ValueError("a matrix is a JSON object")
+            raise ValueError("a subspace is a JSON object")
         rows, cols, entries = data["rows"], data["cols"], data["entries"]
         if not (type(rows) is int and type(cols) is int and isinstance(entries, list)):
             raise ValueError("rows and cols must be integers and entries a list of rows")
         if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         if any(isinstance(x, bool) or not isinstance(x, (int, str)) for row in entries for x in row):
-            raise ValueError("matrix entries must be integers or rational strings")
+            raise ValueError("subspace entries must be integers or rational strings")
         try:
             vectors = [
                 {j: c for j, x in enumerate(row) if (c := parse_rational(x) if isinstance(x, str) else Fraction(x))}
                 for row in entries
             ]
         except ZeroDivisionError as exc:
-            raise ValueError(f"matrix entry {exc}") from None
+            raise ValueError(f"subspace entry {exc}") from None
         if cols != L.g:
             raise ValueError("ambient dimension mismatch")
         sub = Subspace(L, vectors)

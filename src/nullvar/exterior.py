@@ -379,21 +379,17 @@ _OPS = {
 }
 
 
-def graded_matrix(L: LieAlgebra, name: str, k: int) -> Matrix:
-    """Matrix of the named operator restricted to degree k: dim(target) x dim(source)."""
+def graded_matrix(L: LieAlgebra, name: str, k: int) -> tuple[Matrix, int]:
+    """``(m, den)``: the named operator at degree k as integer numerators m over den, dim(target) x dim(source)."""
     fn, shift = _OPS[name]
-    target = k + shift
-    rows = binomial_dim(L.g, target)
-    cols = binomial_dim(L.g, k)
-    if rows == 0 or cols == 0:
-        return Matrix.zeros(rows, cols)
-    index = key_index_map(L, target)
-    entries = [Fraction(0)] * (rows * cols)
-    for col, key in enumerate(degree_keys(L, k)):
-        image = fn(MultiVector.over(L, k, {key: 1}))
-        for out_key, val in image.terms.items():
-            entries[index[out_key] * cols + col] = val
-    return Matrix(rows, cols, tuple(entries))
+    images = [fn(MultiVector.over(L, k, {key: 1})) for key in degree_keys(L, k)]
+    index = key_index_map(L, k + shift)
+    rows, cols, den = len(index), len(images), lcm(1, *[image.den for image in images])
+    entries = [0] * (rows * cols)
+    for col, image in enumerate(images):
+        for out_key, n in image.ints.items():
+            entries[index[out_key] * cols + col] = den // image.den * n
+    return Matrix(rows, cols, tuple(entries)), den
 
 
 @per_algebra

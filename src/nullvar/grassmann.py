@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import eq
 
 from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
 from .exterior import (
@@ -29,7 +30,7 @@ from .exterior import (
     lie_action_basis,
     wedge,
 )
-from .linalg import Matrix, det
+from .linalg import Matrix, det, integer_terms
 from .seeds import Lcg
 from .variety import chart, is_nullspace, random_chart_parameters, random_subspace
 
@@ -110,12 +111,17 @@ def equation_count(L: LieAlgebra) -> int:
 # the kappa pairing on exterior powers and the transpose relation
 
 
-def pairing_matrix(L: LieAlgebra, k: int) -> Matrix:
-    """Gram matrix of the kappa-induced pairing on degree k basis wedges."""
+def pairing_matrix(L: LieAlgebra, k: int) -> tuple[Matrix, int]:
+    """``(m, den)``: the Gram matrix of the kappa pairing on degree k basis wedges is m / den.
+
+    Each entry is a Gram determinant of kappa's integer numerators, so den
+    is their denominator to the k-th power.
+    """
+    kappa_den, kappa = integer_terms({(i, j): c for i, row in enumerate(L.kappa) for j, c in row.items()})
     keys = degree_keys(L, k)
     index = key_index_map(L, k)
     n = len(keys)
-    entries = [Fraction(0)] * (n * n)
+    entries = [0] * (n * n)
     cartan = list(range(L.l))
     for row_idx, key in enumerate(keys):
         bits = _bits(key)
@@ -132,31 +138,32 @@ def pairing_matrix(L: LieAlgebra, k: int) -> Matrix:
             col_idx = index.get(other)
             if col_idx is None:
                 continue
-            gram = Matrix.from_rows([[L.kappa[i].get(j, 0) for j in _bits(other)] for i in bits])
+            gram = Matrix(k, k, tuple(kappa.get(pair, 0) for pair in itertools.product(bits, _bits(other))))
             entries[row_idx * n + col_idx] = det(gram)
-    return Matrix(n, n, tuple(entries))
+    return Matrix(n, n, tuple(entries)), kappa_den**k
 
 
 def transpose_identity_sign(L: LieAlgebra) -> int | None:
     """Sign s with M(contraction at d)^T G_{d-3} = s G_d M(wedge at d-3), or None.
 
     An exact matrix identity; its existence means the equation row space is the
-    kappa-transpose of the wedge image from degree d-3.
+    kappa-transpose of the wedge image from degree d-3.  Both sides are
+    integer products, compared each times the other's two denominators.
     """
     low = L.d - 3
     if low < 0:
         return 1
-    m_star = graded_matrix(L, "delta_star", L.d)
-    m_delta = graded_matrix(L, "delta", low)
-    g_low = pairing_matrix(L, low)
-    g_high = pairing_matrix(L, L.d)
-    lhs = m_star.transpose() @ g_low
-    rhs = g_high @ m_delta
-    if lhs == rhs:
-        return 1
-    if lhs == rhs.scale(-1):
-        return -1
-    return None
+    m_star, star_den = graded_matrix(L, "delta_star", L.d)
+    g_low, low_den = pairing_matrix(L, low)
+    lhs = (m_star.transpose() @ g_low).entries
+    # the relation holds a run's largest matrices, so one side's factors go before the other's are built
+    del m_star, g_low
+    g_high, high_den = pairing_matrix(L, L.d)
+    m_delta, delta_den = graded_matrix(L, "delta", low)
+    rhs = (g_high @ m_delta).entries
+    a, b = high_den * delta_den, low_den * star_den
+    # lhs * a == s * rhs * b entry by entry, mapped so that no Python step runs per entry
+    return next((s for s in (1, -1) if all(map(eq, map(a.__mul__, lhs), map((s * b).__mul__, rhs)))), None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,26 @@ Elimination takes sparse rows of ``int`` or ``Fraction`` entries that keep
 only their nonzero entries, as subspace bases, weight blocks of the exterior
 operators and the Jacobian of the cubic local equations are mostly zeros.
 Dense ``Matrix`` entries serve the inversion of the Killing form and of the
-Cartan matrix, and the operator and pairing matrices of the transpose
-relation.
+Cartan matrix; the operator and pairing matrices of the transpose relation
+hold integer numerators, their one denominator kept beside the matrix.
 
 The reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  ``_echelon`` scales each row by
 the lcm of its denominators and eliminates on these sparse Python ``int``
-rows.  ``echelon_rows`` divides its rows by their pivots into canonical
-sparse rows; ``rref``, the one entry point for a dense matrix, lays the
-result out densely for ``inverse``; ``kernel_basis`` reads the kernel off the
-same rows, and ``rank`` only counts their pivots.
+rows, and ``det`` eliminates fraction-free on rows scaled the same way.
+``echelon_rows`` divides its rows by their pivots into canonical sparse
+rows; ``rref``, the one entry point for a dense matrix, lays the result out
+densely for ``inverse``; ``kernel_basis`` reads the kernel off the same
+rows, and ``rank`` only counts their pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -47,11 +50,11 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense row-major matrix of exact ``int`` or ``Fraction`` entries; ``from_rows`` reads rationals."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -72,48 +75,33 @@ class Matrix:
             flat.extend(frac(x) for x in row)
         return Matrix(nrows, ncols, tuple(flat))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+    def sparse_rows(self) -> tuple[dict, ...]:
         """Each row as a dict from column to its nonzero entry."""
-        return tuple({j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows))
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        # the filter skips the zeros without a Python step per entry, as dense operator rows are mostly zeros
+        return tuple(dict(filter(itemgetter(1), enumerate(self.row(i)))) for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        columns = (self.entries[j :: self.cols] for j in range(self.cols))
+        return Matrix(self.cols, self.rows, tuple(chain.from_iterable(columns)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the nonzero entries of ``other``'s rows; ints stay ints."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [Fraction(0)] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if not a:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if b:
-                        out[rbase + j] += a * b
-        return Matrix(self.rows, other.cols, tuple(out))
+        right = other.sparse_rows()
 
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
+        def product_row(i: int) -> list:
+            acc = [0] * other.cols
+            for a, row in filter(itemgetter(0), zip(self.row(i), right)):
+                for j, b in row.items():
+                    acc[j] += a * b
+            return acc
+
+        # the rows go straight into the tuple, without a flat list copy beside it
+        return Matrix(self.rows, other.cols, tuple(chain.from_iterable(map(product_row, range(self.rows)))))
 
 
 def combine(terms) -> dict:
@@ -240,30 +228,35 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.from_rows([list(red.row(i))[n:] for i in range(n)])
 
 
-def det(m: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination (intended for small matrices)."""
+def det(m: Matrix):
+    """Exact determinant by fraction-free (Bareiss) elimination; an ``int`` for ``int`` entries.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    product of the scales divides the integer determinant once at the end.
+    Every Bareiss step divides exactly by the previous pivot, so the entries
+    stay minors of the scaled matrix.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
     n = m.rows
-    work = m.row_lists()
-    result = Fraction(1)
+    work, scale = [], 1
+    for row in map(m.row, range(n)):
+        den = lcm(1, *[x.denominator for x in row])
+        work.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    sign, prev = 1, 1
     for c in range(n):
-        pivot_row = None
-        for k in range(c, n):
-            if work[k][c]:
-                pivot_row = k
-                break
+        pivot_row = next((k for k in range(c, n) if work[k][c]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != c:
             work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = 1 / work[c][c]
-        for k in range(c + 1, n):
-            f = work[k][c]
-            if f:
-                fk = f * inv
-                for j in range(c, n):
-                    work[k][j] -= fk * work[c][j]
-    return result
+            sign = -sign
+        top = work[c]
+        p = top[c]
+        for row in work[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sign * prev if scale == 1 else Fraction(sign * prev, scale)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, StructureError, Subspace, Vector, standard_borel
-from .linalg import combine, echelon_rows, frac, rank
+from .linalg import combine, echelon_rows, frac, integer_terms, rank
 
 
 class NotInVarietyError(ValueError):
@@ -31,8 +31,9 @@ class NotInVarietyError(ValueError):
 
 
 def is_nullspace(L: LieAlgebra, S: Subspace) -> bool:
-    """True iff w vanishes on all triples of basis rows of S."""
-    return not any(L.w_eval(*triple) for triple in itertools.combinations(S.rows, 3))
+    """True iff w vanishes on all triples of basis rows of S, each row scaled to integers, which keeps every zero."""
+    rows = [integer_terms(row)[1] for row in S.rows]
+    return not any(L.w_eval(*triple) for triple in itertools.combinations(rows, 3))
 
 
 def _line_vector(L: LieAlgebra, a: int, t: Fraction) -> Vector:
@@ -215,30 +216,29 @@ class CubicSystem:
 
 
 def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> CubicSystem:
-    """Cubic equations of the variety on the chart defined by base and complement."""
+    """Cubic equations of the variety on the chart defined by base and complement.
+
+    Each w value is taken on the rows' integer numerators and divided once by their three denominators.
+    """
     if base.dim + complement.dim != L.g or base.add(complement).dim != L.g:
         raise ValueError("base and complement do not decompose the algebra")
     if base.dim != L.d:
         raise ValueError(f"base must have dimension {L.d}")
-    xs = base.rows
-    ys = complement.rows
-    d, m = len(xs), len(ys)
+    xs = [integer_terms(row) for row in base.rows]
+    ys = [integer_terms(row) for row in complement.rows]
     polynomials = []
-    for (i1, i2, i3) in itertools.combinations(range(d), 3):
+    for triple in itertools.combinations(range(len(xs)), 3):
         poly: dict[Monomial, Fraction] = {}
-        slots = []
-        for i in (i1, i2, i3):
-            options = [((), xs[i])]
-            options += [(((i, j),), ys[j]) for j in range(m)]
-            slots.append(options)
-        for (m1, v1) in slots[0]:
-            for (m2, v2) in slots[1]:
-                for (m3, v3) in slots[2]:
+        # each slot is the base row x_i or one of the complement rows y_j, with X[i][j] as its monomial
+        slots = [[((), *xs[i])] + [(((i, j),), *y) for j, y in enumerate(ys)] for i in triple]
+        for m1, s1, v1 in slots[0]:
+            for m2, s2, v2 in slots[1]:
+                for m3, s3, v3 in slots[2]:
                     val = L.w_eval(v1, v2, v3)
                     if not val:
                         continue
                     mono = tuple(sorted(m1 + m2 + m3))
-                    new = poly.get(mono, Fraction(0)) + val
+                    new = poly.get(mono, 0) + val / (s1 * s2 * s3)
                     if new:
                         poly[mono] = new
                     else:

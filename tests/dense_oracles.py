@@ -4,14 +4,18 @@ A dense vector is a tuple of g Fractions, zeros included; a dense subspace
 is the dense reduced echelon matrix that ``linalg.rref`` returns.  The
 functions below are the dense ``bracket``, ``w_eval``, ``contains``,
 ``orthogonal_complement`` and ``degenerate`` that the sparse forms in
-``nullvar`` replaced, the Killing form as a dense matrix of traces, and the
+``nullvar`` replaced, the Killing form as a dense matrix of traces, the
 triple-loop structure checks that the checks built on ``bracket``,
-``kappa_pair`` and ``w_eval`` replaced.
+``kappa_pair`` and ``w_eval`` replaced, the cubic local equations built from
+``Fraction`` rows, and the transpose relation on ``Fraction`` matrices: the
+dense graded and pairing matrices, Gaussian elimination for ``det`` and the
+triple-loop matrix product, which the integer numerators replaced.
 """
 
 import itertools
 from fractions import Fraction
 
+from nullvar import exterior
 from nullvar.linalg import Matrix, frac, rref
 
 
@@ -236,3 +240,118 @@ def check_kappa_root_form(L) -> list[tuple]:
         return Fraction(0)
 
     return [(i, j) for i in range(L.g) for j in range(i, L.g) if kap.row(i)[j] != expected(i, j)]
+
+
+# ---------------------------------------------------------------------------
+# the cubic local equations with every coefficient a Fraction
+
+
+def local_equations(L, base, complement) -> list[dict]:
+    """One polynomial per ascending triple of base rows, in the monomials X[i][j] of x_i + sum_j X[i][j] y_j.
+
+    Each coefficient is the dense ``w_eval`` of the Fraction rows it multiplies.
+    """
+    xs = [dense(L, row) for row in base.rows]
+    ys = [dense(L, row) for row in complement.rows]
+    polynomials = []
+    for triple in itertools.combinations(range(len(xs)), 3):
+        poly = {}
+        slots = [[((), xs[i])] + [(((i, j),), y) for j, y in enumerate(ys)] for i in triple]
+        for (m1, v1), (m2, v2), (m3, v3) in itertools.product(*slots):
+            mono = tuple(sorted(m1 + m2 + m3))
+            poly[mono] = poly.get(mono, Fraction(0)) + w_eval(L, v1, v2, v3)
+        polynomials.append({mono: c for mono, c in poly.items() if c})
+    return polynomials
+
+
+# ---------------------------------------------------------------------------
+# the transpose relation on dense Fraction matrices
+
+
+def det(m: Matrix) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction, dividing by each pivot."""
+    n = m.rows
+    work = [[frac(x) for x in m.row(i)] for i in range(n)]
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((k for k in range(c, n) if work[k][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            result = -result
+        result *= work[c][c]
+        inv = 1 / work[c][c]
+        for k in range(c + 1, n):
+            f = work[k][c]
+            if f:
+                fk = f * inv
+                for j in range(c, n):
+                    work[k][j] -= fk * work[c][j]
+    return result
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product by the triple loop over i, k and j, summed in Fraction, skipping zero factors."""
+    out = [Fraction(0)] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.entries[i * a.cols + k]
+            if x:
+                for j in range(b.cols):
+                    y = b.entries[k * b.cols + j]
+                    if y:
+                        out[i * b.cols + j] += x * y
+    return Matrix(a.rows, b.cols, tuple(out))
+
+
+_OPERATORS = {"delta": (exterior.delta, 3), "delta_star": (exterior.delta_star, -3)}
+
+
+def graded_matrix(L, name: str, k: int) -> Matrix:
+    """The Fraction matrix of ``delta`` or ``delta_star`` at degree k, from the rational terms of each image."""
+    fn, shift = _OPERATORS[name]
+    index = exterior.key_index_map(L, k + shift)
+    keys = exterior.degree_keys(L, k)
+    entries = [Fraction(0)] * (len(index) * len(keys))
+    for col, key in enumerate(keys):
+        for out_key, val in fn(exterior.MultiVector.over(L, k, {key: 1})).terms.items():
+            entries[index[out_key] * len(keys) + col] = val
+    return Matrix(len(index), len(keys), tuple(entries))
+
+
+def pairing_matrix(L, k: int) -> Matrix:
+    """Gram determinants of the Fraction kappa on degree-k basis wedges.
+
+    A wedge pairs only with the partners of its root part times a Cartan
+    subset of the same size; every other entry is zero.
+    """
+    keys = exterior.degree_keys(L, k)
+    index = exterior.key_index_map(L, k)
+    n = len(keys)
+    entries = [Fraction(0)] * (n * n)
+    for row_idx, key in enumerate(keys):
+        bits = exterior._bits(key)
+        root_part = [i for i in bits if i >= L.l]
+        partner_key = sum(1 << L.partner(i) for i in root_part)
+        for h_subset in itertools.combinations(range(L.l), len(bits) - len(root_part)):
+            col_idx = index.get(partner_key + sum(1 << i for i in h_subset))
+            if col_idx is not None:
+                other = exterior._bits(keys[col_idx])
+                gram = Matrix.from_rows([[L.kappa[i].get(j, 0) for j in other] for i in bits])
+                entries[row_idx * n + col_idx] = det(gram)
+    return Matrix(n, n, tuple(entries))
+
+
+def transpose_identity_sign(L) -> int | None:
+    """Sign s with M(contraction at d)^T G_{d-3} = s G_d M(wedge at d-3) in Fractions, or None."""
+    low = L.d - 3
+    if low < 0:
+        return 1
+    lhs = matmul(graded_matrix(L, "delta_star", L.d).transpose(), pairing_matrix(L, low))
+    rhs = matmul(pairing_matrix(L, L.d), graded_matrix(L, "delta", low))
+    if lhs == rhs:
+        return 1
+    if lhs.entries == tuple(-x for x in rhs.entries):
+        return -1
+    return None

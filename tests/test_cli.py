@@ -159,25 +159,32 @@ def test_membership_verb(tmp_path, a2):
 E0 = [[1, 0, 0, 0, 0, 0, 0, 0]]
 
 
+SHAPE = "rows and cols must be integers and entries a list of rows"
+RANK = "declared dimension is not the integer rank of the basis"
+
+
 @pytest.mark.parametrize(
-    "basis",
+    "basis,message",
     [
-        [1, 2],
-        {"rows": 1, "cols": 8, "entries": 5},
-        {"rows": 1, "cols": 8, "entries": [[1, 0, 0, 0, 0, 0, 0, None]]},
+        ([1, 2], "a subspace is a JSON object"),
+        ({"rows": 1, "cols": 8, "entries": 5}, SHAPE),
+        ({"rows": 1, "cols": 8, "entries": [[1, 0, 0, 0, 0, 0, 0, None]]}, "subspace entries must be integers or rational strings"),
         # a JSON true is a Python bool, an int subclass, and 1.0 == 1: neither is a shape or a dimension
-        {"rows": True, "cols": 8, "entries": E0, "dim": True},
-        {"rows": 1, "cols": 8, "entries": E0, "dim": True},
-        {"rows": 1, "cols": 8, "entries": E0, "dim": 1.0},
+        ({"rows": True, "cols": 8, "entries": E0, "dim": True}, SHAPE),
+        ({"rows": 1, "cols": 8, "entries": E0, "dim": True}, RANK),
+        ({"rows": 1, "cols": 8, "entries": E0, "dim": 1.0}, RANK),
+        ({"rows": 1, "cols": 8, "entries": [["1/0", 0, 0, 0, 0, 0, 0, 0]]}, "subspace entry Fraction(1, 0)"),
     ],
-    ids=["top-level-list", "entries-not-a-list", "null-entry", "bool-rows", "bool-dim", "float-dim"],
+    ids=["top-level-list", "entries-not-a-list", "null-entry", "bool-rows", "bool-dim", "float-dim", "zero-denominator"],
 )
-def test_membership_verb_rejects_malformed_subspace(basis, tmp_path):
+def test_membership_verb_rejects_malformed_subspace(basis, message, tmp_path):
+    # the file holds a subspace, and the messages say so
     basis_path = tmp_path / "bad.json"
     basis_path.write_text(json.dumps(basis))
     out = run_cli("membership", "--type", "A2", "--basis", str(basis_path))
     assert out.returncode == 2
     assert "error:" in out.stderr and "Traceback" not in out.stderr
+    assert message in out.stderr and "matrix" not in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,8 @@ from nullvar.seeds import Lcg
 from nullvar.variety import chart, is_nullspace, random_chart_parameters, random_subspace
 from nullvar.weyl import _exp_ad
 
+import dense_oracles
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -198,7 +200,7 @@ def test_equation_set_shape_c2(c2):
 @pytest.mark.parametrize("name", ["a2", "c2"])
 def test_equation_rows_match_dense_contraction(name, request):
     L = request.getfixturevalue(name)
-    dense = graded_matrix(L, "delta_star", L.d)
+    dense, den = graded_matrix(L, "delta_star", L.d)
     eqs = equation_set(L)
     assert (len(eqs["equations"]), eqs["ambient_plucker_dim"]) == (dense.rows, dense.cols)
     for r, row in enumerate(eqs["equations"]):
@@ -206,7 +208,7 @@ def test_equation_rows_match_dense_contraction(name, request):
         assert cols == sorted(set(cols))
         listed = {c: Fraction(x) for c, x in row}
         assert all(x != 0 for x in listed.values())
-        assert [listed.get(c, 0) for c in range(dense.cols)] == list(dense.row(r))
+        assert [listed.get(c, 0) for c in range(dense.cols)] == [Fraction(x, den) for x in dense.row(r)]
 
 
 def test_scalar_invariance(a2):
@@ -226,9 +228,37 @@ def test_transpose_identity(a1, a2, c2):
         assert transpose_identity_sign(L) is not None
 
 
+# A1 (g = 3) has no basis index 3 to corrupt
+RELATION_CASES = [("a1", None), ("a1", (0, 2, 2))] + [(n, c) for n in ("a2", "c2") for c in (None, (2, 3, 1), (0, 2, 2))]
+
+
+@pytest.mark.parametrize(
+    "name,corrupt",
+    RELATION_CASES,
+    ids=[f"{n}-{'sound' if c is None else ','.join(map(str, c))}" for n, c in RELATION_CASES],
+)
+def test_transpose_relation_matches_fraction_oracle(name, corrupt, request):
+    # integer numerators, Bareiss det and the sparse product against Fraction matrices, Gaussian det and the triple loop
+    L = request.getfixturevalue(name)
+    M = L if corrupt is None else L.with_corrupted_constant(*corrupt)
+    sign = transpose_identity_sign(M)
+    assert sign == dense_oracles.transpose_identity_sign(M)
+    if corrupt == (2, 3, 1):
+        assert sign is None
+    elif corrupt is None:
+        assert sign in (1, -1)
+
+
+def test_pairing_matrix_matches_fraction_oracle(a2, c2):
+    for L in (a2, c2):
+        for k in range(L.g + 1):
+            G, den = pairing_matrix(L, k)
+            assert [Fraction(x, den) for x in G.entries] == list(dense_oracles.pairing_matrix(L, k).entries)
+
+
 def test_pairing_matrix_symmetric(a2):
-    G = pairing_matrix(a2, 2)
-    assert G == G.transpose()
+    G, den = pairing_matrix(a2, 2)
+    assert den > 0 and G == G.transpose()
     assert G.rows == 28
 
 

@@ -20,6 +20,7 @@ from nullvar.linalg import (
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 
+import dense_oracles
 from dense_oracles import identity
 
 
@@ -36,7 +37,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    m = Matrix.zeros(2, 4)
+    m = Matrix.from_rows([[0] * 4] * 2)
     red, pivots = rref(m)
     assert red == m
     assert pivots == ()
@@ -74,7 +75,7 @@ def test_kernel_rank_one_canonical():
 
 
 def test_rank_examples():
-    assert rank(Matrix.zeros(3, 5).sparse_rows()) == 0
+    assert rank(Matrix.from_rows([[0] * 5] * 3).sparse_rows()) == 0
     assert rank(identity(6).sparse_rows()) == 6
     assert rank(Matrix.from_rows([[1, 2], [2, 4]]).sparse_rows()) == 1
     assert rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1, 4), 1: Fraction(2, 3)}]) == 2
@@ -125,6 +126,34 @@ def test_det_matches_elimination():
     assert det(singular) == 0
 
 
+def test_det_matches_gaussian_oracle():
+    # Bareiss on rows scaled to integers against Gaussian elimination over Fraction
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    cases = [
+        Matrix(0, 0, ()),
+        Matrix(1, 1, (-7,)),
+        Matrix(1, 1, (Fraction(5, 6),)),
+        Matrix(3, 3, (0, 2, 1, 3, 1, 0, 1, 0, 4)),  # a zero leading pivot: the first step swaps rows
+        Matrix(3, 3, (0, 0, 1, 0, 1, 0, 1, 0, 0)),  # zero pivots in two steps
+        Matrix(3, 3, (1, 2, 3, 2, 4, 6, 0, 1, 5)),  # singular: a zero column after the first step
+        Matrix(3, 3, (half, third, 1, 0, 0, 2, Fraction(3, 4), half, third)),
+        Matrix(2, 2, (half, third, Fraction(3, 2), -1)),  # singular over rationals
+    ]
+    rng = Lcg(5)
+    for n in range(2, 6):
+        cases.append(Matrix(n, n, tuple(rng.randint(-3, 3) for _ in range(n * n))))
+        cases.append(Matrix(n, n, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n * n))))
+    for m in cases:
+        got, want = det(m), dense_oracles.det(m)
+        assert got == want, m
+        if all(isinstance(x, int) for x in m.entries):
+            assert type(got) is int
+    assert [det(m) for m in cases[:6]] == [1, -7, Fraction(5, 6), -25, -1, 0]
+    assert det(cases[7]) == 0 and det(cases[6]) != 0
+    with pytest.raises(ValueError, match="non-square"):
+        det(Matrix(1, 2, (1, 2)))
+
+
 def test_matrix_json_roundtrip(a1):
     # a subspace writes its echelon rows as a grid of rationals in lowest terms
     S = Subspace(a1, [{0: 3, 2: 1}, {1: Fraction(2, 7)}])
@@ -149,7 +178,7 @@ def test_rational_strings_are_read_exactly(a1):
 
 def _fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     # oracle: the Gauss-Jordan elimination over Fraction that rref ran before it used ints
-    work = m.row_lists()
+    work = [list(m.row(i)) for i in range(m.rows)]
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -261,7 +290,7 @@ def test_rref_edge_shapes_and_reduced_input():
         reduced,
         Matrix(0, 4, ()),
         Matrix(3, 0, ()),
-        Matrix.zeros(3, 4),
+        Matrix.from_rows([[0] * 4] * 3),
         Matrix.from_rows([[0, 0, 0], [0, Fraction(-1, 3), 2], [0, 0, 0], [0, 1, Fraction(1, 2)]]),
         Matrix.from_rows([[Fraction(7, 5)]]),
     ):

@@ -60,6 +60,25 @@ def test_bracket_and_w_eval_match_dense(fixture, variant, request):
     assert nonzero > 40  # the comparison is not vacuous
 
 
+@pytest.mark.parametrize("fixture,variant", CASES, ids=IDS)
+def test_w_eval_on_int_and_fraction_coordinates_matches_dense(fixture, variant, request):
+    # one evaluator for int, Fraction and mixed coordinates, over the w table's integer numerators
+    L = _algebra(request, fixture, variant)
+    rng = Lcg(3)
+    pool = [{j: x for j in range(L.g) if (x := rng.randint(-3, 3))} for _ in range(12)]
+    pool += [{i: 1} for i in range(L.g)]
+    nonzero = 0
+    for n in range(300):
+        x, y, z = pool[n % len(pool)], pool[(5 * n + 1) % len(pool)], pool[(11 * n + 3) % len(pool)]
+        want = oracle.w_eval(L, dense(L, x), dense(L, y), dense(L, z))
+        fractions = [{j: Fraction(c) for j, c in v.items()} for v in (x, y, z)]
+        for args in ((x, y, z), fractions, (fractions[0], y, fractions[2])):
+            got = L.w_eval(*args)
+            assert type(got) is Fraction and got == want
+        nonzero += want != 0
+    assert nonzero > 30  # the comparison is not vacuous
+
+
 def _spanning_sets(L, rng):
     """Row lists of seeded subspaces of every dimension, of root planes, the Borel and chart points."""
     sets = [[dense(L, row) for row in random_subspace(L, rng, dim).rows] for dim in range(L.g + 1)]

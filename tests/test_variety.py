@@ -35,6 +35,7 @@ from nullvar.variety import (
     random_subspace,
 )
 
+import dense_oracles
 from dense_oracles import bracket, unit
 
 
@@ -217,6 +218,23 @@ def test_local_equations_at_borel(a2):
     assert all(v == 0 for v in _evaluate(system, X))
     generic = [[Fraction(i + j + 1) for j in range(comp.dim)] for i in range(b.dim)]
     assert any(v != 0 for v in _evaluate(system, generic))
+
+
+@pytest.mark.parametrize("fixture", ["a2", "c2"])
+def test_local_equations_match_fraction_built_at_rational_chart_points(fixture, request):
+    # integer numerators of the rows, one division per nonzero term, against Fraction rows and the dense w
+    L = request.getfixturevalue(fixture)
+    for t in ((Fraction(1, 2), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(1, 2))):
+        base = chart(L, t)
+        assert any(x.denominator > 1 for row in base.rows for x in row.values())
+        coordinate = coordinate_complement(L, base)
+        # a complement whose rows need scaling too
+        tilted = Subspace(L, [{j: 1, (j + 1) % L.g: Fraction(-1, 3)} for j in coordinate.pivots])
+        assert base.add(tilted).dim == L.g and any(x.denominator > 1 for row in tilted.rows for x in row.values())
+        for complement in (coordinate, tilted):
+            system = local_equations(L, base, complement)
+            assert list(system.polynomials) == dense_oracles.local_equations(L, base, complement)
+            assert system.jacobian_at_zero()  # the linear part is not empty
 
 
 def test_jacobian_corank(a2, c2):
