@@ -135,9 +135,8 @@ class LieAlgebra:
 
     @per_algebra
     def _dual_rows(self) -> tuple[Vector, ...]:
-        """The rows of the inverse of kappa, inverted densely through ``linalg.inverse``."""
-        g = self.g
-        return inverse(Matrix.from_rows([[row.get(j, 0) for j in range(g)] for row in self.kappa])).sparse_rows()
+        """The rows of the inverse of kappa, inverted through ``linalg.inverse`` on kappa's sparse rows."""
+        return inverse(Matrix(self.g, self.g, self.kappa)).data
 
     def dual_basis_vector(self, i: int) -> Vector:
         """Vector b^i with kappa(b^i, b_j) = delta_ij: row i of the inverse form."""

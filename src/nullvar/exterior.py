@@ -380,16 +380,20 @@ _OPS = {
 
 
 def graded_matrix(L: LieAlgebra, name: str, k: int) -> tuple[Matrix, int]:
-    """``(m, den)``: the named operator at degree k as integer numerators m over den, dim(target) x dim(source)."""
+    """``(m, den)``: the named operator at degree k as integer numerators m over den, dim(target) x dim(source).
+
+    Column j is the image of basis wedge j, each nonzero written straight into
+    the sparse row of its target wedge.
+    """
     fn, shift = _OPS[name]
     images = [fn(MultiVector.over(L, k, {key: 1})) for key in degree_keys(L, k)]
     index = key_index_map(L, k + shift)
-    rows, cols, den = len(index), len(images), lcm(1, *[image.den for image in images])
-    entries = [0] * (rows * cols)
+    den = lcm(1, *[image.den for image in images])
+    data: list[dict] = [{} for _ in index]
     for col, image in enumerate(images):
         for out_key, n in image.ints.items():
-            entries[index[out_key] * cols + col] = den // image.den * n
-    return Matrix(rows, cols, tuple(entries)), den
+            data[index[out_key]][col] = den // image.den * n
+    return Matrix(len(index), len(images), tuple(data)), den
 
 
 @per_algebra

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import eq
 
 from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
 from .exterior import (
@@ -30,7 +29,7 @@ from .exterior import (
     lie_action_basis,
     wedge,
 )
-from .linalg import Matrix, det, integer_terms
+from .linalg import Matrix, combine, det, integer_terms
 from .seeds import Lcg
 from .variety import chart, is_nullspace, random_chart_parameters, random_subspace
 
@@ -115,15 +114,15 @@ def pairing_matrix(L: LieAlgebra, k: int) -> tuple[Matrix, int]:
     """``(m, den)``: the Gram matrix of the kappa pairing on degree k basis wedges is m / den.
 
     Each entry is a Gram determinant of kappa's integer numerators, so den
-    is their denominator to the k-th power.
+    is their denominator to the k-th power.  Only the nonzero determinants
+    are stored.
     """
     kappa_den, kappa = integer_terms({(i, j): c for i, row in enumerate(L.kappa) for j, c in row.items()})
     keys = degree_keys(L, k)
     index = key_index_map(L, k)
-    n = len(keys)
-    entries = [0] * (n * n)
+    data: list[dict] = [{} for _ in keys]
     cartan = list(range(L.l))
-    for row_idx, key in enumerate(keys):
+    for row, key in zip(data, keys):
         bits = _bits(key)
         root_part = [i for i in bits if i >= L.l]
         h_count = len(bits) - len(root_part)
@@ -138,9 +137,11 @@ def pairing_matrix(L: LieAlgebra, k: int) -> tuple[Matrix, int]:
             col_idx = index.get(other)
             if col_idx is None:
                 continue
-            gram = Matrix(k, k, tuple(kappa.get(pair, 0) for pair in itertools.product(bits, _bits(other))))
-            entries[row_idx * n + col_idx] = det(gram)
-    return Matrix(n, n, tuple(entries)), kappa_den**k
+            columns = _bits(other)
+            gram = Matrix(k, k, tuple({c: x for c, j in enumerate(columns) if (x := kappa.get((i, j)))} for i in bits))
+            if d := det(gram):
+                row[col_idx] = d
+    return Matrix(len(keys), len(keys), tuple(data)), kappa_den**k
 
 
 def transpose_identity_sign(L: LieAlgebra) -> int | None:
@@ -148,22 +149,22 @@ def transpose_identity_sign(L: LieAlgebra) -> int | None:
 
     An exact matrix identity; its existence means the equation row space is the
     kappa-transpose of the wedge image from degree d-3.  Both sides are
-    integer products, compared each times the other's two denominators.
+    integer products, compared row by row each times the other's two
+    denominators.
     """
     low = L.d - 3
     if low < 0:
         return 1
     m_star, star_den = graded_matrix(L, "delta_star", L.d)
     g_low, low_den = pairing_matrix(L, low)
-    lhs = (m_star.transpose() @ g_low).entries
+    lhs = (m_star.transpose() @ g_low).data
     # the relation holds a run's largest matrices, so one side's factors go before the other's are built
     del m_star, g_low
     g_high, high_den = pairing_matrix(L, L.d)
     m_delta, delta_den = graded_matrix(L, "delta", low)
-    rhs = (g_high @ m_delta).entries
+    rhs = (g_high @ m_delta).data
     a, b = high_den * delta_den, low_den * star_den
-    # lhs * a == s * rhs * b entry by entry, mapped so that no Python step runs per entry
-    return next((s for s in (1, -1) if all(map(eq, map(a.__mul__, lhs), map((s * b).__mul__, rhs)))), None)
+    return next((s for s in (1, -1) if not any(combine(((a, x), (-s * b, y))) for x, y in zip(lhs, rhs))), None)
 
 
 # ---------------------------------------------------------------------------

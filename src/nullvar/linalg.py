@@ -5,27 +5,26 @@ dict from each coordinate index to its nonzero ``fractions.Fraction``.
 Elimination takes sparse rows of ``int`` or ``Fraction`` entries that keep
 only their nonzero entries, as subspace bases, weight blocks of the exterior
 operators and the Jacobian of the cubic local equations are mostly zeros.
-Dense ``Matrix`` entries serve the inversion of the Killing form and of the
-Cartan matrix; the operator and pairing matrices of the transpose relation
-hold integer numerators, their one denominator kept beside the matrix.
+A ``Matrix`` is such rows with a shape.  It serves the inversion of the
+Killing form and of the Cartan matrix, and holds the operator and pairing
+matrices of the transpose relation as integer numerators, their one
+denominator kept beside the matrix.
 
 The reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  ``_echelon`` scales each row by
 the lcm of its denominators and eliminates on these sparse Python ``int``
 rows, and ``det`` eliminates fraction-free on rows scaled the same way.
 ``echelon_rows`` divides its rows by their pivots into canonical sparse
-rows; ``rref``, the one entry point for a dense matrix, lays the result out
-densely for ``inverse``; ``kernel_basis`` reads the kernel off the same
-rows, and ``rank`` only counts their pivots.
+rows; ``rref`` gives them the shape of its ``Matrix`` for ``inverse``;
+``kernel_basis`` reads the kernel off the same rows, and ``rank`` only counts
+their pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Sequence
 
 
@@ -50,58 +49,46 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix of exact ``int`` or ``Fraction`` entries; ``from_rows`` reads rationals."""
+    """An exact ``rows`` x ``cols`` matrix held as its sparse rows; ``from_rows`` reads dense rows of rationals.
+
+    ``data`` has one dict per row, from column to nonzero ``int`` or
+    ``Fraction`` entry.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    data: tuple[dict, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(self.data) != self.rows:
+            raise ValueError(f"{self.rows}x{self.cols} matrix needs {self.rows} rows, got {len(self.data)}")
+        if any(row and (min(row) < 0 or max(row) >= self.cols) for row in self.data):
+            raise ValueError(f"{self.rows}x{self.cols} matrix has a column key outside 0..{self.cols - 1}")
+        # elimination pivots at a row's least key, so a stored zero would be taken for a pivot
+        if not all(all(row.values()) for row in self.data):
+            raise ValueError(f"{self.rows}x{self.cols} matrix stores a zero entry")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
         rows = list(rows)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(frac(x) for x in row)
-        return Matrix(nrows, ncols, tuple(flat))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def sparse_rows(self) -> tuple[dict, ...]:
-        """Each row as a dict from column to its nonzero entry."""
-        # the filter skips the zeros without a Python step per entry, as dense operator rows are mostly zeros
-        return tuple(dict(filter(itemgetter(1), enumerate(self.row(i)))) for i in range(self.rows))
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return Matrix(len(rows), ncols, tuple({j: c for j, x in enumerate(row) if (c := frac(x))} for row in rows))
 
     def transpose(self) -> "Matrix":
-        columns = (self.entries[j :: self.cols] for j in range(self.cols))
-        return Matrix(self.cols, self.rows, tuple(chain.from_iterable(columns)))
+        columns: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                columns[j][i] = x
+        return Matrix(self.cols, self.rows, tuple(columns))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, summed over the nonzero entries of ``other``'s rows; ints stay ints."""
+        """The product, each row the ``combine`` of ``other``'s rows by this row's entries; ints stay ints."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        right = other.sparse_rows()
-
-        def product_row(i: int) -> list:
-            acc = [0] * other.cols
-            for a, row in filter(itemgetter(0), zip(self.row(i), right)):
-                for j, b in row.items():
-                    acc[j] += a * b
-            return acc
-
-        # the rows go straight into the tuple, without a flat list copy beside it
-        return Matrix(self.rows, other.cols, tuple(chain.from_iterable(map(product_row, range(self.rows)))))
+        right = other.data
+        return Matrix(self.rows, other.cols, tuple(combine((x, right[k]) for k, x in row.items()) for row in self.data))
 
 
 def combine(terms) -> dict:
@@ -186,13 +173,9 @@ def echelon_rows(rows: Sequence[dict]) -> tuple[tuple[dict[int, Fraction], ...],
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Unique reduced row echelon form of ``m`` as a dense matrix, with its pivot columns."""
-    rows, pivots = echelon_rows(m.sparse_rows())
-    flat = [Fraction(0)] * (m.rows * m.cols)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            flat[i * m.cols + j] = x
-    return Matrix(m.rows, m.cols, tuple(flat)), pivots
+    """Unique reduced row echelon form of ``m``, the rows of ``echelon_rows`` over empty rows, with its pivot columns."""
+    rows, pivots = echelon_rows(m.data)
+    return Matrix(m.rows, m.cols, rows + ({},) * (m.rows - len(rows))), pivots
 
 
 def rank(rows: Sequence[dict]) -> int:
@@ -221,11 +204,11 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    aug_rows = [list(m.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    red, pivots = rref(Matrix.from_rows(aug_rows))
-    if tuple(pivots[:n]) != tuple(range(n)):
+    red, pivots = rref(Matrix(n, 2 * n, tuple(row | {n + i: 1} for i, row in enumerate(m.data))))
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("singular matrix")
-    return Matrix.from_rows([list(red.row(i))[n:] for i in range(n)])
+    # row i of [m | I] reduces to e_i followed by row i of the inverse
+    return Matrix(n, n, tuple({j - n: x for j, x in row.items() if j >= n} for row in red.data[:n]))
 
 
 def det(m: Matrix):
@@ -240,9 +223,9 @@ def det(m: Matrix):
         raise ValueError("determinant of non-square matrix")
     n = m.rows
     work, scale = [], 1
-    for row in map(m.row, range(n)):
-        den = lcm(1, *[x.denominator for x in row])
-        work.append([x.numerator * (den // x.denominator) for x in row])
+    for row in m.data:
+        den, ints = integer_terms(row)
+        work.append([ints.get(j, 0) for j in range(n)])
         scale *= den
     sign, prev = 1, 1
     for c in range(n):

@@ -1,8 +1,10 @@
 """Dense coordinate forms of vectors, subspaces and forms, kept as oracles for the sparse ones.
 
-A dense vector is a tuple of g Fractions, zeros included; a dense subspace
-is the dense reduced echelon matrix that ``linalg.rref`` returns.  The
-functions below are the dense ``bracket``, ``w_eval``, ``contains``,
+A dense vector is a tuple of g Fractions, zeros included, and a dense
+matrix is a list of such rows; no oracle holds its values in the sparse
+``linalg.Matrix`` it checks.  A dense subspace is the dense reduced echelon
+matrix of Gauss-Jordan elimination over ``Fraction``.  The functions below
+are the dense ``bracket``, ``w_eval``, ``contains``,
 ``orthogonal_complement`` and ``degenerate`` that the sparse forms in
 ``nullvar`` replaced, the Killing form as a dense matrix of traces, the
 triple-loop structure checks that the checks built on ``bracket``,
@@ -16,11 +18,36 @@ import itertools
 from fractions import Fraction
 
 from nullvar import exterior
-from nullvar.linalg import Matrix, frac, rref
+from nullvar.linalg import frac
 
 
-def identity(n: int) -> Matrix:
-    return Matrix(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def transpose(m: list) -> list[list]:
+    return [list(column) for column in zip(*m)]
+
+
+def rref(m: list, cols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fraction, zero rows last, with its pivot columns."""
+    work = [[frac(x) for x in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((k for k in range(r, len(work)) if work[k][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for k in range(len(work)):
+            f = work[k][c]
+            if k != r and f:
+                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, tuple(pivots)
 
 
 def dense(L, v) -> tuple:
@@ -51,13 +78,11 @@ def bracket(L, x, y) -> tuple:
     return tuple(acc)
 
 
-def kappa_matrix(L) -> Matrix:
+def kappa_matrix(L) -> list[list[Fraction]]:
     """The Killing form as the dense matrix of tr(ad b_i ad b_j), ad b_i read off the bracket table."""
     g = L.g
     ad = [[[L.brackets[i][k].get(m, Fraction(0)) for k in range(g)] for m in range(g)] for i in range(g)]
-    return Matrix.from_rows(
-        [[sum(a * ad[j][k][m] for m in range(g) for k, a in enumerate(ad[i][m]) if a) for j in range(g)] for i in range(g)]
-    )
+    return [[sum(a * ad[j][k][m] for m in range(g) for k, a in enumerate(ad[i][m]) if a) for j in range(g)] for i in range(g)]
 
 
 def w_basis(L, i: int, j: int, k: int) -> Fraction:
@@ -81,31 +106,30 @@ def w_eval(L, x, y, z) -> Fraction:
     return acc
 
 
-def kernel(m: Matrix) -> Matrix:
+def kernel(m: list, cols: int) -> list[list[Fraction]]:
     """Canonical right kernel, one vector per row, from the dense reduced echelon form."""
-    red, pivots = rref(m)
+    red, pivots = rref(m, cols)
     rows = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        v = [Fraction(0)] * m.cols
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -red.row(r)[f]
+            v[p] = -red[r][f]
         rows.append(v)
-    return rref(Matrix.from_rows(rows))[0] if rows else Matrix(0, m.cols, ())
+    return rref(rows, cols)[0]
 
 
 class DenseSubspace:
     """A subspace held as its dense reduced echelon rows."""
 
     def __init__(self, L, rows):
-        rows = [[frac(x) for x in row] for row in rows]
-        red, self.pivots = rref(Matrix.from_rows(rows) if rows else Matrix(0, L.g, ()))
+        red, self.pivots = rref(rows, L.g)
         self.L = L
         self.dim = len(self.pivots)
-        self.matrix = Matrix(self.dim, L.g, red.entries[: self.dim * L.g])
+        self.matrix = [tuple(row) for row in red[: self.dim]]
 
     def rows(self) -> list[tuple]:
-        return [self.matrix.row(i) for i in range(self.dim)]
+        return list(self.matrix)
 
     def matches(self, S) -> bool:
         """Whether the sparse subspace S has the same canonical rows."""
@@ -123,8 +147,7 @@ class DenseSubspace:
 def orthogonal_complement(L, S: DenseSubspace) -> DenseSubspace:
     if S.dim == 0:
         return DenseSubspace(L, [unit(L, i) for i in range(L.g)])
-    ker = kernel(S.matrix @ kappa_matrix(L))
-    return DenseSubspace(L, [ker.row(i) for i in range(ker.rows)])
+    return DenseSubspace(L, kernel(matmul(S.matrix, kappa_matrix(L)), L.g))
 
 
 def degenerate(L, V: DenseSubspace, weight) -> DenseSubspace:
@@ -133,11 +156,11 @@ def degenerate(L, V: DenseSubspace, weight) -> DenseSubspace:
     if any(grades[L.pos_index(a)] == 0 for a in range(L.n_pos)):
         raise ValueError("weight is not regular")
     order = sorted(range(L.g), key=lambda i: -grades[i])
-    red, pivots = rref(Matrix(V.dim, L.g, tuple(row[i] for row in V.rows() for i in order)))
+    red, pivots = rref([[row[i] for i in order] for row in V.rows()], L.g)
     rows = []
     for r, p in enumerate(pivots):
         top = grades[order[p]]
-        rows.append([red.row(r)[order.index(i)] if grades[i] == top else Fraction(0) for i in range(L.g)])
+        rows.append([red[r][order.index(i)] if grades[i] == top else Fraction(0) for i in range(L.g)])
     return DenseSubspace(L, rows)
 
 
@@ -179,10 +202,10 @@ def check_kappa_invariance(L) -> list[tuple]:
             for k in range(g):
                 lhs = Fraction(0)
                 for m, c in bij.items():
-                    lhs += c * kap.entries[m * g + k]
+                    lhs += c * kap[m][k]
                 rhs = Fraction(0)
                 for m, c in L.brackets[i][k].items():
-                    rhs += kap.entries[j * g + m] * c
+                    rhs += kap[j][m] * c
                 if lhs + rhs != 0:
                     bad.append((i, j, k))
     return bad
@@ -199,7 +222,7 @@ def check_w_antisymmetry(L) -> list[tuple]:
             for k in range(g):
                 direct = Fraction(0)
                 for m, c in bij.items():
-                    direct += c * kap.entries[m * g + k]
+                    direct += c * kap[m][k]
                 if direct != w_basis(L, i, j, k):
                     bad.append((i, j, k))
     return bad
@@ -211,7 +234,7 @@ def check_root_space_pairing(L) -> list[tuple]:
     kap = kappa_matrix(L)
     for i in range(L.g):
         for j in range(i, L.g):
-            val = kap.row(i)[j]
+            val = kap[i][j]
             wi = L.weights[i]
             wj = L.weights[j]
             opposite = all(a + b == 0 for a, b in zip(wi, wj))
@@ -239,7 +262,7 @@ def check_kappa_root_form(L) -> list[tuple]:
             return 2 / rd.inner(L.weights[i], L.weights[i])
         return Fraction(0)
 
-    return [(i, j) for i in range(L.g) for j in range(i, L.g) if kap.row(i)[j] != expected(i, j)]
+    return [(i, j) for i in range(L.g) for j in range(i, L.g) if kap[i][j] != expected(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +291,10 @@ def local_equations(L, base, complement) -> list[dict]:
 # the transpose relation on dense Fraction matrices
 
 
-def det(m: Matrix) -> Fraction:
+def det(m: list) -> Fraction:
     """Determinant by Gaussian elimination over Fraction, dividing by each pivot."""
-    n = m.rows
-    work = [[frac(x) for x in m.row(i)] for i in range(n)]
+    n = len(m)
+    work = [[frac(x) for x in row] for row in m]
     result = Fraction(1)
     for c in range(n):
         pivot_row = next((k for k in range(c, n) if work[k][c]), None)
@@ -291,36 +314,34 @@ def det(m: Matrix) -> Fraction:
     return result
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: list, b: list) -> list[list[Fraction]]:
     """The product by the triple loop over i, k and j, summed in Fraction, skipping zero factors."""
-    out = [Fraction(0)] * (a.rows * b.cols)
-    for i in range(a.rows):
-        for k in range(a.cols):
-            x = a.entries[i * a.cols + k]
+    out = [[Fraction(0)] * len(b[0]) for _ in a]
+    for row, acc in zip(a, out):
+        for x, b_row in zip(row, b):
             if x:
-                for j in range(b.cols):
-                    y = b.entries[k * b.cols + j]
+                for j, y in enumerate(b_row):
                     if y:
-                        out[i * b.cols + j] += x * y
-    return Matrix(a.rows, b.cols, tuple(out))
+                        acc[j] += x * y
+    return out
 
 
 _OPERATORS = {"delta": (exterior.delta, 3), "delta_star": (exterior.delta_star, -3)}
 
 
-def graded_matrix(L, name: str, k: int) -> Matrix:
+def graded_matrix(L, name: str, k: int) -> list[list[Fraction]]:
     """The Fraction matrix of ``delta`` or ``delta_star`` at degree k, from the rational terms of each image."""
     fn, shift = _OPERATORS[name]
     index = exterior.key_index_map(L, k + shift)
     keys = exterior.degree_keys(L, k)
-    entries = [Fraction(0)] * (len(index) * len(keys))
+    entries = [[Fraction(0)] * len(keys) for _ in index]
     for col, key in enumerate(keys):
         for out_key, val in fn(exterior.MultiVector.over(L, k, {key: 1})).terms.items():
-            entries[index[out_key] * len(keys) + col] = val
-    return Matrix(len(index), len(keys), tuple(entries))
+            entries[index[out_key]][col] = val
+    return entries
 
 
-def pairing_matrix(L, k: int) -> Matrix:
+def pairing_matrix(L, k: int) -> list[list[Fraction]]:
     """Gram determinants of the Fraction kappa on degree-k basis wedges.
 
     A wedge pairs only with the partners of its root part times a Cartan
@@ -328,8 +349,7 @@ def pairing_matrix(L, k: int) -> Matrix:
     """
     keys = exterior.degree_keys(L, k)
     index = exterior.key_index_map(L, k)
-    n = len(keys)
-    entries = [Fraction(0)] * (n * n)
+    entries = [[Fraction(0)] * len(keys) for _ in keys]
     for row_idx, key in enumerate(keys):
         bits = exterior._bits(key)
         root_part = [i for i in bits if i >= L.l]
@@ -338,9 +358,8 @@ def pairing_matrix(L, k: int) -> Matrix:
             col_idx = index.get(partner_key + sum(1 << i for i in h_subset))
             if col_idx is not None:
                 other = exterior._bits(keys[col_idx])
-                gram = Matrix.from_rows([[L.kappa[i].get(j, 0) for j in other] for i in bits])
-                entries[row_idx * n + col_idx] = det(gram)
-    return Matrix(n, n, tuple(entries))
+                entries[row_idx][col_idx] = det([[L.kappa[i].get(j, 0) for j in other] for i in bits])
+    return entries
 
 
 def transpose_identity_sign(L) -> int | None:
@@ -348,10 +367,10 @@ def transpose_identity_sign(L) -> int | None:
     low = L.d - 3
     if low < 0:
         return 1
-    lhs = matmul(graded_matrix(L, "delta_star", L.d).transpose(), pairing_matrix(L, low))
+    lhs = matmul(transpose(graded_matrix(L, "delta_star", L.d)), pairing_matrix(L, low))
     rhs = matmul(pairing_matrix(L, L.d), graded_matrix(L, "delta", low))
     if lhs == rhs:
         return 1
-    if lhs.entries == tuple(-x for x in rhs.entries):
+    if lhs == [[-x for x in row] for row in rhs]:
         return -1
     return None

@@ -25,7 +25,7 @@ from nullvar.algebra import (
     orthogonal_complement,
     standard_borel,
 )
-from nullvar.linalg import Matrix, combine, kernel_basis
+from nullvar.linalg import combine, kernel_basis
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import is_nullspace, random_subspace
@@ -39,8 +39,8 @@ def test_a1_structure(a1):
     assert a1.bracket(h, y) == {2: -2}
     assert a1.bracket(x, y) == h
     # oracle: trace of (ad h)^2 = sum of alpha(h)^2 over both roots = 4 + 4
-    ad_h = Matrix.from_rows([dense(a1, a1.bracket(h, a1.basis_vector(j))) for j in range(3)]).transpose()
-    assert sum((ad_h @ ad_h).row(i)[i] for i in range(3)) == 8
+    ad_h = dense_oracles.transpose([dense(a1, a1.bracket(h, a1.basis_vector(j))) for j in range(3)])
+    assert sum(dense_oracles.matmul(ad_h, ad_h)[i][i] for i in range(3)) == 8
     assert a1.kappa_pair(h, h) == 8
 
 
@@ -55,7 +55,7 @@ def test_sparse_kappa_is_the_dense_trace_form(fixture, request):
     L = request.getfixturevalue(fixture)
     dense_kappa = dense_oracles.kappa_matrix(L)
     e = L.basis_vector
-    assert all(L.kappa_pair(e(i), e(j)) == dense_kappa.row(i)[j] for i in range(L.g) for j in range(L.g))
+    assert all(L.kappa_pair(e(i), e(j)) == dense_kappa[i][j] for i in range(L.g) for j in range(L.g))
     assert all(0 not in row.values() for row in L.kappa)
 
 
@@ -192,7 +192,7 @@ def _w_by_bracket(L, kappa, x, y, z):
         for j in range(L.g):
             for k, c in L.brackets[i][j].items():
                 xy[k] += x[i] * y[j] * c
-    return sum(xy[k] * kappa.row(k)[m] * z[m] for k in range(L.g) for m in range(L.g))
+    return sum(xy[k] * kappa[k][m] * z[m] for k in range(L.g) for m in range(L.g))
 
 
 @pytest.mark.parametrize("fixture", ["a2", "c2"])
@@ -247,20 +247,20 @@ def test_involution_signs_are_units(label):
         assert all(t in (1, -1) for image in sigma for t in image.values())
 
 
-def _dense_sigma(L, signs) -> Matrix:
+def _dense_sigma(L, signs) -> list[list[Fraction]]:
     """sigma as a g x g matrix: column j is the image of b_j."""
     g = L.g
-    entries = [Fraction(0)] * (g * g)
+    entries = [[Fraction(0)] * g for _ in range(g)]
     for i in range(L.l):
-        entries[i * g + i] = Fraction(-1)
+        entries[i][i] = Fraction(-1)
     for a, t in enumerate(signs):
         p, n = L.pos_index(a), L.neg_index(a)
-        entries[n * g + p], entries[p * g + n] = t, 1 / t
-    return Matrix(g, g, tuple(entries))
+        entries[n][p], entries[p][n] = t, 1 / t
+    return entries
 
 
-def _matvec(m: Matrix, v) -> tuple:
-    return tuple(sum((a * x for a, x in zip(m.row(i), v) if x), Fraction(0)) for i in range(m.rows))
+def _matvec(m: list, v) -> tuple:
+    return tuple(sum((a * x for a, x in zip(row, v) if x), Fraction(0)) for row in m)
 
 
 def _dense_build_involution(L, simple_signs):
@@ -283,7 +283,7 @@ def _dense_build_involution(L, simple_signs):
         signs[a] = signs[b] * signs[c] * n_mm / n_pp
     g = L.g
     sigma = _dense_sigma(L, signs)
-    if sigma @ sigma != dense_oracles.identity(g):
+    if dense_oracles.matmul(sigma, sigma) != dense_oracles.identity(g):
         raise InvolutionError("sigma squared is not the identity")
     for i in range(g):
         si = _matvec(sigma, dense_oracles.unit(L, i))
@@ -293,14 +293,13 @@ def _dense_build_involution(L, simple_signs):
                 raise InvolutionError(f"sigma fails to be an automorphism on ({i},{j})")
 
     def eigenspace(e):
-        rows = [[x - e * (i == j) for j, x in enumerate(sigma.row(i))] for i in range(g)]
-        return Subspace(L, kernel_basis(Matrix.from_rows(rows).sparse_rows(), g))
+        rows = [[x - e * (i == j) for j, x in enumerate(row)] for i, row in enumerate(sigma)]
+        return Subspace(L, kernel_basis([sparse(row) for row in rows], g))
 
     fixed, minus = eigenspace(1), eigenspace(-1)
     if fixed.dim != (g - L.l) // 2 or minus.dim != L.d:
         raise InvolutionError("eigenspace dimensions are off")
-    columns = sigma.transpose()
-    return [sparse(columns.row(j)) for j in range(g)], fixed, minus
+    return [sparse(column) for column in zip(*sigma)], fixed, minus
 
 
 def _involution_outcome(build, L, signs):
@@ -346,7 +345,7 @@ def test_involution_matches_dense_builder(label):
 def test_involution_eigenspaces_are_right_eigenvectors(b2):
     for signs in itertools.product((1, -1), repeat=b2.l):
         images = build_involution(b2, signs)
-        sigma = Matrix.from_rows([dense(b2, image) for image in images]).transpose()
+        sigma = dense_oracles.transpose([dense(b2, image) for image in images])
         minus = eigenspace(b2, images, -1)
         assert minus.dim == b2.d
         for v in (dense(b2, row) for row in minus.rows):

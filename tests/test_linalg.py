@@ -21,12 +21,40 @@ from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 
 import dense_oracles
-from dense_oracles import identity
 
 
 def _scaled(rows) -> list[dict[int, int]]:
     # each sparse row times the product of its denominators: integer rows with the same row space and kernel
     return [{j: int(x * prod(y.denominator for y in row.values())) for j, x in row.items()} for row in rows]
+
+
+def _as_given(rows) -> Matrix:
+    # the dense rows as sparse rows, each entry kept an int or a Fraction as given
+    return Matrix(len(rows), len(rows[0]) if rows else 0, tuple({j: x for j, x in enumerate(row) if x} for row in rows))
+
+
+def _dense(m: Matrix) -> list[list]:
+    return [[row.get(j, 0) for j in range(m.cols)] for row in m.data]
+
+
+def identity(n: int) -> Matrix:
+    return Matrix.from_rows(dense_oracles.identity(n))
+
+
+def test_matrix_refuses_rows_that_break_its_shape():
+    with pytest.raises(ValueError, match="needs 2 rows, got 1"):
+        Matrix(2, 3, ({0: 1},))
+    for row in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
+        with pytest.raises(ValueError, match=r"column key outside 0\.\.2"):
+            Matrix(1, 3, (row,))
+    with pytest.raises(ValueError, match="column key outside"):
+        Matrix(1, 0, ({0: 1},))
+    with pytest.raises(ValueError, match="zero entry"):
+        Matrix(2, 3, ({1: 1}, {0: 0, 2: 1}))
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_rows([[1, 2], [3]])
+    assert Matrix(3, 0, ({},) * 3).rows == 3
+    assert Matrix.from_rows([[0, 2, 0], [Fraction(1, 2), 0, 0]]).data == ({1: 2}, {0: Fraction(1, 2)})
 
 
 def test_rref_identity():
@@ -61,31 +89,31 @@ def test_rref_idempotent():
 
 
 def test_kernel_one_equation():
-    k = kernel_basis(Matrix.from_rows([[1, 1]]).sparse_rows(), 2)
+    k = kernel_basis(Matrix.from_rows([[1, 1]]).data, 2)
     assert k == ({0: -1, 1: 1},)
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(identity(4).sparse_rows(), 4) == ()
+    assert kernel_basis(identity(4).data, 4) == ()
 
 
 def test_kernel_rank_one_canonical():
-    k = kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]).sparse_rows(), 2)
+    k = kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]).data, 2)
     assert k == ({0: -2, 1: 1},)
 
 
 def test_rank_examples():
-    assert rank(Matrix.from_rows([[0] * 5] * 3).sparse_rows()) == 0
-    assert rank(identity(6).sparse_rows()) == 6
-    assert rank(Matrix.from_rows([[1, 2], [2, 4]]).sparse_rows()) == 1
+    assert rank(Matrix.from_rows([[0] * 5] * 3).data) == 0
+    assert rank(identity(6).data) == 6
+    assert rank(Matrix.from_rows([[1, 2], [2, 4]]).data) == 1
     assert rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1, 4), 1: Fraction(2, 3)}]) == 2
 
 
-def _column_echelon_rank(m: Matrix) -> int:
+def _column_echelon_rank(m: list) -> int:
     # independent oracle: plain forward elimination on columns of the transpose
-    cols = [[m.row(i)[j] for i in range(m.rows)] for j in range(m.cols)]
+    cols = [[Fraction(x) for x in column] for column in zip(*m)]
     r = 0
-    for pos in range(m.rows):
+    for pos in range(len(m)):
         pivot = None
         for idx in range(r, len(cols)):
             if cols[idx][pos]:
@@ -97,7 +125,7 @@ def _column_echelon_rank(m: Matrix) -> int:
         for idx in range(r + 1, len(cols)):
             if cols[idx][pos]:
                 f = cols[idx][pos] / cols[r][pos]
-                for i in range(m.rows):
+                for i in range(len(m)):
                     cols[idx][i] -= f * cols[r][i]
         r += 1
     return r
@@ -108,15 +136,24 @@ def test_rank_nullity_and_second_path():
     for _ in range(40):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
-        m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
-        r = rank(m.sparse_rows())
-        assert r + len(kernel_basis(m.sparse_rows(), ncols)) == ncols
-        assert r == _column_echelon_rank(m)
+        dense = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        m = Matrix.from_rows(dense)
+        r = rank(m.data)
+        assert r + len(kernel_basis(m.data, ncols)) == ncols
+        assert r == _column_echelon_rank(dense)
 
 
 def test_inverse_roundtrip():
     m = Matrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 1]])
     assert m @ inverse(m) == identity(3)
+    # zeros in the inverse, and a first row that needs a swap
+    swap = Matrix.from_rows([[0, 2, 0], [Fraction(1, 3), 0, 0], [0, 0, -1]])
+    assert inverse(swap).data == ({1: 3}, {0: Fraction(1, 2)}, {2: -1})
+    assert inverse(swap) @ swap == identity(3)
+    with pytest.raises(ValueError, match="singular"):
+        inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="non-square"):
+        inverse(Matrix.from_rows([[1, 2]]))
 
 
 def test_det_matches_elimination():
@@ -130,28 +167,28 @@ def test_det_matches_gaussian_oracle():
     # Bareiss on rows scaled to integers against Gaussian elimination over Fraction
     half, third = Fraction(1, 2), Fraction(-1, 3)
     cases = [
-        Matrix(0, 0, ()),
-        Matrix(1, 1, (-7,)),
-        Matrix(1, 1, (Fraction(5, 6),)),
-        Matrix(3, 3, (0, 2, 1, 3, 1, 0, 1, 0, 4)),  # a zero leading pivot: the first step swaps rows
-        Matrix(3, 3, (0, 0, 1, 0, 1, 0, 1, 0, 0)),  # zero pivots in two steps
-        Matrix(3, 3, (1, 2, 3, 2, 4, 6, 0, 1, 5)),  # singular: a zero column after the first step
-        Matrix(3, 3, (half, third, 1, 0, 0, 2, Fraction(3, 4), half, third)),
-        Matrix(2, 2, (half, third, Fraction(3, 2), -1)),  # singular over rationals
+        [],
+        [[-7]],
+        [[Fraction(5, 6)]],
+        [[0, 2, 1], [3, 1, 0], [1, 0, 4]],  # a zero leading pivot: the first step swaps rows
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # zero pivots in two steps
+        [[1, 2, 3], [2, 4, 6], [0, 1, 5]],  # singular: a zero column after the first step
+        [[half, third, 1], [0, 0, 2], [Fraction(3, 4), half, third]],
+        [[half, third], [Fraction(3, 2), -1]],  # singular over rationals
     ]
     rng = Lcg(5)
     for n in range(2, 6):
-        cases.append(Matrix(n, n, tuple(rng.randint(-3, 3) for _ in range(n * n))))
-        cases.append(Matrix(n, n, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n * n))))
-    for m in cases:
-        got, want = det(m), dense_oracles.det(m)
-        assert got == want, m
-        if all(isinstance(x, int) for x in m.entries):
+        cases.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        cases.append([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        got, want = det(_as_given(rows)), dense_oracles.det(rows)
+        assert got == want, rows
+        if all(isinstance(x, int) for row in rows for x in row):
             assert type(got) is int
-    assert [det(m) for m in cases[:6]] == [1, -7, Fraction(5, 6), -25, -1, 0]
-    assert det(cases[7]) == 0 and det(cases[6]) != 0
+    assert [det(_as_given(rows)) for rows in cases[:6]] == [1, -7, Fraction(5, 6), -25, -1, 0]
+    assert det(_as_given(cases[7])) == 0 and det(_as_given(cases[6])) != 0
     with pytest.raises(ValueError, match="non-square"):
-        det(Matrix(1, 2, (1, 2)))
+        det(Matrix.from_rows([[1, 2]]))
 
 
 def test_matrix_json_roundtrip(a1):
@@ -178,42 +215,27 @@ def test_rational_strings_are_read_exactly(a1):
 
 def _fraction_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     # oracle: the Gauss-Jordan elimination over Fraction that rref ran before it used ints
-    work = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((k for k in range(r, m.rows) if work[k][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for k in range(m.rows):
-            f = work[k][c]
-            if k != r and f:
-                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(m.rows, m.cols, tuple(x for row in work for x in row)), tuple(pivots)
+    work, pivots = dense_oracles.rref(_dense(m), m.cols)
+    return Matrix(m.rows, m.cols, tuple({j: x for j, x in enumerate(row) if x} for row in work)), pivots
 
 
 def _assert_matches_oracle(m: Matrix):
     red, pivots = rref(m)
     assert (red, pivots) == _fraction_rref(m)
-    assert all(type(x) is Fraction for x in red.entries)
+    assert all(type(x) is Fraction for row in red.data for x in row.values())
     # the same rows, each scaled to integers, given sparse
-    ints = _scaled(m.sparse_rows())
+    ints = _scaled(m.data)
     assert all(type(x) is int for row in ints for x in row.values())
     rows, sparse_pivots = echelon_rows(ints)
     assert sparse_pivots == pivots and all(0 not in row.values() for row in rows)
-    assert [tuple(row.get(j, 0) for j in range(m.cols)) for row in rows] == [red.row(i) for i in range(len(pivots))]
+    assert list(rows) == list(red.data[: len(pivots)]) and not any(red.data[len(pivots) :])
     kernel = kernel_basis(ints, m.cols)
     assert len(kernel) == m.cols - len(pivots)
-    assert all(not sum(x * m.row(i)[j] for j, x in v.items()) for v in kernel for i in range(m.rows))
+    assert all(not sum(x * row.get(j, 0) for j, x in v.items()) for v in kernel for row in m.data)
     # rank skips the canonical form but counts the same pivots
     assert rank(ints) == len(pivots)
     # the Fraction rows, taken as they are, eliminate to the same results
-    _assert_same_elimination(m.sparse_rows(), ints, m.cols)
+    _assert_same_elimination(m.data, ints, m.cols)
 
 
 def _assert_same_elimination(fractions, ints, cols):
@@ -233,12 +255,12 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, monkeypatch):
     def checked_block(L, fn, k, keys, tkeys):
         rows = block_matrix(L, fn, k, keys, tkeys)
         assert all(type(x) is int and x for row in rows for x in row.values())
-        dense = Matrix.from_rows([[row.get(j, 0) for j in range(len(tkeys))] for row in rows])
-        _assert_matches_oracle(dense)
-        assert rank(rows) == len(rref(dense)[1])
+        block = Matrix(len(rows), len(tkeys), tuple(rows))
+        _assert_matches_oracle(block)
+        assert rank(rows) == len(rref(block)[1])
         # the block divided by 3, as Fraction rows with entries off the integers
         _assert_same_elimination([{j: Fraction(x, 3) for j, x in row.items()} for row in rows], rows, len(tkeys))
-        blocks.append(dense)
+        blocks.append(block)
         return rows
 
     monkeypatch.setattr(exterior, "_block_matrix", checked_block)
@@ -254,7 +276,7 @@ def test_rref_matches_fraction_oracle_on_weight_blocks(name, monkeypatch):
     exterior.blocked_eigenspace_dim(L, L.d, 1)
     assert len(blocks) > seen
     assert len(blocks) > L.g
-    assert any(rank(m.sparse_rows()) < m.rows for m in blocks)  # dependent rows get eliminated too
+    assert any(rank(m.data) < m.rows for m in blocks)  # dependent rows get eliminated too
 
 
 def test_rref_matches_fraction_oracle_on_seeded_matrices():
@@ -266,11 +288,11 @@ def test_rref_matches_fraction_oracle_on_seeded_matrices():
         left = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(r)] for _ in range(nrows)]
         right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(r)]
         m = Matrix.from_rows(left) @ Matrix.from_rows(right)
+        assert _dense(m) == dense_oracles.matmul(left, right)
         _assert_matches_oracle(m)
         pivots = rref(m)[1]
-        first_nonzero = [next((x for x in m.row(i) if x), 0) for i in range(m.rows)]
-        negative_pivot += any(x < 0 for x in first_nonzero)
-        mixed_denominators += len({x.denominator for x in m.entries if x}) > 1
+        negative_pivot += any(row[min(row)] < 0 for row in m.data if row)
+        mixed_denominators += len({x.denominator for row in m.data for x in row.values()}) > 1
         assert len(pivots) <= r
     assert negative_pivot > 50 and mixed_denominators > 50
 
@@ -289,7 +311,7 @@ def test_rref_edge_shapes_and_reduced_input():
     for m in (
         reduced,
         Matrix(0, 4, ()),
-        Matrix(3, 0, ()),
+        Matrix(3, 0, ({},) * 3),
         Matrix.from_rows([[0] * 4] * 3),
         Matrix.from_rows([[0, 0, 0], [0, Fraction(-1, 3), 2], [0, 0, 0], [0, 1, Fraction(1, 2)]]),
         Matrix.from_rows([[Fraction(7, 5)]]),

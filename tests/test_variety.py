@@ -302,7 +302,7 @@ def _oracle_d_operator_corank(L):
         rows.append(row)
     if not rows:
         return target_dim
-    r = rank(Matrix.from_rows(rows).sparse_rows())
+    r = rank(Matrix.from_rows(rows).data)
     corank = target_dim - r
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
