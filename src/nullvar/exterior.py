@@ -40,12 +40,14 @@ square of delta only on w_sharp and the square of delta_star only on degree
 ``check_w_sharp_invariance`` for delta and on degree 3 for delta_star
 (``grassmann.check_equivariance_matrices``).
 
-Every operator preserves the Cartan weight, so ranks, eigenspace dimensions
-and the zeta identity are computed on weight blocks, one block per Weyl orbit
-of weights.  The Tits lift n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i) of each
-simple reflection s_i is an automorphism of g that maps block mu onto block
-s_i mu and commutes with every operator above, so each block's result is its
-dominant conjugate's.  ``weyl.tits_lifts_certified`` builds each lift exactly
+Every operator preserves the Cartan weight, so ranks, eigenspace dimensions,
+the zeta identity and the transpose relation (``grassmann``, which pairs
+block mu with block -mu) are computed on weight blocks, one block per Weyl
+orbit of weights, each operator matrix built by ``graded_matrix``.  The Tits
+lift n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i) of each simple reflection s_i
+is an automorphism of g that maps block mu onto block s_i mu, keeps kappa and
+commutes with every operator above, so each block's result is its dominant
+conjugate's.  ``weyl.tits_lifts_certified`` builds each lift exactly
 and checks it on the algebra at hand; when a check fails, as on a corrupted
 algebra, every block is computed.
 """
@@ -58,7 +60,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra, Vector, per_algebra, standard_borel
-from .linalg import Matrix, frac, integer_terms, rank
+from .linalg import frac, integer_terms, rank
 from .roots import casimir_eigenvalue, dim_gamma_two_rho, two_rho
 from .weyl import dominant, tits_lifts_certified
 
@@ -355,7 +357,7 @@ def zeta(u: MultiVector) -> MultiVector:
 
 
 # ---------------------------------------------------------------------------
-# graded matrices and weight blocks
+# weight blocks and their operator matrices
 
 
 @per_algebra
@@ -371,29 +373,27 @@ def key_index_map(L: LieAlgebra, k: int) -> dict[int, int]:
     return {key: i for i, key in enumerate(degree_keys(L, k))}
 
 
-_OPS = {
-    "delta": (delta, 3),
-    "delta_star": (delta_star, -3),
-    "casimir": (casimir, 0),
-    "zeta": (zeta, 0),
-}
+_OPS = {"delta": (delta, 3), "delta_star": (delta_star, -3)}
 
 
-def graded_matrix(L: LieAlgebra, name: str, k: int) -> tuple[Matrix, int]:
-    """``(m, den)``: the named operator at degree k as integer numerators m over den, dim(target) x dim(source).
+def graded_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> tuple[list[dict[int, int]], int]:
+    """``(rows, den)``: the images under ``fn`` of the degree-k basis wedges ``keys``, integer numerators over den.
 
-    Column j is the image of basis wedge j, each nonzero written straight into
-    the sparse row of its target wedge.
+    Row j holds the numerators of the image of ``keys[j]`` over the positions
+    of ``tkeys``, brought to the images' one denominator.  Every operator
+    matrix is built here, one weight block at a time, so an image term
+    outside ``tkeys`` means the operator left its weight block.
     """
-    fn, shift = _OPS[name]
-    images = [fn(MultiVector.over(L, k, {key: 1})) for key in degree_keys(L, k)]
-    index = key_index_map(L, k + shift)
-    den = lcm(1, *[image.den for image in images])
-    data: list[dict] = [{} for _ in index]
-    for col, image in enumerate(images):
-        for out_key, n in image.ints.items():
-            data[index[out_key]][col] = den // image.den * n
-    return Matrix(len(index), len(images), tuple(data)), den
+    index = {key: i for i, key in enumerate(tkeys)}
+    rows, dens = [], []
+    for key in keys:
+        image = fn(MultiVector.over(L, k, {key: 1}))
+        if not image.ints.keys() <= index.keys():
+            raise AssertionError("operator output escapes its weight block")
+        rows.append({index[out_key]: n for out_key, n in image.ints.items()})
+        dens.append(image.den)
+    den = lcm(1, *dens)
+    return [row if d == den else {j: den // d * n for j, n in row.items()} for row, d in zip(rows, dens)], den
 
 
 @per_algebra
@@ -417,23 +417,6 @@ def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:
         digits.append((total + half) % base - half)
         total = (total - digits[-1]) // base
     return tuple(digits)
-
-
-def _block_matrix(L: LieAlgebra, fn, k: int, keys, tkeys) -> list[dict[int, int]]:
-    """The images under ``fn`` of the degree-k basis wedges ``keys``, as sparse integer rows.
-
-    Row j is the numerators of the image of ``keys[j]`` over the positions of
-    ``tkeys``.  An image term outside ``tkeys`` means the operator left its
-    weight block.
-    """
-    index = {key: i for i, key in enumerate(tkeys)}
-    rows = []
-    for key in keys:
-        image = fn(MultiVector.over(L, k, {key: 1}))
-        if not image.ints.keys() <= index.keys():
-            raise AssertionError("operator output escapes its weight block")
-        rows.append({index[out_key]: n for out_key, n in image.ints.items()})
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +460,8 @@ def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
 
     def block_rank(wt) -> int:
         tkeys = target_blocks.get(wt, [])
-        block = _block_matrix(L, fn, k, blocks[wt], tkeys)
-        return rank(block) if tkeys else 0
+        rows, _ = graded_matrix(L, fn, k, blocks[wt], tkeys)
+        return rank(rows) if tkeys else 0
 
     return _orbit_sum(L, k, block_rank)
 
@@ -495,7 +478,7 @@ def blocked_eigenspace_dim(L: LieAlgebra, k: int, scalar) -> int:
         # the rows are images, so the eigenspace has the dimension of the left
         # kernel of the square block of (op - scalar): its size minus its rank
         keys = blocks[wt]
-        return len(keys) - rank(_block_matrix(L, shifted, k, keys, keys))
+        return len(keys) - rank(graded_matrix(L, shifted, k, keys, keys)[0])
 
     return _orbit_sum(L, k, block_dim)
 

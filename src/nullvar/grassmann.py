@@ -7,12 +7,12 @@ contraction's own table.  ``linear_membership`` evaluates those that P's keys
 reach until one is nonzero; ``equation_set`` writes them all as the JSON of
 the ``equations`` verb.  Through the pairing induced by the Killing form,
 their row space matches the hyperplanes spanned by the wedge images from
-degree d-3.
+degree d-3, which ``transpose_identity_sign`` checks one pair of weight
+blocks per Weyl orbit.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
@@ -23,11 +23,14 @@ from .exterior import (
     binomial_dim,
     blocked_rank,
     degree_keys,
+    delta,
     delta_star,
     graded_matrix,
     key_index_map,
     lie_action_basis,
+    orbit_representatives,
     wedge,
+    weight_blocks,
 )
 from .linalg import Matrix, combine, det, integer_terms
 from .seeds import Lcg
@@ -110,61 +113,70 @@ def equation_count(L: LieAlgebra) -> int:
 # the kappa pairing on exterior powers and the transpose relation
 
 
-def pairing_matrix(L: LieAlgebra, k: int) -> tuple[Matrix, int]:
-    """``(m, den)``: the Gram matrix of the kappa pairing on degree k basis wedges is m / den.
+def pairing_matrix(L: LieAlgebra, keys, tkeys) -> tuple[Matrix, int]:
+    """``(m, den)``: the Gram matrix of the kappa pairing between the basis wedges ``keys`` and ``tkeys`` is m / den.
 
-    Each entry is a Gram determinant of kappa's integer numerators, so den
-    is their denominator to the k-th power.  Only the nonzero determinants
-    are stored.
+    Entry (i, j) is the determinant of kappa's integer numerators on the
+    factors of keys[i] against those of tkeys[j], so den is kappa's
+    denominator to the degree.  By the Leibniz expansion it is nonzero only if
+    each factor of keys[i] picks a distinct partner from its sparse kappa row,
+    so only the keys of ``tkeys`` reached that way are computed, and only the
+    nonzero determinants are stored.
     """
     kappa_den, kappa = integer_terms({(i, j): c for i, row in enumerate(L.kappa) for j, c in row.items()})
-    keys = degree_keys(L, k)
-    index = key_index_map(L, k)
-    data: list[dict] = [{} for _ in keys]
-    cartan = list(range(L.l))
-    for row, key in zip(data, keys):
+    index = {key: j for j, key in enumerate(tkeys)}
+    k = keys[0].bit_count() if keys else 0
+    data = []
+    for key in keys:
         bits = _bits(key)
-        root_part = [i for i in bits if i >= L.l]
-        h_count = len(bits) - len(root_part)
-        partner_key = 0
-        for i in root_part:
-            partner_key |= 1 << L.partner(i)
-        # candidates: partner of the root part plus any Cartan subset of equal size
-        for h_subset in itertools.combinations(cartan, h_count):
-            other = partner_key
-            for i in h_subset:
-                other |= 1 << i
-            col_idx = index.get(other)
-            if col_idx is None:
-                continue
+        reached = {0}
+        for i in bits:
+            reached = {mask | 1 << j for mask in reached for j in L.kappa[i] if not mask >> j & 1}
+        row = {}
+        for other in reached & index.keys():
             columns = _bits(other)
             gram = Matrix(k, k, tuple({c: x for c, j in enumerate(columns) if (x := kappa.get((i, j)))} for i in bits))
             if d := det(gram):
-                row[col_idx] = d
-    return Matrix(len(keys), len(keys), tuple(data)), kappa_den**k
+                row[index[other]] = d
+        data.append(row)
+    return Matrix(len(keys), len(tkeys), tuple(data)), kappa_den**k
 
 
 def transpose_identity_sign(L: LieAlgebra) -> int | None:
     """Sign s with M(contraction at d)^T G_{d-3} = s G_d M(wedge at d-3), or None.
 
     An exact matrix identity; its existence means the equation row space is the
-    kappa-transpose of the wedge image from degree d-3.  Both sides are
-    integer products, compared row by row each times the other's two
-    denominators.
+    kappa-transpose of the wedge image from degree d-3.  Both operators keep
+    weights and kappa pairs weight mu only with -mu, so the identity splits
+    into one pair of blocks per weight mu of degree d-3: the contraction rows
+    of B_d(-mu) into B_{d-3}(-mu) times G(B_{d-3}(-mu), B_{d-3}(mu)) against s
+    times G(B_d(-mu), B_d(mu)) times the transposed wedge rows of B_{d-3}(mu)
+    into B_d(mu).  A certified Tits lift commutes with both operators and
+    keeps kappa, so each pair holds iff its representative's does
+    (``orbit_representatives``).  Both sides are integer products, compared
+    row by row each times the other's two denominators, and one s must hold
+    for every pair.
     """
     low = L.d - 3
     if low < 0:
         return 1
-    m_star, star_den = graded_matrix(L, "delta_star", L.d)
-    g_low, low_den = pairing_matrix(L, low)
-    lhs = (m_star.transpose() @ g_low).data
-    # the relation holds a run's largest matrices, so one side's factors go before the other's are built
-    del m_star, g_low
-    g_high, high_den = pairing_matrix(L, L.d)
-    m_delta, delta_den = graded_matrix(L, "delta", low)
-    rhs = (g_high @ m_delta).data
-    a, b = high_den * delta_den, low_den * star_den
-    return next((s for s in (1, -1) if not any(combine(((a, x), (-s * b, y))) for x, y in zip(lhs, rhs))), None)
+    low_blocks, high_blocks = weight_blocks(L, low), weight_blocks(L, L.d)
+    signs = (1, -1)
+    for mu in dict.fromkeys(orbit_representatives(L, low).values()):
+        minus = tuple(-c for c in mu)
+        low_mu, high_mu = low_blocks[mu], high_blocks.get(mu, [])
+        low_minus, high_minus = low_blocks.get(minus, []), high_blocks.get(minus, [])
+        star, star_den = graded_matrix(L, delta_star, L.d, high_minus, low_minus)
+        g_low, low_den = pairing_matrix(L, low_minus, low_mu)
+        lhs = (Matrix(len(high_minus), len(low_minus), tuple(star)) @ g_low).data
+        up, delta_den = graded_matrix(L, delta, low, low_mu, high_mu)
+        g_high, high_den = pairing_matrix(L, high_minus, high_mu)
+        rhs = (g_high @ Matrix(len(low_mu), len(high_mu), tuple(up)).transpose()).data
+        a, b = high_den * delta_den, low_den * star_den
+        signs = tuple(s for s in signs if not any(combine(((a, x), (-s * b, y))) for x, y in zip(lhs, rhs)))
+        if not signs:
+            return None
+    return signs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Elimination takes sparse rows of ``int`` or ``Fraction`` entries that keep
 only their nonzero entries, as subspace bases, weight blocks of the exterior
 operators and the Jacobian of the cubic local equations are mostly zeros.
 A ``Matrix`` is such rows with a shape.  It serves the inversion of the
-Killing form and of the Cartan matrix, and holds the operator and pairing
-matrices of the transpose relation as integer numerators, their one
-denominator kept beside the matrix.
+Killing form and of the Cartan matrix, and holds the weight-block operator
+and pairing matrices of the transpose relation as integer numerators, their
+one denominator kept beside the matrix.
 
 The reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  ``_echelon`` scales each row by

@@ -344,19 +344,18 @@ def graded_matrix(L, name: str, k: int) -> list[list[Fraction]]:
 def pairing_matrix(L, k: int) -> list[list[Fraction]]:
     """Gram determinants of the Fraction kappa on degree-k basis wedges.
 
-    A wedge pairs only with the partners of its root part times a Cartan
-    subset of the same size; every other entry is zero.
+    A Leibniz term picks one nonzero kappa entry in each factor's row, in
+    distinct columns, so a wedge pairs only with the sets of such columns;
+    every other entry is zero.
     """
     keys = exterior.degree_keys(L, k)
     index = exterior.key_index_map(L, k)
     entries = [[Fraction(0)] * len(keys) for _ in keys]
     for row_idx, key in enumerate(keys):
         bits = exterior._bits(key)
-        root_part = [i for i in bits if i >= L.l]
-        partner_key = sum(1 << L.partner(i) for i in root_part)
-        for h_subset in itertools.combinations(range(L.l), len(bits) - len(root_part)):
-            col_idx = index.get(partner_key + sum(1 << i for i in h_subset))
-            if col_idx is not None:
+        for partners in itertools.product(*(L.kappa[i] for i in bits)):
+            if len(set(partners)) == len(bits):
+                col_idx = index[sum(1 << j for j in partners)]
                 other = exterior._bits(keys[col_idx])
                 entries[row_idx][col_idx] = det([[L.kappa[i].get(j, 0) for j in other] for i in bits])
     return entries

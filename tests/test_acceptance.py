@@ -27,13 +27,14 @@ from nullvar.exterior import (
     borel_top_wedge,
     casimir,
     degree_keys,
+    delta,
     graded_matrix,
     verify_exact_sequences,
     verify_zeta_identity,
     w_sharp,
 )
 from nullvar.grassmann import equation_count, membership_equivalence_suite
-from nullvar.linalg import kernel_basis
+from nullvar.linalg import Matrix, kernel_basis
 from nullvar.repcheck import ambient_dimension, claims_for, hook_content_dim, verify_dimension_claim
 from nullvar.roots import casimir_eigenvalue, dim_gamma_two_rho, weyl_dim
 from nullvar.seeds import Lcg
@@ -125,10 +126,11 @@ def test_criterion_07_exact_sequences(a1, a2, c2):
         ok = ok and verify_exact_sequences(L).ok
     ok = ok and blocked_rank(a2, "delta", 2) == 28
     ok = ok and blocked_rank(c2, "delta", 3) == 119
-    dense, _ = graded_matrix(c2, "delta", 3)
-    kernel = kernel_basis(dense.data, dense.cols)
-    ok = ok and len(kernel) == 1
+    # the right kernel of the whole degree-3 wedge matrix: the left kernel of its image rows
     keys = degree_keys(c2, 3)
+    rows, _ = graded_matrix(c2, delta, 3, keys, degree_keys(c2, 6))
+    kernel = kernel_basis(Matrix(len(rows), binomial_dim(c2.g, 6), tuple(rows)).transpose().data, len(keys))
+    ok = ok and len(kernel) == 1
     vector = MultiVector(c2, 3, {keys[j]: x for j, x in kernel[0].items()})
     ws = w_sharp(c2)
     key = next(iter(ws.terms))

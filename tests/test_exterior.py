@@ -9,7 +9,6 @@ import pytest
 from nullvar.algebra import build_algebra
 from nullvar.exterior import (
     MultiVector,
-    _block_matrix,
     blocked_eigenspace_dim,
     blocked_rank,
     borel_top_wedge,
@@ -35,6 +34,17 @@ from nullvar.seeds import Lcg
 from nullvar.variety import chart, random_chart_parameters, random_subspace
 
 from dense_oracles import sparse
+
+
+def _degree_matrix(L, fn, k, shift):
+    """``(m, den)``: ``fn`` on every degree-k basis wedge as a target x source Matrix of integer numerators over den.
+
+    The image rows of ``graded_matrix`` over all of degree k and k + shift,
+    transposed, so column j is the image of basis wedge j.
+    """
+    target = degree_keys(L, k + shift)
+    rows, den = graded_matrix(L, fn, k, degree_keys(L, k), target)
+    return Matrix(len(rows), len(target), tuple(rows)).transpose(), den
 
 
 def test_wedge_basics(a2):
@@ -72,14 +82,14 @@ def test_a1_w_sharp_by_hand(a1):
 def test_delta_degree_overflow(a2):
     top = MultiVector.basis(a2, range(a2.g))
     assert delta(top).is_zero()
-    op, _ = graded_matrix(a2, "delta", a2.g)
+    op, _ = _degree_matrix(a2, delta, a2.g, 3)
     assert (op.rows, op.cols) == (0, 1)
 
 
 def test_delta_star_low_degree(a2):
     assert delta_star(MultiVector.basis(a2, [0, 1])).is_zero()
     assert delta_star(MultiVector.over(a2, 0, {0: 1})).is_zero()
-    op, _ = graded_matrix(a2, "delta_star", 2)
+    op, _ = _degree_matrix(a2, delta_star, 2, -3)
     assert (op.rows, op.cols) == (0, 28)
 
 
@@ -385,7 +395,7 @@ def test_w_sharp_invariance(a1, a2, c2):
 
 
 def test_graded_matrix_rank_deg2(a2):
-    op, _ = graded_matrix(a2, "delta", 2)
+    op, _ = _degree_matrix(a2, delta, 2, 3)
     assert (op.rows, op.cols) == (56, 28)
     assert blocked_rank(a2, "delta", 2) == 28
 
@@ -394,14 +404,14 @@ def test_blocked_rank_matches_full_matrix(a2, c2):
     # the sparse integer weight blocks against the dense graded matrices
     for L in (a2, c2):
         for k in range(0, L.g + 1):
-            dense, _ = graded_matrix(L, "delta", k)
+            dense, _ = _degree_matrix(L, delta, k, 3)
             assert blocked_rank(L, "delta", k) == rank(dense.data)
-        dense, _ = graded_matrix(L, "delta_star", L.d)
+        dense, _ = _degree_matrix(L, delta_star, L.d, -3)
         assert blocked_rank(L, "delta_star", L.d) == rank(dense.data)
         c_top = casimir_eigenvalue(L.rd, two_rho(L.rd))
         for k in range(L.g - L.d, L.d + 1):
             # the integer numerators over den: den (casimir - c_top) has the kernel of casimir - c_top
-            cmat, den = graded_matrix(L, "casimir", k)
+            cmat, den = _degree_matrix(L, casimir, k, 0)
             shifted = Matrix.from_rows(
                 [[row.get(j, 0) - den * c_top * (i == j) for j in range(cmat.cols)] for i, row in enumerate(cmat.data)]
             )
@@ -418,7 +428,7 @@ def test_eigenspace_dim_by_rank_matches_kernel_count(a2, c2):
 
             for k in range(L.g + 1):
                 blocks = weight_blocks(L, k).values()
-                kernels = sum(len(kernel_basis(_block_matrix(L, shifted, k, keys, keys), len(keys))) for keys in blocks)
+                kernels = sum(len(kernel_basis(graded_matrix(L, shifted, k, keys, keys)[0], len(keys))) for keys in blocks)
                 assert blocked_eigenspace_dim(L, k, scalar) == kernels
 
 
@@ -477,7 +487,7 @@ def test_exact_sequences_a2(a2):
 def test_c2_kernel_is_w_line(c2):
     assert blocked_rank(c2, "delta", 3) == 119
     # the dense oracle: the right kernel of the whole degree-3 wedge matrix
-    dense, _ = graded_matrix(c2, "delta", 3)
+    dense, _ = _degree_matrix(c2, delta, 3, 3)
     ker = kernel_basis(dense.data, dense.cols)
     assert len(ker) == 1
     keys = degree_keys(c2, 3)
@@ -551,5 +561,5 @@ def test_operator_invariance(a1, a2):
 def test_zeta_commutes_with_casimir_low_degrees(a2):
     for k in range(0, 4):
         # both products are over the same denominator, the product of the two operators' ones
-        (z, _), (c, _) = graded_matrix(a2, "zeta", k), graded_matrix(a2, "casimir", k)
+        (z, _), (c, _) = _degree_matrix(a2, zeta, k, 0), _degree_matrix(a2, casimir, k, 0)
         assert z @ c == c @ z

@@ -66,13 +66,14 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
     records[L.d] = dataclasses.replace(records[L.d], rank_delta_in=records[L.d].rank_delta_in + 1)
     monkeypatch.setattr(suites, "verify_exact_sequences", lambda L: ExactSequenceReport(tuple(records)))
     blocks = []
-    original = exterior._block_matrix
+    original = exterior.graded_matrix
 
     def counting(L, fn, k, keys, tkeys):
         blocks.append((fn.__name__, k, tuple(keys)))
         return original(L, fn, k, keys, tkeys)
 
-    monkeypatch.setattr(exterior, "_block_matrix", counting)
+    # only exterior's own name is patched: the transpose relation builds its blocks through grassmann's
+    monkeypatch.setattr(exterior, "graded_matrix", counting)
     config = suites.SuiteConfig("A", 2, samples=12)
     records = {r["name"]: r for r in suites.exterior_records(L) + suites.equations_records(L, config)}
     assert records["delta_rank_into_degree_d"]["ok"] is False

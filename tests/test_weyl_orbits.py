@@ -11,17 +11,19 @@ import itertools
 
 import pytest
 
-from nullvar import exterior, weyl
+from nullvar import exterior, grassmann, weyl
 from nullvar.algebra import build_algebra
 from nullvar.exterior import (
-    _block_matrix,
     _OPS,
     binomial_dim,
     blocked_eigenspace_dim,
     blocked_rank,
+    casimir,
+    graded_matrix,
     orbit_representatives,
     weight_blocks,
 )
+from nullvar.grassmann import transpose_identity_sign
 from nullvar.linalg import rank
 from nullvar.roots import build_root_datum, casimir_eigenvalue, pairing, reflect, two_rho
 from nullvar.weyl import dominant, tits_lifts_certified
@@ -37,20 +39,19 @@ def _all_blocks_rank(L, name, k):
     total = 0
     for wt, keys in weight_blocks(L, k).items():
         tkeys = target_blocks.get(wt, [])
-        block = _block_matrix(L, fn, k, keys, tkeys)
+        block, _ = graded_matrix(L, fn, k, keys, tkeys)
         if tkeys:
             total += rank(block)
     return total
 
 
-def _all_blocks_eigenspace_dim(L, name, k, scalar):
-    """The eigenspace dimension at degree k, with every weight block eliminated."""
-    fn, _ = _OPS[name]
+def _all_blocks_eigenspace_dim(L, k, scalar):
+    """The Casimir eigenspace dimension at degree k, with every weight block eliminated."""
 
     def shifted(u):
-        return fn(u).sub(u.scale(scalar))
+        return casimir(u).sub(u.scale(scalar))
 
-    return sum(len(keys) - rank(_block_matrix(L, shifted, k, keys, keys)) for keys in weight_blocks(L, k).values())
+    return sum(len(keys) - rank(graded_matrix(L, shifted, k, keys, keys)[0]) for keys in weight_blocks(L, k).values())
 
 
 def _walked_dominant(rd, weight):
@@ -102,7 +103,25 @@ def test_reduced_casimir_window_matches_the_all_blocks_loop(fixture, request):
     _assert_reduced(L)
     c_top = casimir_eigenvalue(L.rd, two_rho(L.rd))
     for k in range(L.g - L.d, L.d + 1):
-        assert blocked_eigenspace_dim(L, k, c_top) == _all_blocks_eigenspace_dim(L, "casimir", k, c_top)
+        assert blocked_eigenspace_dim(L, k, c_top) == _all_blocks_eigenspace_dim(L, k, c_top)
+
+
+@pytest.mark.parametrize("family,rank_", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3)])
+def test_reduced_transpose_relation_matches_the_all_blocks_loop(family, rank_, monkeypatch):
+    L = _fresh(family, rank_)
+    _assert_reduced(L)
+    low = L.d - 3
+    assert len(set(orbit_representatives(L, low).values())) < len(weight_blocks(L, low))
+    reduced = transpose_identity_sign(L)
+    seen = []
+
+    def every_block(L, k):
+        seen.append(k)
+        return {wt: wt for wt in weight_blocks(L, k)}
+
+    monkeypatch.setattr(grassmann, "orbit_representatives", every_block)
+    assert transpose_identity_sign(L) == reduced == 1
+    assert seen == [low]
 
 
 def test_representatives_are_dominant_conjugates_with_blocks_of_the_same_size():
@@ -170,13 +189,13 @@ def test_an_uncertified_algebra_eliminates_every_block(a2, monkeypatch):
     L = a2.with_corrupted_constant(0, 3, 3)  # keeps each operator inside its weight blocks
     assert not tits_lifts_certified(L)
     seen = []
-    original = exterior._block_matrix
+    original = exterior.graded_matrix
 
     def counting(L, fn, k, keys, tkeys):
         seen.append((fn.__name__, k, tuple(keys)))
         return original(L, fn, k, keys, tkeys)
 
-    monkeypatch.setattr(exterior, "_block_matrix", counting)
+    monkeypatch.setattr(exterior, "graded_matrix", counting)
     expected = []
     for k in range(L.g - 2):
         blocked_rank(L, "delta", k)
