@@ -55,6 +55,7 @@ algebra, every block is computed.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -423,27 +424,18 @@ def _unpack_weight(total: int, base: int, length: int) -> tuple[int, ...]:
 # Weyl-orbit reduction of the weight blocks
 
 
-def orbit_representatives(L: LieAlgebra, k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each degree-k block weight, mapped to the weight of the block computed for it.
+def orbit_representatives(L: LieAlgebra, k: int) -> dict[tuple[int, ...], int]:
+    """Each representative degree-k block weight, with the number of blocks it stands for.
 
-    That is its dominant Weyl conjugate when ``weyl.tits_lifts_certified``
-    holds, and the weight itself otherwise, so every block stands for itself.
+    The representatives are the dominant Weyl conjugates, counted in the
+    order ``weight_blocks`` first reaches them, when
+    ``weyl.tits_lifts_certified`` holds; otherwise every block weight stands
+    once for itself.
     """
     blocks = weight_blocks(L, k)
     if not tits_lifts_certified(L):
-        return {wt: wt for wt in blocks}
-    return {wt: dominant(L, wt) for wt in blocks}
-
-
-def _orbit_sum(L: LieAlgebra, k: int, value) -> int:
-    """The sum of ``value(weight)`` over the degree-k blocks, computed once per representative."""
-    found: dict[tuple[int, ...], int] = {}
-    total = 0
-    for rep in orbit_representatives(L, k).values():
-        if rep not in found:
-            found[rep] = value(rep)
-        total += found[rep]
-    return total
+        return dict.fromkeys(blocks, 1)
+    return Counter(dominant(L, wt) for wt in blocks)
 
 
 @per_algebra
@@ -463,7 +455,7 @@ def blocked_rank(L: LieAlgebra, name: str, k: int) -> int:
         rows, _ = graded_matrix(L, fn, k, blocks[wt], tkeys)
         return rank(rows) if tkeys else 0
 
-    return _orbit_sum(L, k, block_rank)
+    return sum(count * block_rank(wt) for wt, count in orbit_representatives(L, k).items())
 
 
 def blocked_eigenspace_dim(L: LieAlgebra, k: int, scalar) -> int:
@@ -480,7 +472,7 @@ def blocked_eigenspace_dim(L: LieAlgebra, k: int, scalar) -> int:
         keys = blocks[wt]
         return len(keys) - rank(graded_matrix(L, shifted, k, keys, keys)[0])
 
-    return _orbit_sum(L, k, block_dim)
+    return sum(count * block_dim(wt) for wt, count in orbit_representatives(L, k).items())
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +580,7 @@ def verify_zeta_identity(L: LieAlgebra) -> tuple[bool, list[bool]]:
     zeta_ok = []
     for k in range(L.g + 1):
         blocks = weight_blocks(L, k)
-        reps = dict.fromkeys(orbit_representatives(L, k).values())
-        zeta_ok.append(all(holds(key, k) for rep in reps for key in blocks[rep]))
+        zeta_ok.append(all(holds(key, k) for rep in orbit_representatives(L, k) for key in blocks[rep]))
     return squares_ok, zeta_ok
 
 

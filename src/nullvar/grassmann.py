@@ -162,7 +162,7 @@ def transpose_identity_sign(L: LieAlgebra) -> int | None:
         return 1
     low_blocks, high_blocks = weight_blocks(L, low), weight_blocks(L, L.d)
     signs = (1, -1)
-    for mu in dict.fromkeys(orbit_representatives(L, low).values()):
+    for mu in orbit_representatives(L, low):
         minus = tuple(-c for c in mu)
         low_mu, high_mu = low_blocks[mu], high_blocks.get(mu, [])
         low_minus, high_minus = low_blocks.get(minus, []), high_blocks.get(minus, [])

@@ -246,7 +246,7 @@ RELATION_CASES = (
     ids=[f"{n}-{'sound' if c is None else ','.join(map(str, c))}" for n, c in RELATION_CASES],
 )
 def test_transpose_relation_matches_fraction_oracle(name, corrupt, request):
-    # integer numerators, Bareiss det and the sparse product against Fraction matrices, Gaussian det and the triple loop
+    # integer numerators, det by row expansion and the sparse product against Fraction matrices, Gaussian det and the triple loop
     L = request.getfixturevalue(name)
     M = L if corrupt is None else L.with_corrupted_constant(*corrupt)
     if corrupt == (2, 3, 1):

@@ -163,8 +163,29 @@ def test_det_matches_elimination():
     assert det(singular) == 0
 
 
+def _gram_shaped(rng, n, few) -> list[list[int]]:
+    """An n x n integer matrix shaped like a Gram minor of kappa.
+
+    Each row holds one entry on a shuffled diagonal, as a root factor's row
+    does; the first ``few`` rows also meet one another's diagonal columns, as
+    Cartan factors do.
+    """
+    cols = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(0, i)
+        cols[i], cols[j] = cols[j], cols[i]
+    rows = [[0] * n for _ in range(n)]
+    for i, c in enumerate(cols):
+        rows[i][c] = rng.randint_nonzero(-3, 3)
+    for i in range(few):
+        for c in cols[:few]:
+            if rng.randint(0, 1):
+                rows[i][c] = rng.randint(-3, 3)
+    return rows
+
+
 def test_det_matches_gaussian_oracle():
-    # Bareiss on rows scaled to integers against Gaussian elimination over Fraction
+    # the expansion along sparse rows against Gaussian elimination over Fraction
     half, third = Fraction(1, 2), Fraction(-1, 3)
     cases = [
         [],
@@ -180,6 +201,12 @@ def test_det_matches_gaussian_oracle():
     for n in range(2, 6):
         cases.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         cases.append([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+    gram = [_gram_shaped(rng, n, 3) for n in (9, 9, 12, 12)]
+    assert all(sum(map(bool, row)) <= 3 for rows in gram for row in rows)
+    assert all(sum(sum(map(bool, row)) == 1 for row in rows) >= len(rows) - 3 for rows in gram)
+    assert any(dense_oracles.det(rows) for rows in gram)
+    cases += gram
+    cases.append([[rng.randint_nonzero(-3, 3) for _ in range(8)] for _ in range(8)])  # dense: every column set
     for rows in cases:
         got, want = det(_as_given(rows)), dense_oracles.det(rows)
         assert got == want, rows

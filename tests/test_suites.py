@@ -84,7 +84,7 @@ def test_wrong_wedge_rank_fails_its_record_and_the_equation_rank_is_shared(monke
     # representative block; equation_count reads the wedge rank that the
     # exact sequences eliminated above, before the count began
     weights = exterior.weight_blocks(L, L.d)
-    reps = set(exterior.orbit_representatives(L, L.d).values())
+    reps = exterior.orbit_representatives(L, L.d)
     assert len(blocks) == len(set(blocks))
     assert set(blocks) == {("delta_star", L.d, tuple(weights[rep])) for rep in reps}
 

@@ -8,6 +8,7 @@ of each length, which every root of that length is conjugate to.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -76,7 +77,7 @@ def _assert_reduced(L):
     """The certificate holds and some degree has fewer representatives than blocks."""
     assert tits_lifts_certified(L)
     assert any(
-        len(set(orbit_representatives(L, k).values())) < len(weight_blocks(L, k)) for k in range(L.g + 1)
+        len(orbit_representatives(L, k)) < len(weight_blocks(L, k)) for k in range(L.g + 1)
     )
 
 
@@ -111,13 +112,13 @@ def test_reduced_transpose_relation_matches_the_all_blocks_loop(family, rank_, m
     L = _fresh(family, rank_)
     _assert_reduced(L)
     low = L.d - 3
-    assert len(set(orbit_representatives(L, low).values())) < len(weight_blocks(L, low))
+    assert len(orbit_representatives(L, low)) < len(weight_blocks(L, low))
     reduced = transpose_identity_sign(L)
     seen = []
 
     def every_block(L, k):
         seen.append(k)
-        return {wt: wt for wt in weight_blocks(L, k)}
+        return dict.fromkeys(weight_blocks(L, k), 1)
 
     monkeypatch.setattr(grassmann, "orbit_representatives", every_block)
     assert transpose_identity_sign(L) == reduced == 1
@@ -128,9 +129,9 @@ def test_representatives_are_dominant_conjugates_with_blocks_of_the_same_size():
     L = _fresh("A", 3)
     for k in range(L.g + 1):
         blocks = weight_blocks(L, k)
-        for wt, rep in orbit_representatives(L, k).items():
-            assert _is_dominant(L.rd, rep)
-            assert len(blocks[rep]) == len(blocks[wt])
+        walked = {wt: _walked_dominant(L.rd, wt) for wt in blocks}
+        assert all(_is_dominant(L.rd, rep) and len(blocks[rep]) == len(blocks[wt]) for wt, rep in walked.items())
+        assert orbit_representatives(L, k) == Counter(walked.values())
 
 
 @pytest.mark.parametrize("family,rank_", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("D", 3)])
@@ -155,7 +156,22 @@ def test_each_algebra_walks_by_its_own_cartan_matrix():
     assert any(dominant(a3, wt) != dominant(d3, wt) for wt in shared)
     for L in (a3, d3):
         for k in range(L.g + 1):
-            assert all(_is_dominant(L.rd, rep) for rep in orbit_representatives(L, k).values())
+            assert all(_is_dominant(L.rd, rep) for rep in orbit_representatives(L, k))
+
+
+@pytest.mark.parametrize("family,rank_", [("A", 2), ("C", 2), ("G", 2), ("A", 3)])
+def test_representative_counts_cover_every_block(family, rank_):
+    L = _fresh(family, rank_)
+    _assert_reduced(L)
+    for k in range(L.g + 1):
+        assert sum(orbit_representatives(L, k).values()) == len(weight_blocks(L, k))
+
+
+def test_an_uncertified_algebra_counts_every_block_once(a2):
+    L = a2.with_corrupted_constant(0, 3, 3)
+    assert not tits_lifts_certified(L)
+    for k in range(L.g + 1):
+        assert orbit_representatives(L, k) == dict.fromkeys(weight_blocks(L, k), 1)
 
 
 _ROOT_TYPES = [("A", r) for r in range(1, 6)] + [(f, r) for f in "BC" for r in range(2, 6)]
