@@ -26,7 +26,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .linalg import Matrix, combine, echelon_rows, frac, integer_terms, inverse, kernel_basis, parse_rational
+from .linalg import combine, echelon_rows, frac, integer_terms, inverse, kernel_basis, parse_rational
 from .roots import RootDatum
 
 Vector = dict[int, Fraction]  # basis index -> nonzero coordinate
@@ -136,7 +136,7 @@ class LieAlgebra:
     @per_algebra
     def _dual_rows(self) -> tuple[Vector, ...]:
         """The rows of the inverse of kappa, inverted through ``linalg.inverse`` on kappa's sparse rows."""
-        return inverse(Matrix(self.g, self.g, self.kappa)).data
+        return inverse(self.kappa)
 
     def dual_basis_vector(self, i: int) -> Vector:
         """Vector b^i with kappa(b^i, b_j) = delta_ij: row i of the inverse form."""
@@ -332,39 +332,33 @@ def check_antisymmetry(L: LieAlgebra) -> list[tuple]:
     return bad
 
 
-def _basis_brackets(L: LieAlgebra) -> tuple[list[Vector], list[list[Vector]]]:
-    """The basis vectors b_i and the brackets [b_i, b_j], as sparse vectors."""
-    e = [L.basis_vector(i) for i in range(L.g)]
-    return e, [[L.bracket(x, y) for y in e] for x in e]
-
-
 def check_jacobi(L: LieAlgebra) -> list[tuple]:
     """Ascending basis triples violating [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] = 0."""
-    e, br = _basis_brackets(L)
+    br, e = L.brackets, L.basis_vector
     return [
         (i, j, k)
         for i, j, k in itertools.combinations(range(L.g), 3)
-        if combine((1, L.bracket(br[a][b], e[c])) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+        if combine((1, L.bracket(br[a][b], e(c))) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
     ]
 
 
 def check_kappa_invariance(L: LieAlgebra) -> list[tuple]:
     """Basis triples violating kappa([b_i,b_j],b_k) = -kappa(b_j,[b_i,b_k])."""
-    e, br = _basis_brackets(L)
+    br, e = L.brackets, L.basis_vector
     return [
         (i, j, k)
         for i, j, k in itertools.product(range(L.g), repeat=3)
-        if L.kappa_pair(br[i][j], e[k]) + L.kappa_pair(e[j], br[i][k])
+        if L.kappa_pair(br[i][j], e(k)) + L.kappa_pair(e(j), br[i][k])
     ]
 
 
 def check_w_antisymmetry(L: LieAlgebra) -> list[tuple]:
     """Ordered basis triples where kappa([b_i,b_j],b_k) differs from ``w_eval``, the alternating table."""
-    e, br = _basis_brackets(L)
+    br, e = L.brackets, L.basis_vector
     return [
         (i, j, k)
         for i, j, k in itertools.product(range(L.g), repeat=3)
-        if L.kappa_pair(br[i][j], e[k]) != L.w_eval(e[i], e[j], e[k])
+        if L.kappa_pair(br[i][j], e(k)) != L.w_eval(e(i), e(j), e(k))
     ]
 
 

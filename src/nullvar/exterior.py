@@ -345,7 +345,6 @@ def delta_star(u: MultiVector) -> MultiVector:
     return _substitute(u, u.degree - 3, table, den)
 
 
-@per_algebra
 def delta_star_scalar(L: LieAlgebra) -> Fraction:
     """The scalar delta_star(w), computed from the algebra, never hard-coded."""
     return delta_star(w_sharp(L)).scalar_value()
@@ -361,7 +360,6 @@ def zeta(u: MultiVector) -> MultiVector:
 # weight blocks and their operator matrices
 
 
-@per_algebra
 def degree_keys(L: LieAlgebra, k: int) -> list[int]:
     """Canonical enumeration of degree-k subset keys (combinations order)."""
     if k < 0:

@@ -14,6 +14,7 @@ blocks per Weyl orbit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import LieAlgebra, Subspace, orthogonal_complement, per_algebra
 from .exterior import (
@@ -32,7 +33,7 @@ from .exterior import (
     wedge,
     weight_blocks,
 )
-from .linalg import Matrix, combine, det, integer_terms
+from .linalg import Matrix, combine, det
 from .seeds import Lcg
 from .variety import chart, is_nullspace, random_chart_parameters, random_subspace
 
@@ -116,14 +117,16 @@ def equation_count(L: LieAlgebra) -> int:
 def pairing_matrix(L: LieAlgebra, keys, tkeys) -> tuple[Matrix, int]:
     """``(m, den)``: the Gram matrix of the kappa pairing between the basis wedges ``keys`` and ``tkeys`` is m / den.
 
-    Entry (i, j) is the determinant of kappa's integer numerators on the
-    factors of keys[i] against those of tkeys[j], so den is kappa's
-    denominator to the degree.  By the Leibniz expansion it is nonzero only if
-    each factor of keys[i] picks a distinct partner from its sparse kappa row,
-    so only the keys of ``tkeys`` reached that way are computed, and only the
-    nonzero determinants are stored.
+    kappa is read once, as integer rows over one denominator, so den is that
+    denominator to the degree.  Entry (i, j) is the determinant of the minor
+    of those rows on the factors of keys[i] against those of tkeys[j].  By
+    the Leibniz expansion it is nonzero only if each factor of keys[i] picks
+    a distinct partner from its sparse kappa row, so only the keys of
+    ``tkeys`` reached that way are computed, and only the nonzero
+    determinants are stored.
     """
-    kappa_den, kappa = integer_terms({(i, j): c for i, row in enumerate(L.kappa) for j, c in row.items()})
+    kappa_den = lcm(1, *[c.denominator for row in L.kappa for c in row.values()])
+    kappa = [{j: c.numerator * (kappa_den // c.denominator) for j, c in row.items()} for row in L.kappa]
     index = {key: j for j, key in enumerate(tkeys)}
     k = keys[0].bit_count() if keys else 0
     data = []
@@ -131,12 +134,11 @@ def pairing_matrix(L: LieAlgebra, keys, tkeys) -> tuple[Matrix, int]:
         bits = _bits(key)
         reached = {0}
         for i in bits:
-            reached = {mask | 1 << j for mask in reached for j in L.kappa[i] if not mask >> j & 1}
+            reached = {mask | 1 << j for mask in reached for j in kappa[i] if not mask >> j & 1}
         row = {}
         for other in reached & index.keys():
-            columns = _bits(other)
-            gram = Matrix(k, k, tuple({c: x for c, j in enumerate(columns) if (x := kappa.get((i, j)))} for i in bits))
-            if d := det(gram):
+            column = {j: c for c, j in enumerate(_bits(other))}
+            if d := det([{column[j]: x for j, x in kappa[i].items() if j in column} for i in bits]):
                 row[index[other]] = d
         data.append(row)
     return Matrix(len(keys), len(tkeys), tuple(data)), kappa_den**k

@@ -2,13 +2,14 @@
 
 Every value is exact; no rounding ever occurs.  A vector is a sparse row: a
 dict from each coordinate index to its nonzero ``fractions.Fraction``.
-Elimination takes sparse rows of ``int`` or ``Fraction`` entries that keep
-only their nonzero entries, as subspace bases, weight blocks of the exterior
-operators and the Jacobian of the cubic local equations are mostly zeros.
-A ``Matrix`` is such rows with a shape.  It serves the inversion of the
-Killing form and of the Cartan matrix, and holds the weight-block operator
-and pairing matrices of the transpose relation as integer numerators, their
-one denominator kept beside the matrix.
+Elimination, ``det`` and ``inverse`` take sparse rows of ``int`` or
+``Fraction`` entries that keep only their nonzero entries, as subspace
+bases, weight blocks of the exterior operators, the Jacobian of the cubic
+local equations, kappa and its Gram minors are mostly zeros.  A ``Matrix``
+is such rows with a shape.  It holds the weight-block operator and pairing
+matrices of the transpose relation as integer numerators, their one
+denominator kept beside the matrix, and the [m | I] rows that ``inverse``
+reduces through ``rref``.
 
 The reduced row echelon form is the canonical representative used for
 subspace equality throughout the package.  ``_echelon`` scales each row by
@@ -49,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """An exact ``rows`` x ``cols`` matrix held as its sparse rows; ``from_rows`` reads dense rows of rationals.
+    """An exact ``rows`` x ``cols`` matrix held as its sparse rows.
 
     ``data`` has one dict per row, from column to nonzero ``int`` or
     ``Fraction`` entry.
@@ -67,14 +68,6 @@ class Matrix:
         # elimination pivots at a row's least key, so a stored zero would be taken for a pivot
         if not all(all(row.values()) for row in self.data):
             raise ValueError(f"{self.rows}x{self.cols} matrix stores a zero entry")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        rows = list(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(row) != ncols for row in rows):
-            raise ValueError("ragged rows")
-        return Matrix(len(rows), ncols, tuple({j: c for j, x in enumerate(row) if (c := frac(x))} for row in rows))
 
     def transpose(self) -> "Matrix":
         columns: list[dict] = [{} for _ in range(self.cols)]
@@ -199,33 +192,40 @@ def kernel_basis(rows: Sequence[dict], cols: int) -> tuple[dict[int, Fraction], 
     )
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raise ValueError if singular."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    red, pivots = rref(Matrix(n, 2 * n, tuple(row | {n + i: 1} for i, row in enumerate(m.data))))
+def _square(rows: Sequence[dict], what: str) -> int:
+    """n, for n sparse ``rows`` over the columns 0..n-1; ValueError if a row has a column outside them."""
+    n = len(rows)
+    if not set().union(*rows) <= set(range(n)):
+        raise ValueError(f"{what} of non-square matrix: {n} rows with a column outside 0..{n - 1}")
+    return n
+
+
+def inverse(rows: Sequence[dict]) -> tuple[dict, ...]:
+    """The sparse rows of the exact inverse of the n sparse ``rows`` over columns 0..n-1; ValueError if singular.
+
+    Row i of [m | I] reduces to e_i followed by row i of the inverse.
+    """
+    n = _square(rows, "inverse")
+    red, pivots = rref(Matrix(n, 2 * n, tuple(row | {n + i: 1} for i, row in enumerate(rows))))
     if pivots[:n] != tuple(range(n)):
         raise ValueError("singular matrix")
-    # row i of [m | I] reduces to e_i followed by row i of the inverse
-    return Matrix(n, n, tuple({j - n: x for j, x in row.items() if j >= n} for row in red.data[:n]))
+    return tuple({j - n: x for j, x in row.items() if j >= n} for row in red.data[:n])
 
 
-def det(m: Matrix):
-    """Exact determinant by Laplace expansion along the sparse rows in turn; an ``int`` for ``int`` entries.
+def det(rows: Sequence[dict]):
+    """Exact determinant of the n sparse ``rows`` over columns 0..n-1, by Laplace expansion along the rows in turn.
 
-    After each row, every set of columns the rows so far can take (a
-    bitmask) maps to the signed sum of the products that take it; a row
-    meets only its nonzero entries, and placing column j after the set
-    ``used`` adds the ``(used >> j).bit_count()`` inversions of the earlier
-    rows' larger columns.  The cost is the number of column sets reached: at
-    most 2^n for a dense n x n matrix, one path through each one-entry row,
-    as in the Gram minors of a Chevalley kappa.
+    An ``int`` for ``int`` entries.  After each row, every set of columns
+    the rows so far can take (a bitmask) maps to the signed sum of the
+    products that take it; a row meets only its nonzero entries, and placing
+    column j after the set ``used`` adds the ``(used >> j).bit_count()``
+    inversions of the earlier rows' larger columns.  The cost is the number
+    of column sets reached: at most 2^n for a dense n x n matrix, one path
+    through each one-entry row, as in the Gram minors of a Chevalley kappa.
     """
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
+    n = _square(rows, "determinant")
     partial = {0: 1}
-    for row in m.data:
+    for row in rows:
         step: dict = {}
         for used, v in partial.items():
             for j, x in row.items():
@@ -233,4 +233,4 @@ def det(m: Matrix):
                     key = used | 1 << j
                     step[key] = step.get(key, 0) + (-v if (used >> j).bit_count() & 1 else v) * x
         partial = {used: v for used, v in step.items() if v}
-    return partial.get((1 << m.rows) - 1, 0)
+    return partial.get((1 << n) - 1, 0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, frac, inverse
+from .linalg import frac, inverse
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G")
 
@@ -208,14 +208,14 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
     gram = tuple(tuple(scale * x for x in row) for row in raw)
 
     # omega_i = sum_k (M^{-1})[i][k] alpha_k where M[k][j] = cartan[k][j]
-    cartan_inv = inverse(Matrix.from_rows(cartan_rows))
+    cartan_inv = inverse([{j: c for j, c in enumerate(row) if c} for row in cartan_rows])
     rd = RootDatum(
         family=family,
         rank=rank,
         gram=gram,
         positive_roots=tuple(positives),
         cartan=tuple(cartan_rows),
-        fundamental_in_root=tuple(tuple(row.get(j, Fraction(0)) for j in range(rank)) for row in cartan_inv.data),
+        fundamental_in_root=tuple(tuple(row.get(j, Fraction(0)) for j in range(rank)) for row in cartan_inv),
     )
     # rho on the fundamental-weight side is (1, ..., 1): a check of the inverse
     if rd.weight_to_root((1,) * rank) != rd.rho_root:

@@ -412,10 +412,11 @@ def test_blocked_rank_matches_full_matrix(a2, c2):
         for k in range(L.g - L.d, L.d + 1):
             # the integer numerators over den: den (casimir - c_top) has the kernel of casimir - c_top
             cmat, den = _degree_matrix(L, casimir, k, 0)
-            shifted = Matrix.from_rows(
-                [[row.get(j, 0) - den * c_top * (i == j) for j in range(cmat.cols)] for i, row in enumerate(cmat.data)]
-            )
-            kernel = kernel_basis(shifted.data, shifted.cols)
+            shifted = [
+                sparse([row.get(j, 0) - den * c_top * (i == j) for j in range(cmat.cols)])
+                for i, row in enumerate(cmat.data)
+            ]
+            kernel = kernel_basis(shifted, cmat.cols)
             assert blocked_eigenspace_dim(L, k, c_top) == len(kernel) > 0
 
 

@@ -1,6 +1,7 @@
 """Plucker vectors, the linear equation set, and the membership equivalence."""
 
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -263,7 +264,10 @@ def test_transpose_relation_matches_fraction_oracle(name, corrupt, request):
 
 
 def test_pairing_matrix_matches_fraction_oracle(a2, c2):
-    for L in (a2, c2):
+    # a constant shifted by 1/2 gives kappa a denominator, which the integer rows must carry
+    halved = a2.with_corrupted_constant(2, 3, 1, Fraction(1, 2))
+    assert lcm(*[c.denominator for row in halved.kappa for c in row.values()]) > 1
+    for L in (a2, c2, halved):
         for k in range(L.g + 1):
             keys = degree_keys(L, k)
             G, den = pairing_matrix(L, keys, keys)

@@ -14,7 +14,7 @@ from nullvar.algebra import (
     root_pair_plane,
     standard_borel,
 )
-from nullvar.linalg import Matrix, combine, frac, rank
+from nullvar.linalg import combine, frac, rank
 from nullvar.roots import build_root_datum
 from nullvar.seeds import Lcg
 from nullvar.variety import (
@@ -302,7 +302,7 @@ def _oracle_d_operator_corank(L):
         rows.append(row)
     if not rows:
         return target_dim
-    r = rank(Matrix.from_rows(rows).data)
+    r = rank([dense_oracles.sparse(row) for row in rows])
     corank = target_dim - r
     if corank > L.d:
         raise StructureError(f"D operator corank {corank} exceeds {L.d}")
