@@ -4,8 +4,8 @@ Every value is exact; no rounding ever occurs.  A vector is a sparse row: a
 dict from each coordinate index to its nonzero ``fractions.Fraction``.
 Elimination, ``det`` and ``inverse`` take sparse rows of ``int`` or
 ``Fraction`` entries that keep only their nonzero entries, as subspace
-bases, weight blocks of the exterior operators, the Jacobian of the cubic
-local equations, kappa and its Gram minors are mostly zeros.  A ``Matrix``
+bases, weight blocks of the exterior operators, the Jacobian of the local
+equations, kappa and its Gram minors are mostly zeros.  A ``Matrix``
 is such rows with a shape.  It holds the weight-block operator and pairing
 matrices of the transpose relation as integer numerators, their one
 denominator kept beside the matrix, and the [m | I] rows that ``inverse``

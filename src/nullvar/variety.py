@@ -152,7 +152,7 @@ def degenerate(L: LieAlgebra, V: Subspace, weight) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# the D operator and the cubic local equations
+# the D operator and the local equations to first order
 
 
 def _slot(L: LieAlgebra, i: int, j: int, k: int) -> dict[tuple[int, int], Fraction]:
@@ -185,38 +185,27 @@ def d_operator_corank(L: LieAlgebra) -> int:
     return corank
 
 
-Monomial = tuple[tuple[int, int], ...]  # sorted variable ids (i, j)
+Monomial = tuple[tuple[int, int], ...]  # () or one variable id (i, j)
 
 
 @dataclass(frozen=True)
-class CubicSystem:
-    """The cubic polynomials cutting the variety out of a chart of the Grassmannian.
+class FirstOrderEquations:
+    """The local equations of the variety on a chart of the Grassmannian, to first order at X = 0.
 
     Variables X[i][j] describe the graph subspace spanned by
     x_i + sum_j X[i][j] y_j over the base rows x_i and complement rows y_j.
-    One polynomial per ascending triple of base rows; evaluating at X = 0
-    returns w on the corresponding base triple.
+    One polynomial per ascending triple of base rows: its constant under
+    ``()`` is w on that base triple, its coefficient of X[i][j] under
+    ``((i, j),)`` is w with y_j in the slot of x_i.  ``jacobian`` holds the
+    same linear coefficients as sparse rows, X[i][j] at column i * m + j.
     """
 
-    L: LieAlgebra
-    base: Subspace
-    complement: Subspace
     polynomials: tuple[dict[Monomial, Fraction], ...]
-
-    @property
-    def n_vars(self) -> int:
-        return self.base.dim * self.complement.dim
-
-    def jacobian_at_zero(self) -> list[Vector]:
-        """The degree-one coefficients as sparse rows, X[i][j] at column i * m + j; rows follow the triple order."""
-        m = self.complement.dim
-        return [
-            {i * m + j: c for mono, c in poly.items() if len(mono) == 1 for i, j in mono} for poly in self.polynomials
-        ]
+    jacobian: tuple[Vector, ...]
 
 
-def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> CubicSystem:
-    """Cubic equations of the variety on the chart defined by base and complement.
+def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> FirstOrderEquations:
+    """Local equations of the variety on the chart defined by base and complement, to first order.
 
     Each w value is taken on the rows' integer numerators and divided once by their three denominators.
     """
@@ -226,25 +215,22 @@ def local_equations(L: LieAlgebra, base: Subspace, complement: Subspace) -> Cubi
         raise ValueError(f"base must have dimension {L.d}")
     xs = [integer_terms(row) for row in base.rows]
     ys = [integer_terms(row) for row in complement.rows]
-    polynomials = []
+    m = len(ys)
+    polynomials, jacobian = [], []
     for triple in itertools.combinations(range(len(xs)), 3):
-        poly: dict[Monomial, Fraction] = {}
-        # each slot is the base row x_i or one of the complement rows y_j, with X[i][j] as its monomial
-        slots = [[((), *xs[i])] + [(((i, j),), *y) for j, y in enumerate(ys)] for i in triple]
-        for m1, s1, v1 in slots[0]:
-            for m2, s2, v2 in slots[1]:
-                for m3, s3, v3 in slots[2]:
-                    val = L.w_eval(v1, v2, v3)
-                    if not val:
-                        continue
-                    mono = tuple(sorted(m1 + m2 + m3))
-                    new = poly.get(mono, 0) + val / (s1 * s2 * s3)
-                    if new:
-                        poly[mono] = new
-                    else:
-                        poly.pop(mono, None)
+        scale = xs[triple[0]][0] * xs[triple[1]][0] * xs[triple[2]][0]
+        args = [xs[i][1] for i in triple]
+        val = L.w_eval(*args)
+        poly: dict[Monomial, Fraction] = {(): val / scale} if val else {}
+        row: Vector = {}
+        for slot, i in enumerate(triple):
+            for j, (s, y) in enumerate(ys):
+                val = L.w_eval(*args[:slot], y, *args[slot + 1:])
+                if val:
+                    poly[((i, j),)] = row[i * m + j] = val / (scale // xs[i][0] * s)
         polynomials.append(poly)
-    return CubicSystem(L, base, complement, tuple(polynomials))
+        jacobian.append(row)
+    return FirstOrderEquations(tuple(polynomials), tuple(jacobian))
 
 
 def coordinate_complement(L: LieAlgebra, base: Subspace) -> Subspace:
@@ -257,14 +243,18 @@ def coordinate_complement(L: LieAlgebra, base: Subspace) -> Subspace:
 def jacobian_corank_at(L: LieAlgebra, base: Subspace) -> int:
     """Corank of the local equation Jacobian at the chart origin of ``base``.
 
-    The base point must lie in the variety (nullspace of dimension d); equals
-    d at every point by smoothness, which the suites verify.
+    The base point must lie in the variety (nullspace of dimension d): every
+    constant of its local equations is w on a triple of its rows, so a
+    nonzero one rejects it.  The corank equals d at every point by
+    smoothness, which the suites verify.
     """
-    if base.dim != L.d or not is_nullspace(L, base):
+    if base.dim != L.d:
         raise NotInVarietyError("base point is not a maximal nullspace")
     complement = coordinate_complement(L, base)
     system = local_equations(L, base, complement)
-    return system.n_vars - rank(system.jacobian_at_zero())
+    if any(() in poly for poly in system.polynomials):
+        raise NotInVarietyError("base point is not a maximal nullspace")
+    return base.dim * complement.dim - rank(system.jacobian)
 
 
 def check_d_relations(L: LieAlgebra) -> bool:

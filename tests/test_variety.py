@@ -1,4 +1,4 @@
-"""Chart, orbits, degenerations, the D operator and the cubic local system."""
+"""Chart, orbits, degenerations, the D operator and the local equations to first order."""
 
 import itertools
 from fractions import Fraction
@@ -207,25 +207,29 @@ def test_local_equations_at_borel(a2):
     comp = coordinate_complement(a2, b)
     system = local_equations(a2, b, comp)
     assert len(system.polynomials) == 10
-    zero = [[0] * comp.dim for _ in range(b.dim)]
-    assert all(v == 0 for v in _evaluate(system, zero))
-    # chart point written in the graph coordinates of the Borel chart
-    t_eff = _effective_parameters(a2, chart_lines(a2, (Fraction(1, 3), Fraction(1, 3))))
-    X = [[Fraction(0)] * comp.dim for _ in range(b.dim)]
+    assert not any(() in poly for poly in system.polynomials)  # every constant is 0: the Borel is a nullspace
+
+    def direction(a):  # the unit direction of the chart parameter of the a-th positive root
+        X = [[0] * comp.dim for _ in range(b.dim)]
+        X[a2.l + a][comp.pivots.index(a2.neg_index(a))] = 1
+        return X
+
+    # a simple root's parameter is tangent, since the chart moves the non-simple lines at order s^2 or higher;
+    # a non-simple root's line moved alone is not
     for a in range(a2.n_pos):
-        col = comp.pivots.index(a2.neg_index(a))
-        X[a2.l + a][col] = t_eff[a]
-    assert all(v == 0 for v in _evaluate(system, X))
+        assert all(v == 0 for v in _evaluate(system, direction(a))) == (a < a2.l)
     generic = [[Fraction(i + j + 1) for j in range(comp.dim)] for i in range(b.dim)]
     assert any(v != 0 for v in _evaluate(system, generic))
 
 
-@pytest.mark.parametrize("fixture", ["a2", "c2"])
+@pytest.mark.parametrize("fixture", ["a2", "b2", "c2"])
 def test_local_equations_match_fraction_built_at_rational_chart_points(fixture, request):
-    # integer numerators of the rows, one division per nonzero term, against Fraction rows and the dense w
+    # integer numerators of the rows, one division per nonzero term, against the Fraction-built cubic cut to
+    # degree <= 1; the random base is no nullspace, so its constants are not all 0
     L = request.getfixturevalue(fixture)
-    for t in ((Fraction(1, 2), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(1, 2))):
-        base = chart(L, t)
+    bases = [chart(L, t) for t in ((Fraction(1, 2), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(1, 2)))]
+    bases.append(random_subspace(L, Lcg(1), L.d))
+    for base in bases:
         assert any(x.denominator > 1 for row in base.rows for x in row.values())
         coordinate = coordinate_complement(L, base)
         # a complement whose rows need scaling too
@@ -233,8 +237,13 @@ def test_local_equations_match_fraction_built_at_rational_chart_points(fixture, 
         assert base.add(tilted).dim == L.g and any(x.denominator > 1 for row in tilted.rows for x in row.values())
         for complement in (coordinate, tilted):
             system = local_equations(L, base, complement)
-            assert list(system.polynomials) == dense_oracles.local_equations(L, base, complement)
-            assert system.jacobian_at_zero()  # the linear part is not empty
+            assert all(len(mono) <= 1 for poly in system.polynomials for mono in poly)
+            cubic = dense_oracles.local_equations(L, base, complement)
+            assert list(system.polynomials) == [{mono: c for mono, c in p.items() if len(mono) <= 1} for p in cubic]
+            m = complement.dim
+            linear = [{i * m + j: c for mono, c in p.items() if len(mono) == 1 for i, j in mono} for p in cubic]
+            assert list(system.jacobian) == linear and any(linear)
+        assert any(() in poly for poly in system.polynomials) == (base is bases[-1])
 
 
 def test_jacobian_corank(a2, c2):
@@ -245,8 +254,12 @@ def test_jacobian_corank(a2, c2):
 
 
 def test_jacobian_rejects_non_members(a2):
-    with pytest.raises(NotInVarietyError):
+    with pytest.raises(NotInVarietyError):  # of dimension 8, not d = 5
         jacobian_corank_at(a2, standard_borel(a2).add(chart(a2, (1, 1))))
+    V = random_subspace(a2, Lcg(1), a2.d)
+    assert V.dim == a2.d and not is_nullspace(a2, V)
+    with pytest.raises(NotInVarietyError):  # of dimension d, so a nonzero constant rejects it
+        jacobian_corank_at(a2, V)
 
 
 def test_seeded_chart_points(a1, a2, c2):
