@@ -157,7 +157,7 @@ def cmd_membership(args) -> int:
         with open(args.basis) as fh:
             data = json.load(fh)
         S = Subspace.from_json(L, data)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise UsageError(f"cannot read subspace from {args.basis}: {exc}") from exc
     payload = {"dim": S.dim, "is_nullspace": is_nullspace(L, S)}
     if S.dim == L.d:

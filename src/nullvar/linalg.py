@@ -41,10 +41,13 @@ def parse_rational(text: str) -> Fraction:
 
     ``Fraction`` also reads an exponent, and Fraction('1e9') builds a
     billion-digit integer before any size could be checked, so a string with
-    an exponent is refused.
+    an exponent is refused.  It also reads non-ASCII digits, and '1_0' as 10
+    from Python 3.11 on but not before, so those are refused too.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponents are not accepted: {text!r}")
+    if "_" in text or not text.isascii():
+        raise ValueError(f"only ASCII digits without '_' are accepted: {text!r}")
     return Fraction(text)
 
 

@@ -12,21 +12,21 @@ the scale leaves unchanged.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import frac, inverse
 
-SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G")
-
-# positive-root counts per family: the dimension before the roots are built,
-# and a construction self-check after
-_POSITIVE_COUNT = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
-    "G": lambda l: 6,
+# one row per supported family: least and greatest rank (None: unbounded), the norm of the last
+# simple root before the Killing scale (the others have norm 2), and the positive-root count,
+# which gives the dimension before the roots are built and a construction self-check after
+_FAMILIES = {
+    "A": (1, None, 2, lambda l: l * (l + 1) // 2),
+    "B": (2, None, 1, lambda l: l * l),
+    "C": (2, None, 4, lambda l: l * l),
+    "D": (3, None, 2, lambda l: l * (l - 1)),
+    "G": (2, 2, 6, lambda l: 6),
 }
 
 
@@ -35,11 +35,12 @@ class UnsupportedTypeError(ValueError):
 
 
 def _checked_family(family: str, rank: int) -> str:
-    """The upper-case family; UnsupportedTypeError outside A/B/C/D/G or below its minimum rank."""
+    """The upper-case family; UnsupportedTypeError outside ``_FAMILIES`` or outside its rank range."""
     family = family.upper()
-    if family not in SUPPORTED_FAMILIES:
+    if family not in _FAMILIES:
         raise UnsupportedTypeError(f"unsupported family {family!r}")
-    if rank < {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}[family] or (family == "G" and rank != 2):
+    least, greatest = _FAMILIES[family][:2]
+    if rank < least or rank > (greatest or rank):
         raise UnsupportedTypeError(f"unsupported rank {rank} for family {family}")
     return family
 
@@ -49,40 +50,23 @@ def algebra_dimension(family: str, rank: int) -> int:
 
     Raises UnsupportedTypeError exactly where ``build_root_datum`` does.
     """
-    return rank + 2 * _POSITIVE_COUNT[_checked_family(family, rank)](rank)
+    return rank + 2 * _FAMILIES[_checked_family(family, rank)][3](rank)
 
 
 def _gram_matrix(family: str, l: int) -> list[list[Fraction]]:
-    G = [[Fraction(0)] * l for _ in range(l)]
-    if family == "A":
-        for i in range(l):
-            G[i][i] = Fraction(2)
-        for i in range(l - 1):
-            G[i][i + 1] = G[i + 1][i] = Fraction(-1)
-    elif family == "B":
-        # last simple root short (norm 1)
-        for i in range(l):
-            G[i][i] = Fraction(2)
-        G[l - 1][l - 1] = Fraction(1)
-        for i in range(l - 1):
-            G[i][i + 1] = G[i + 1][i] = Fraction(-1)
-    elif family == "C":
-        # last simple root long (norm 4)
-        for i in range(l):
-            G[i][i] = Fraction(2)
-        G[l - 1][l - 1] = Fraction(4)
-        for i in range(l - 2):
-            G[i][i + 1] = G[i + 1][i] = Fraction(-1)
-        if l >= 2:
-            G[l - 2][l - 1] = G[l - 1][l - 2] = Fraction(-2)
-    elif family == "D":
-        for i in range(l):
-            G[i][i] = Fraction(2)
-        for i in range(l - 2):
-            G[i][i + 1] = G[i + 1][i] = Fraction(-1)
-        G[l - 3][l - 1] = G[l - 1][l - 3] = Fraction(-1)
-    elif family == "G":
-        G = [[Fraction(2), Fraction(-3)], [Fraction(-3), Fraction(6)]]
+    """The Gram matrix of the simple roots before the Killing scale: the norms of ``_FAMILIES`` on the diagonal.
+
+    Simple roots joined by a Dynkin edge pair to minus half the longer norm,
+    as <a_short, a_long^v> = -1; the edges form the chain i-1 -- i, except
+    that D's last root hangs off root l - 3.
+    """
+    norms = [2] * (l - 1) + [_FAMILIES[family][2]]
+    edges = [(i - 1, i) for i in range(1, l)]
+    if family == "D":
+        edges[-1] = (l - 3, l - 1)
+    G = [[Fraction(norms[i]) if i == j else Fraction(0) for j in range(l)] for i in range(l)]
+    for i, j in edges:
+        G[i][j] = G[j][i] = Fraction(-max(norms[i], norms[j]), 2)
     return G
 
 
@@ -182,8 +166,8 @@ def _positive_roots(cartan, l: int) -> list[tuple[int, ...]]:
 def build_root_datum(family: str, rank: int) -> RootDatum:
     """Root datum for the requested family and rank.
 
-    Raises UnsupportedTypeError for families outside A/B/C/D/G or ranks below
-    the family minimum (A: 1, B and C: 2, D: 3, G: exactly 2).
+    Raises UnsupportedTypeError for families and ranks outside ``_FAMILIES``
+    (A from 1, B and C from 2, D from 3, G exactly 2).
     """
     family = _checked_family(family, rank)
     raw = _gram_matrix(family, rank)
@@ -197,7 +181,7 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
             row.append(int(val))
         cartan_rows.append(tuple(row))
     positives = _positive_roots(cartan_rows, rank)
-    expected = _POSITIVE_COUNT[family](rank)
+    expected = _FAMILIES[family][3](rank)
     if len(positives) != expected:
         raise AssertionError(f"{family}{rank}: expected {expected} positive roots, got {len(positives)}")
 
@@ -224,16 +208,11 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
 
 
 def parse_type_label(label: str) -> tuple[str, int]:
-    """Split labels like 'A2' or 'C2' into (family, rank)."""
+    """Split labels like 'A2' or 'C2' into (family, rank); ``int`` alone would also read 'A1_0' or 'A+2'."""
     label = label.strip()
-    if len(label) < 2 or not label[0].isalpha():
+    if not re.fullmatch(r"[A-Za-z][0-9]+", label):
         raise UnsupportedTypeError(f"malformed type label {label!r}")
-    family = label[0].upper()
-    try:
-        rank = int(label[1:])
-    except ValueError as exc:
-        raise UnsupportedTypeError(f"malformed type label {label!r}") from exc
-    return family, rank
+    return label[0].upper(), int(label[1:])
 
 
 def weyl_dim(rd: RootDatum, weight) -> int:

@@ -42,6 +42,10 @@ def test_info_unsupported_type_exits_2():
     assert out.returncode == 2
     out = run_cli("verify", "--type", "Z9")
     assert out.returncode == 2
+    # int() reads the rank as 10; the label is one letter and ASCII digits
+    out = run_cli("info", "--type", "A1_0")
+    assert out.returncode == 2
+    assert "malformed type label" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_g2_verifies_and_charts():
@@ -203,6 +207,22 @@ def test_exponent_notation_is_a_usage_error(argv, tmp_path, capsys):
     assert cli.main([str(basis) if a == "EXPONENT_JSON" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "exponent" in err
+
+
+def test_underscores_and_non_ascii_digits_are_usage_errors(capsys):
+    # Fraction reads '1_0' as 10 from Python 3.11 on, and an Arabic-Indic two as 2
+    assert cli.main(["chart", "--type", "A2", "--t", "1_0,\u0662"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err and "ASCII digits" in captured.err
+
+
+def test_deeply_nested_basis_file_is_a_usage_error(tmp_path):
+    # json reads nested arrays by recursion, so a file of 100,000 '[' runs out of stack
+    basis = tmp_path / "nested.json"
+    basis.write_text("[" * 100_000)
+    out = run_cli("membership", "--type", "A2", "--basis", str(basis))
+    assert out.returncode == 2
+    assert "error: cannot read subspace" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_rationals_without_exponents_are_accepted(tmp_path, capsys, a2):

@@ -242,6 +242,15 @@ def test_exponent_entries_are_refused(text, a1):
         Subspace.from_json(a1, {"rows": 1, "cols": 3, "entries": [[text, 1, 0]]})
 
 
+# Fraction reads '1_0' as 10 from Python 3.11 on, and non-ASCII digits as their values
+@pytest.mark.parametrize("text", ["1_0", "1/2_0", "0.5_0", "\u0662", "1/\u0662", "\uff12", "\u00a07"])
+def test_underscores_and_non_ascii_entries_are_refused(text, a1):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        parse_rational(text)
+    with pytest.raises(ValueError, match="ASCII digits"):
+        Subspace.from_json(a1, {"rows": 1, "cols": 3, "entries": [[text, 1, 0]]})
+
+
 def test_rational_strings_are_read_exactly(a1):
     assert [parse_rational(x) for x in ("3/4", "-2", "0.5", " 7 ")] == [Fraction(3, 4), -2, Fraction(1, 2), 7]
     S = Subspace.from_json(a1, {"rows": 1, "cols": 3, "entries": [["3/4", "0.5", -2]]})

@@ -105,6 +105,32 @@ def test_weyl_generated_roots_match_the_root_string_closure(family, rank):
     assert rd.cartan == tuple(tuple(2 * gram[i][j] / gram[j][j] for j in range(rank)) for i in range(rank))
 
 
+# Humphreys' Cartan matrices (Introduction to Lie Algebras and Representation Theory, 11.4), with
+# cartan[i][j] = 2(a_i, a_j)/(a_j, a_j): B's last root short, C's last root long, D forked at
+# root l - 3 and G2's first root short
+CARTAN = {
+    ("A", 1): ((2,),),
+    ("A", 2): ((2, -1), (-1, 2)),
+    ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    ("A", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    ("B", 2): ((2, -2), (-1, 2)),
+    ("B", 3): ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    ("B", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+    ("C", 2): ((2, -1), (-2, 2)),
+    ("C", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    ("C", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2)),
+    ("D", 3): ((2, -1, -1), (-1, 2, 0), (-1, 0, 2)),
+    ("D", 4): ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    ("D", 5): ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1), (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)),
+    ("G", 2): ((2, -1), (-3, 2)),
+}
+
+
+@pytest.mark.parametrize("family,rank", list(CARTAN), ids=[f"{f}{n}" for f, n in CARTAN])
+def test_cartan_matrices_are_the_textbook_ones(family, rank):
+    assert build_root_datum(family, rank).cartan == CARTAN[family, rank]
+
+
 def test_killing_normalization_on_adjoint():
     for family, rank in ALL_TYPES:
         rd = build_root_datum(family, rank)
@@ -203,6 +229,18 @@ def test_unsupported_types():
         build_root_datum("B", 1)
     with pytest.raises(UnsupportedTypeError):
         parse_type_label("Q")
+
+
+@pytest.mark.parametrize("label,parsed", [("A2", ("A", 2)), (" c10 ", ("C", 10)), ("G2", ("G", 2))])
+def test_type_labels_are_read(label, parsed):
+    assert parse_type_label(label) == parsed
+
+
+# int() alone reads the rank of the first seven: A1_0 as A10, C0_2 as C2, A-2 as rank -2 and the rest as A2
+@pytest.mark.parametrize("label", ["A1_0", "C0_2", "A+2", "A 2", "A\u0662", "A\uff12", "A-2", "2A", "AB2"])
+def test_type_labels_take_one_letter_and_ascii_digits(label):
+    with pytest.raises(UnsupportedTypeError, match="malformed type label"):
+        parse_type_label(label)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("b", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)])
